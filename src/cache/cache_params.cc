@@ -2,6 +2,7 @@
 
 #include "sim/logging.hh"
 #include "util/stat_math.hh"
+#include "util/strings.hh"
 
 namespace wlcache {
 namespace cache {
@@ -19,9 +20,10 @@ replPolicyName(ReplPolicy p)
 bool
 replPolicyFromName(const std::string &name, ReplPolicy &out)
 {
-    if (name == "LRU")
+    const std::string n = util::toLower(name);
+    if (n == "lru")
         out = ReplPolicy::LRU;
-    else if (name == "FIFO")
+    else if (n == "fifo")
         out = ReplPolicy::FIFO;
     else
         return false;

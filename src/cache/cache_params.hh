@@ -28,7 +28,8 @@ enum class ReplPolicy
 const char *replPolicyName(ReplPolicy p);
 
 /**
- * Inverse of replPolicyName(): parse "LRU"/"FIFO".
+ * Inverse of replPolicyName(), case-insensitive ("lru" and "fifo" as
+ * the tools and sweep specs spell them).
  * @return true and set @p out on a match; false on an unknown name.
  */
 bool replPolicyFromName(const std::string &name, ReplPolicy &out);

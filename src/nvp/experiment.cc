@@ -1,9 +1,37 @@
 #include "nvp/experiment.hh"
 
 #include "sim/logging.hh"
+#include "util/strings.hh"
 
 namespace wlcache {
 namespace nvp {
+
+bool
+powerFromShortName(const std::string &name, energy::TraceKind &kind,
+                   bool &no_failure)
+{
+    const std::string n = util::toLower(name);
+    no_failure = n == "none" || n == "infinite";
+    if (no_failure) {
+        kind = energy::TraceKind::Constant;
+        return true;
+    }
+    // "constant" is an energy::TraceKind but no ambient environment.
+    return n != "constant" && energy::traceKindFromName(n, kind);
+}
+
+std::vector<std::string>
+powerShortNames()
+{
+    using energy::TraceKind;
+    std::vector<std::string> names;
+    for (const TraceKind k : { TraceKind::RfHome, TraceKind::RfOffice,
+                               TraceKind::RfMementos, TraceKind::Solar,
+                               TraceKind::Thermal })
+        names.push_back(energy::traceKindName(k));
+    names.push_back("none");
+    return names;
+}
 
 SystemConfig
 resolveConfig(const ExperimentSpec &spec)

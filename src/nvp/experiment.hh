@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "energy/power_trace.hh"
 #include "nvp/system.hh"
@@ -45,6 +46,18 @@ struct ExperimentSpec
     /** Optional configuration override hook. */
     std::function<void(SystemConfig &)> tweak;
 };
+
+/**
+ * Parse a short power-environment name as the tools and sweep specs
+ * spell it: trace1|trace2|trace3|solar|thermal, or none|infinite for
+ * infinite power (sets @p no_failure). Case-insensitive.
+ * @return true and set @p kind / @p no_failure on a match.
+ */
+bool powerFromShortName(const std::string &name, energy::TraceKind &kind,
+                        bool &no_failure);
+
+/** Every primary power-environment short name, in listing order. */
+std::vector<std::string> powerShortNames();
 
 /**
  * The SystemConfig a spec actually runs with: the design preset with

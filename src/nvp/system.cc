@@ -12,6 +12,7 @@
 #include "cache/wt_buffered_cache.hh"
 #include "core/wl_log_cache.hh"
 #include "cpu/register_file.hh"
+#include "nvp/schema.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "sim/trace_log.hh"
@@ -102,23 +103,9 @@ SystemSim::SystemSim(const SystemConfig &cfg,
     recomputeThresholds();
 
     // Resume-compatibility key: every configuration knob the captured
-    // state depends on. The forced-outage schedule and the injection
-    // flags are neutralized deliberately — they only *trigger* extra
-    // behaviour at or after a scheduled point, so a golden run's
-    // prefix snapshot resumes correctly into a point run. max_outages
-    // is likewise prefix-invariant (it only decides when to give up).
-    SystemConfig keyed = cfg_;
-    keyed.forced_outage_cycles.clear();
-    keyed.inject_checkpoint_skip = false;
-    keyed.inject_register_skip = false;
-    keyed.max_outages = 0;
-    keyed.timeline = nullptr;
-    // The two step modes are bit-identical by construction (integer
-    // attojoule integration), so a snapshot taken under one resumes
-    // under the other; the mode is neutralized out of the key.
-    keyed.step_mode = StepMode::SkipAhead;
+    // state depends on, plus the trace and power identity.
     std::ostringstream ks;
-    dumpConfigKey(ks, keyed);
+    dumpConfigKey(ks, resumeNeutral(cfg_));
     ks << "trace=" << trace_.name << '\n'
        << "trace_seed=" << trace_.seed << '\n'
        << "trace_events=" << trace_.events.size() << '\n'
@@ -630,162 +617,66 @@ SystemSim::computeFinalDigest()
 
 namespace {
 
-/** Serialize every RunResult field ("RES " section). */
-void
-saveRunResult(SnapshotWriter &w, const RunResult &res)
-{
-    w.section("RES ");
-    w.str(res.workload);
-    w.u8(static_cast<std::uint8_t>(res.design));
-    w.b(res.completed);
-    w.u64(res.on_cycles);
-    w.f64(res.off_seconds);
-    w.f64(res.total_seconds);
-    w.u64(res.instructions);
-    w.u64(res.trace_events);
-    w.u64(res.replayed_events);
-    w.u64(res.outages);
-    w.u64(res.reserve_violations);
-    res.meter.saveState(w);
-    w.u64(res.nvm_writes);
-    w.u64(res.nvm_bytes_written);
-    w.u64(res.nvm_reads);
-    w.u64(res.nvm_bank_conflicts);
-    w.u64(res.nvm_queue_stall_cycles);
-    w.u64(res.nvm_turnaround_stall_cycles);
-    w.u64(res.nvm_wear_max);
-    w.u64(res.nvm_wear_lines_touched);
-    w.u64(res.nvm_lifetime_headroom);
-    w.f64(res.nvm_write_p99_latency);
-    w.u64(res.nvm_row_hits);
-    w.u64(res.nvm_row_misses);
-    w.u64(res.log_appended_records);
-    w.u64(res.log_appended_bytes);
-    w.u64(res.log_replays);
-    w.u64(res.log_replayed_records);
-    w.u64(res.log_replayed_bytes);
-    w.u64(res.log_compactions);
-    w.u64(res.log_compacted_lines);
-    w.u64(res.log_compacted_bytes);
-    w.u64(res.log_live_lines);
-    w.f64(res.dcache_load_hit_rate);
-    w.f64(res.dcache_store_hit_rate);
-    w.u64(res.store_stall_cycles);
-    w.u32(res.reconfigurations);
-    w.u32(res.maxline_min_seen);
-    w.u32(res.maxline_max_seen);
-    w.f64(res.prediction_accuracy);
-    w.f64(res.avg_dirty_at_ckpt);
-    w.f64(res.writebacks_per_on_period);
-    w.u64(res.dyn_maxline_raises);
-    w.u64(res.consistency_checks);
-    w.u64(res.consistency_violations);
-    w.u64(res.load_value_mismatches);
-    w.b(res.final_state_correct);
-    w.u64(res.forced_outages);
-    w.u64(res.register_restore_mismatches);
-    w.b(res.divergence);
-    w.b(res.has_first_divergence);
-    w.str(res.first_divergence_kind);
-    w.u64(res.first_divergence_addr);
-    w.u64(res.first_divergence_cycle);
-    w.u64(res.first_divergence_outage);
-    w.str(res.final_state_digest);
-    w.str(res.stats_json);
-    w.u64(res.intervals.size());
-    for (const telemetry::IntervalRollup &iv : res.intervals) {
-        w.u64(iv.index);
-        w.u64(iv.start_cycle);
-        w.u64(iv.end_cycle);
-        w.u64(iv.instructions);
-        w.u64(iv.nvm_writes);
-        w.u64(iv.cleans);
-        w.u32(iv.dirty_high_water);
-        w.f64(iv.checkpoint_j);
-        w.f64(iv.harvested_j);
-    }
-    w.u64(res.intervals_dropped);
-}
+// Mirrored scalar codings of the "RES " section.
+void io(SnapshotWriter &w, unsigned v) { w.u32(v); }
+void io(SnapshotReader &r, unsigned &v) { v = r.u32(); }
+void io(SnapshotWriter &w, std::uint64_t v) { w.u64(v); }
+void io(SnapshotReader &r, std::uint64_t &v) { v = r.u64(); }
+void io(SnapshotWriter &w, double v) { w.f64(v); }
+void io(SnapshotReader &r, double &v) { v = r.f64(); }
+void io(SnapshotWriter &w, bool v) { w.b(v); }
+void io(SnapshotReader &r, bool &v) { v = r.b(); }
+void io(SnapshotWriter &w, const std::string &v) { w.str(v); }
+void io(SnapshotReader &r, std::string &v) { v = r.str(); }
 
-/** Mirror of saveRunResult(). */
+/**
+ * Save (Io = SnapshotWriter, const @p record) or restore
+ * (SnapshotReader) one field.
+ */
+template <class Io, class Record>
 void
-restoreRunResult(SnapshotReader &r, RunResult &res)
+ioField(Io &io_, const Field &f, Record *record)
 {
-    r.section("RES ");
-    res.workload = r.str();
-    res.design = static_cast<DesignKind>(r.u8());
-    res.completed = r.b();
-    res.on_cycles = r.u64();
-    res.off_seconds = r.f64();
-    res.total_seconds = r.f64();
-    res.instructions = r.u64();
-    res.trace_events = r.u64();
-    res.replayed_events = r.u64();
-    res.outages = r.u64();
-    res.reserve_violations = r.u64();
-    res.meter.restoreState(r);
-    res.nvm_writes = r.u64();
-    res.nvm_bytes_written = r.u64();
-    res.nvm_reads = r.u64();
-    res.nvm_bank_conflicts = r.u64();
-    res.nvm_queue_stall_cycles = r.u64();
-    res.nvm_turnaround_stall_cycles = r.u64();
-    res.nvm_wear_max = r.u64();
-    res.nvm_wear_lines_touched = r.u64();
-    res.nvm_lifetime_headroom = r.u64();
-    res.nvm_write_p99_latency = r.f64();
-    res.nvm_row_hits = r.u64();
-    res.nvm_row_misses = r.u64();
-    res.log_appended_records = r.u64();
-    res.log_appended_bytes = r.u64();
-    res.log_replays = r.u64();
-    res.log_replayed_records = r.u64();
-    res.log_replayed_bytes = r.u64();
-    res.log_compactions = r.u64();
-    res.log_compacted_lines = r.u64();
-    res.log_compacted_bytes = r.u64();
-    res.log_live_lines = r.u64();
-    res.dcache_load_hit_rate = r.f64();
-    res.dcache_store_hit_rate = r.f64();
-    res.store_stall_cycles = r.u64();
-    res.reconfigurations = r.u32();
-    res.maxline_min_seen = r.u32();
-    res.maxline_max_seen = r.u32();
-    res.prediction_accuracy = r.f64();
-    res.avg_dirty_at_ckpt = r.f64();
-    res.writebacks_per_on_period = r.f64();
-    res.dyn_maxline_raises = r.u64();
-    res.consistency_checks = r.u64();
-    res.consistency_violations = r.u64();
-    res.load_value_mismatches = r.u64();
-    res.final_state_correct = r.b();
-    res.forced_outages = r.u64();
-    res.register_restore_mismatches = r.u64();
-    res.divergence = r.b();
-    res.has_first_divergence = r.b();
-    res.first_divergence_kind = r.str();
-    res.first_divergence_addr = r.u64();
-    res.first_divergence_cycle = r.u64();
-    res.first_divergence_outage = r.u64();
-    res.final_state_digest = r.str();
-    res.stats_json = r.str();
-    const std::uint64_t n_iv = r.u64();
-    res.intervals.clear();
-    res.intervals.reserve(n_iv);
-    for (std::uint64_t i = 0; i < n_iv; ++i) {
-        telemetry::IntervalRollup iv;
-        iv.index = r.u64();
-        iv.start_cycle = r.u64();
-        iv.end_cycle = r.u64();
-        iv.instructions = r.u64();
-        iv.nvm_writes = r.u64();
-        iv.cleans = r.u64();
-        iv.dirty_high_water = r.u32();
-        iv.checkpoint_j = r.f64();
-        iv.harvested_j = r.f64();
-        res.intervals.push_back(iv);
+    constexpr bool saving = std::is_same_v<Io, SnapshotWriter>;
+    switch (f.kind) {
+      case FieldKind::Unsigned:
+        return io(io_, f.ref<unsigned>(record));
+      case FieldKind::U64:
+        return io(io_, f.ref<std::uint64_t>(record));
+      case FieldKind::Double:
+        return io(io_, f.ref<double>(record));
+      case FieldKind::Bool:
+        return io(io_, f.ref<bool>(record));
+      case FieldKind::String:
+      case FieldKind::JsonText:
+        return io(io_, f.ref<std::string>(record));
+      case FieldKind::Enum:
+        if constexpr (saving)
+            io_.u8(static_cast<std::uint8_t>(f.codec->index(f.at(record))));
+        else
+            f.codec->setIndex(f.at(record), io_.u8());
+        return;
+      case FieldKind::Meter:
+        if constexpr (saving)
+            f.ref<energy::EnergyMeter>(record).saveState(io_);
+        else
+            f.ref<energy::EnergyMeter>(record).restoreState(io_);
+        return;
+      case FieldKind::Rollups: {
+        auto &rollups = f.ref<std::vector<telemetry::IntervalRollup>>(record);
+        std::uint64_t n = rollups.size();
+        io(io_, n);
+        if constexpr (!saving)
+            rollups.resize(n);
+        for (auto &iv : rollups)
+            for (const Field &rf : rollupFields())
+                ioField(io_, rf, &iv);
+        return;
+      }
+      case FieldKind::U64List:
+        break;
     }
-    res.intervals_dropped = r.u64();
+    panic("field '%s' has no snapshot encoding", f.key.c_str());
 }
 
 } // namespace
@@ -798,7 +689,9 @@ SystemSim::takeSnapshot() const
     w.u32(SystemSnapshot::kFormatVersion);
     w.u64(now_);
     w.u64(idx_);
-    saveRunResult(w, res_);
+    w.section("RES ");
+    for (const Field &f : resultFields())
+        ioField(w, f, &res_);
     meter_.saveState(w);
     cap_.saveState(w);
     harvester_.saveState(w);
@@ -869,7 +762,9 @@ SystemSim::restoreSnapshot(const SystemSnapshot &snap)
     wlc_assert(header_cycle == snap.cycle &&
                    header_idx == snap.event_index,
                "snapshot header disagrees with its metadata");
-    restoreRunResult(r, res_);
+    r.section("RES ");
+    for (const Field &f : resultFields())
+        ioField(r, f, &res_);
     meter_.restoreState(r);
     cap_.restoreState(r);
     harvester_.restoreState(r);

@@ -56,10 +56,14 @@ const char *designKindName(DesignKind kind);
 bool designKindFromName(const std::string &name, DesignKind &out);
 
 /**
- * Every valid designKindName(), comma-separated — for error messages
- * and diagnostics wherever a design name fails to parse.
+ * Parse a design's short name or alias as the tools and sweep specs
+ * spell it ("wl", "wt" or "vcache-wt", "nvc", ...), case-insensitive.
+ * @return true and set @p out on a match; false on an unknown name.
  */
-std::string designKindNameList();
+bool designFromShortName(const std::string &name, DesignKind &out);
+
+/** Every design's primary short name, in listing order. */
+std::vector<std::string> designShortNames();
 
 /**
  * WL-Cache family: designs built on the DirtyQueue/maxline machinery
@@ -214,13 +218,26 @@ struct SystemConfig
 
 /**
  * Write every simulation-affecting field of @p cfg as canonical
- * `key=value` lines (stable order, full double precision). The
- * runner's content-addressed result cache hashes this dump, so two
+ * `key=value` lines, one per configFields() row (nvp/schema.hh), in
+ * table order with full double precision. The runner's
+ * content-addressed result cache hashes this dump, so two
  * configurations collide exactly when the simulator cannot tell them
- * apart. When adding a SystemConfig field, extend this dump and bump
- * runner::kResultSchemaVersion.
+ * apart. Adding a SystemConfig field means adding one row to
+ * configFields() and bumping runner::kResultSchemaVersion.
  */
 void dumpConfigKey(std::ostream &os, const SystemConfig &cfg);
+
+/**
+ * @p cfg with every field a snapshot does not depend on reset to a
+ * fixed value, so snapshot compat keys and runner::resumeKey() hash
+ * the same config. Neutralized: the forced-outage schedule and both
+ * fault-injection flags (they only trigger behaviour at or after a
+ * scheduled point, so a golden run's prefix snapshot resumes into a
+ * point run), max_outages (prefix-invariant: it only decides when to
+ * give up), the timeline (observational) and the step mode (both
+ * modes are bit-identical, so snapshots resume across modes).
+ */
+SystemConfig resumeNeutral(SystemConfig cfg);
 
 } // namespace nvp
 } // namespace wlcache

@@ -1,8 +1,8 @@
 #include "runner/spec_key.hh"
 
-#include <cstdio>
 #include <sstream>
 
+#include "nvp/schema.hh"
 #include "util/strings.hh"
 
 namespace wlcache {
@@ -10,13 +10,14 @@ namespace runner {
 
 namespace {
 
-/** %.17g — matches the config key's double rendering. */
-std::string
-keyDouble(double v)
+/** The schema line and the spec-level fields every key starts with. */
+void
+writeSpecPrefix(std::ostream &os, const nvp::ExperimentSpec &spec,
+                bool resume)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    os << "schema=" << kResultSchemaVersion << '\n'
+       << (resume ? "resume\n" : "");
+    nvp::dumpFields(os, nvp::specFields(), &spec);
 }
 
 } // anonymous namespace
@@ -24,21 +25,11 @@ keyDouble(double v)
 std::string
 specKeyText(const nvp::ExperimentSpec &spec)
 {
-    // Resolve the configuration the run would actually use: design
-    // preset plus the caller's tweak hook.
-    const nvp::SystemConfig cfg = nvp::resolveConfig(spec);
-
     std::ostringstream os;
-    os << "schema=" << kResultSchemaVersion << '\n'
-       << "workload=" << spec.workload << '\n'
-       << "scale=" << spec.scale << '\n'
-       << "workload_seed=" << spec.workload_seed << '\n'
-       << "power=" << energy::traceKindName(spec.power) << '\n'
-       << "power_seed=" << spec.power_seed << '\n'
-       << "power_node=" << spec.power_node << '\n'
-       << "power_jitter=" << keyDouble(spec.power_jitter) << '\n'
-       << "no_failure=" << spec.no_failure << '\n';
-    nvp::dumpConfigKey(os, cfg);
+    writeSpecPrefix(os, spec, false);
+    // The configuration the run actually uses: design preset plus the
+    // caller's tweak hook.
+    nvp::dumpConfigKey(os, nvp::resolveConfig(spec));
     return os.str();
 }
 
@@ -57,29 +48,9 @@ specKey(const nvp::ExperimentSpec &spec)
 std::string
 resumeKey(const nvp::ExperimentSpec &spec)
 {
-    const nvp::SystemConfig cfg = nvp::resolveConfig(spec);
-    nvp::SystemConfig keyed = cfg;
-    keyed.forced_outage_cycles.clear();
-    keyed.inject_checkpoint_skip = false;
-    keyed.inject_register_skip = false;
-    keyed.max_outages = 0;
-    keyed.timeline = nullptr;
-    // Both step modes produce bit-identical state, so snapshots
-    // resume across modes; neutralize like SystemSim's snapshot key.
-    keyed.step_mode = StepMode::SkipAhead;
-
     std::ostringstream os;
-    os << "schema=" << kResultSchemaVersion << '\n'
-       << "resume\n"
-       << "workload=" << spec.workload << '\n'
-       << "scale=" << spec.scale << '\n'
-       << "workload_seed=" << spec.workload_seed << '\n'
-       << "power=" << energy::traceKindName(spec.power) << '\n'
-       << "power_seed=" << spec.power_seed << '\n'
-       << "power_node=" << spec.power_node << '\n'
-       << "power_jitter=" << keyDouble(spec.power_jitter) << '\n'
-       << "no_failure=" << spec.no_failure << '\n';
-    nvp::dumpConfigKey(os, keyed);
+    writeSpecPrefix(os, spec, true);
+    nvp::dumpConfigKey(os, nvp::resumeNeutral(nvp::resolveConfig(spec)));
     return hashKeyText(os.str());
 }
 

@@ -142,6 +142,21 @@ TEST(SweepSpec, RejectsNonIntegerAndBelowMinimum)
                      "$.base.scale", "wants an integer");
     expectDiagnostic(parseErr(R"({"base": {"wl.maxline": 0}})"),
                      "$.base.wl.maxline", "wants a value >= 1");
+    // Integers past the destination's width must not wrap into a
+    // different, valid configuration.
+    expectDiagnostic(
+        parseErr(R"({"base": {"wl.maxline": 4294967298}})"),
+        "$.base.wl.maxline", "wants a value <= 4294967295");
+    expectDiagnostic(parseErr(R"({"axes": [{"param": "scale",
+                                            "values": [4294967296]}]})"),
+                     "$.axes[0].values[0]", "wants a value <= 4294967295");
+    expectDiagnostic(
+        parseErr(R"({"base": {"workload_seed": 9007199254740994}})"),
+        "$.base.workload_seed", "wants a value <= 9007199254740992");
+    expectDiagnostic(
+        parseErr(R"({"base": {"nvm.endurance_writes": 1e19}})"),
+        "$.base.nvm.endurance_writes",
+        "wants a value <= 9007199254740992");
 }
 
 TEST(SweepSpec, RejectsUnknownDesignAndWorkload)

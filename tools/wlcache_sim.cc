@@ -43,68 +43,36 @@ using namespace wlcache;
 
 namespace {
 
-bool
-parseDesign(const std::string &name, nvp::DesignKind &out)
+/** Parse a replacement-policy option, failing loudly on a typo. */
+cache::ReplPolicy
+replOption(const util::ArgParser &args, const char *name)
 {
-    const std::string n = util::toLower(name);
-    if (n == "nocache")
-        out = nvp::DesignKind::NoCache;
-    else if (n == "wt" || n == "vcache-wt")
-        out = nvp::DesignKind::VCacheWT;
-    else if (n == "nvcache" || n == "nvc")
-        out = nvp::DesignKind::NVCacheWB;
-    else if (n == "nvsram")
-        out = nvp::DesignKind::NvsramWB;
-    else if (n == "nvsram-full")
-        out = nvp::DesignKind::NvsramFull;
-    else if (n == "nvsram-practical" || n == "nvsram-prac")
-        out = nvp::DesignKind::NvsramPractical;
-    else if (n == "replay")
-        out = nvp::DesignKind::Replay;
-    else if (n == "wtbuf" || n == "wt-buffer")
-        out = nvp::DesignKind::WtBuffered;
-    else if (n == "wl")
-        out = nvp::DesignKind::WL;
-    else if (n == "wllog" || n == "wl-log")
-        out = nvp::DesignKind::WLLog;
-    else
-        return false;
-    return true;
+    cache::ReplPolicy p;
+    if (!cache::replPolicyFromName(args.get(name), p))
+        fatal("unknown --%s '%s' (lru|fifo)", name,
+              args.get(name).c_str());
+    return p;
 }
 
-/** Every parseDesign() primary name, for unknown-design errors. */
-constexpr const char *kDesignNames =
-    "nocache|wt|wtbuf|nvcache|nvsram|nvsram-full|nvsram-practical|"
-    "replay|wl|wllog";
-
-bool
-parseTrace(const std::string &name, energy::TraceKind &out,
-           bool &no_failure)
+nvp::DesignKind
+designOption(const std::string &name)
 {
-    const std::string n = util::toLower(name);
-    no_failure = false;
-    if (n == "none" || n == "infinite") {
-        no_failure = true;
-        out = energy::TraceKind::Constant;
-    } else if (n == "trace1") {
-        out = energy::TraceKind::RfHome;
-    } else if (n == "trace2") {
-        out = energy::TraceKind::RfOffice;
-    } else if (n == "trace3") {
-        out = energy::TraceKind::RfMementos;
-    } else if (n == "solar") {
-        out = energy::TraceKind::Solar;
-    } else if (n == "thermal") {
-        out = energy::TraceKind::Thermal;
-    } else {
-        return false;
-    }
-    return true;
+    nvp::DesignKind design;
+    if (!nvp::designFromShortName(name, design))
+        fatal("unknown design '%s' (valid: %s)", name.c_str(),
+              util::join(nvp::designShortNames(), "|").c_str());
+    return design;
 }
 
-/** Every parseTrace() name, for error messages. */
-const char *kTraceNames =
-    "none|infinite|trace1|trace2|trace3|solar|thermal";
+energy::TraceKind
+traceOption(const std::string &name, bool &no_failure)
+{
+    energy::TraceKind kind;
+    if (!nvp::powerFromShortName(name, kind, no_failure))
+        fatal("unknown trace '%s' (valid: %s)", name.c_str(),
+              util::join(nvp::powerShortNames(), "|").c_str());
+    return kind;
+}
 
 /** Apply every CLI configuration override to @p cfg. Shared between
  *  the single-run path and batch mode so both resolve a spec the
@@ -117,12 +85,10 @@ applyCliConfig(const util::ArgParser &args, nvp::SystemConfig &cfg)
     cfg.icache.size_bytes = cfg.dcache.size_bytes;
     cfg.dcache.assoc = static_cast<unsigned>(args.getInt("assoc"));
     cfg.icache.assoc = cfg.dcache.assoc;
-    cfg.dcache.repl = util::toLower(args.get("cache-repl")) == "fifo"
-        ? cache::ReplPolicy::FIFO : cache::ReplPolicy::LRU;
+    cfg.dcache.repl = replOption(args, "cache-repl");
     cfg.wl.dq_size = static_cast<unsigned>(args.getInt("dq-size"));
     cfg.wl.maxline = static_cast<unsigned>(args.getInt("maxline"));
-    cfg.wl.dq_repl = util::toLower(args.get("dq-repl")) == "lru"
-        ? cache::ReplPolicy::LRU : cache::ReplPolicy::FIFO;
+    cfg.wl.dq_repl = replOption(args, "dq-repl");
     cfg.adaptive.maxline_max = cfg.wl.dq_size >= 4
         ? cfg.wl.dq_size - 2 : cfg.wl.dq_size;
     cfg.platform.capacitance_f = args.getDouble("capacitor");
@@ -172,19 +138,14 @@ expandList(const std::string &arg,
 int
 runBatch(const util::ArgParser &args)
 {
-    const std::vector<std::string> all_designs = {
-        "nocache",  "wt",     "nvcache", "nvsram", "nvsram-full",
-        "nvsram-practical", "replay", "wtbuf", "wl",
-    };
-    const std::vector<std::string> all_traces = {
-        "none", "trace1", "trace2", "trace3", "solar", "thermal",
-    };
     std::vector<std::string> all_workloads;
     for (const auto &w : workloads::allWorkloads())
         all_workloads.push_back(w.name);
 
-    const auto designs = expandList(args.get("design"), all_designs);
-    const auto traces = expandList(args.get("trace"), all_traces);
+    const auto designs =
+        expandList(args.get("design"), nvp::designShortNames());
+    const auto traces =
+        expandList(args.get("trace"), nvp::powerShortNames());
     const auto apps = expandList(args.get("workload"), all_workloads);
     if (designs.empty() || traces.empty() || apps.empty())
         fatal("batch mode needs at least one design, workload and "
@@ -192,16 +153,10 @@ runBatch(const util::ArgParser &args)
 
     runner::JobSet set;
     for (const auto &trace_name : traces) {
-        energy::TraceKind kind;
         bool no_failure = false;
-        if (!parseTrace(trace_name, kind, no_failure))
-            fatal("unknown trace '%s' (valid: %s)",
-                  trace_name.c_str(), kTraceNames);
+        const energy::TraceKind kind = traceOption(trace_name, no_failure);
         for (const auto &design_name : designs) {
-            nvp::DesignKind design;
-            if (!parseDesign(design_name, design))
-                fatal("unknown design '%s' (valid: %s)",
-                  design_name.c_str(), kDesignNames);
+            const nvp::DesignKind design = designOption(design_name);
             for (const auto &app : apps) {
                 if (!workloads::findWorkload(app))
                     fatal("unknown workload '%s'", app.c_str());
@@ -278,12 +233,9 @@ main(int argc, char **argv)
     util::ArgParser args(
         "wlcache_sim",
         "run one NVP cache-design simulation end to end");
-    args.option("design", "wl",
-                "nocache|wt|nvcache|nvsram|nvsram-full|"
-                "nvsram-practical|replay|wtbuf|wl")
+    args.option("design", "wl", util::join(nvp::designShortNames(), "|"))
         .option("workload", "sha", "one of the 23 benchmark kernels")
-        .option("trace", "trace1",
-                "none|trace1|trace2|trace3|solar|thermal")
+        .option("trace", "trace1", util::join(nvp::powerShortNames(), "|"))
         .option("scale", "1", "workload input scale factor")
         .option("seed", "42", "workload input seed")
         .option("power-seed", "7", "power trace seed")
@@ -346,15 +298,10 @@ main(int argc, char **argv)
     if (args.getFlag("batch"))
         return runBatch(args);
 
-    nvp::DesignKind design;
-    if (!parseDesign(args.get("design"), design))
-        fatal("unknown design '%s' (valid: %s)",
-              args.get("design").c_str(), kDesignNames);
-    energy::TraceKind kind;
+    const nvp::DesignKind design = designOption(args.get("design"));
     bool no_failure = false;
-    if (!parseTrace(args.get("trace"), kind, no_failure))
-        fatal("unknown trace '%s' (valid: %s)",
-              args.get("trace").c_str(), kTraceNames);
+    const energy::TraceKind kind =
+        traceOption(args.get("trace"), no_failure);
     if (!workloads::findWorkload(args.get("workload")))
         fatal("unknown workload '%s' (see workloads/workloads.cc)",
               args.get("workload").c_str());

@@ -39,69 +39,6 @@ using namespace wlcache;
 
 namespace {
 
-bool
-parseDesign(const std::string &name, nvp::DesignKind &out)
-{
-    const std::string n = util::toLower(name);
-    if (n == "nocache")
-        out = nvp::DesignKind::NoCache;
-    else if (n == "wt" || n == "vcache-wt")
-        out = nvp::DesignKind::VCacheWT;
-    else if (n == "nvcache" || n == "nvc")
-        out = nvp::DesignKind::NVCacheWB;
-    else if (n == "nvsram")
-        out = nvp::DesignKind::NvsramWB;
-    else if (n == "nvsram-full")
-        out = nvp::DesignKind::NvsramFull;
-    else if (n == "nvsram-practical" || n == "nvsram-prac")
-        out = nvp::DesignKind::NvsramPractical;
-    else if (n == "replay")
-        out = nvp::DesignKind::Replay;
-    else if (n == "wtbuf" || n == "wt-buffer")
-        out = nvp::DesignKind::WtBuffered;
-    else if (n == "wl")
-        out = nvp::DesignKind::WL;
-    else if (n == "wllog" || n == "wl-log")
-        out = nvp::DesignKind::WLLog;
-    else
-        return false;
-    return true;
-}
-
-/** Every parseDesign() primary name, for unknown-design errors. */
-constexpr const char *kDesignNames =
-    "nocache|wt|wtbuf|nvcache|nvsram|nvsram-full|nvsram-practical|"
-    "replay|wl|wllog";
-
-bool
-parseTrace(const std::string &name, energy::TraceKind &out,
-           bool &ambient)
-{
-    const std::string n = util::toLower(name);
-    ambient = true;
-    if (n == "none" || n == "infinite") {
-        ambient = false;
-        out = energy::TraceKind::Constant;
-    } else if (n == "trace1") {
-        out = energy::TraceKind::RfHome;
-    } else if (n == "trace2") {
-        out = energy::TraceKind::RfOffice;
-    } else if (n == "trace3") {
-        out = energy::TraceKind::RfMementos;
-    } else if (n == "solar") {
-        out = energy::TraceKind::Solar;
-    } else if (n == "thermal") {
-        out = energy::TraceKind::Thermal;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/** Every parseTrace() name, for error messages. */
-const char *kTraceNames =
-    "none|infinite|trace1|trace2|trace3|solar|thermal";
-
 std::vector<std::uint64_t>
 parsePoints(const std::string &arg)
 {
@@ -145,9 +82,10 @@ main(int argc, char **argv)
         "wlcache_verify",
         "forced-outage fault-injection campaigns with a golden-model "
         "differential oracle");
-    args.option("design", "wl",
-                "comma list: nocache|wt|nvcache|nvsram|nvsram-full|"
-                "nvsram-practical|replay|wtbuf|wl")
+    const std::string design_names =
+        util::join(nvp::designShortNames(), "|");
+    const std::string power_names = util::join(nvp::powerShortNames(), "|");
+    args.option("design", "wl", "comma list: " + design_names)
         .option("workload", "sha", "comma list of benchmark kernels")
         .option("trace", "none",
                 "none (infinite power, forced point is the only "
@@ -194,10 +132,11 @@ main(int argc, char **argv)
         return 1;
 
     energy::TraceKind kind = energy::TraceKind::Constant;
-    bool ambient = false;
-    if (!parseTrace(args.get("trace"), kind, ambient))
+    bool no_failure = true;
+    if (!nvp::powerFromShortName(args.get("trace"), kind, no_failure))
         fatal("unknown trace '%s' (valid: %s)",
-              args.get("trace").c_str(), kTraceNames);
+              args.get("trace").c_str(), power_names.c_str());
+    const bool ambient = !no_failure;
 
     bool inject_ckpt = false, inject_regs = false;
     for (const auto &f : expandList(util::toLower(args.get("inject")))) {
@@ -232,9 +171,9 @@ main(int argc, char **argv)
 
     for (const auto &design_name : designs) {
         nvp::DesignKind design;
-        if (!parseDesign(design_name, design))
+        if (!nvp::designFromShortName(design_name, design))
             fatal("unknown design '%s' (valid: %s)",
-                  design_name.c_str(), kDesignNames);
+                  design_name.c_str(), design_names.c_str());
         for (const auto &app : apps) {
             if (!workloads::findWorkload(app))
                 fatal("unknown workload '%s'", app.c_str());

@@ -13,6 +13,7 @@
  */
 
 #include <algorithm>
+#include <ostream>
 #include <gtest/gtest.h>
 
 #include "core/wl_cache.hh"
@@ -31,6 +32,16 @@ struct Scenario
     bool adaptive;
     bool dynamic;
 };
+
+// gtest's default printer dumps the raw bytes, including the address
+// of `workload`, which ASLR moves on every run; print the fields so
+// the listed test names are stable.
+void
+PrintTo(const Scenario &s, std::ostream *os)
+{
+    *os << s.workload << " maxline=" << s.maxline
+        << (s.adaptive ? " adaptive" : "") << (s.dynamic ? " dynamic" : "");
+}
 
 class DirtyBoundProperty : public ::testing::TestWithParam<Scenario>
 {};

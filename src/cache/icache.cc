@@ -24,6 +24,8 @@ InstrCache::InstrCache(const CacheParams &params, ICacheKind kind,
 {
     if (kind_ != ICacheKind::None) {
         tags_ = std::make_unique<TagArray>(params_);
+        // A resident body has at most one chunk per line of the array.
+        resident_refs_.reserve(tags_->numLines());
         const unsigned max_insns = params_.line_bytes / 4;
         read_energy_aj_.reserve(max_insns + 1);
         for (unsigned n = 0; n <= max_insns; ++n)
@@ -78,24 +80,97 @@ InstrCache::fetchLineChunk(Addr line_addr, unsigned insns, Cycle now)
     return t + static_cast<Cycle>(insns) * params_.hit_latency;
 }
 
-Cycle
-InstrCache::fetchRun(Addr pc, unsigned count, Cycle now)
+namespace {
+
+/** Instructions of a run at @p addr that fall inside its line. */
+unsigned
+chunkInsns(Addr addr, unsigned left, unsigned line_bytes)
 {
-    wlc_assert(count > 0);
+    const unsigned off = static_cast<unsigned>(addr & (line_bytes - 1));
+    const unsigned fit = (line_bytes - off) / 4;
+    return std::min(left, fit == 0 ? 1u : fit);
+}
+
+} // namespace
+
+Cycle
+InstrCache::fetchOnce(Addr pc, unsigned count, Cycle now)
+{
     Cycle t = now;
     Addr addr = pc;
     unsigned left = count;
     const unsigned line_bytes =
         kind_ == ICacheKind::None ? 64u : params_.line_bytes;
     while (left > 0) {
-        const Addr line_addr = addr & ~static_cast<Addr>(line_bytes - 1);
-        const unsigned off = static_cast<unsigned>(addr - line_addr);
-        const unsigned fit = (line_bytes - off) / 4;
-        const unsigned n = std::min(left, fit == 0 ? 1u : fit);
-        t = fetchLineChunk(line_addr, n, t);
+        const unsigned n = chunkInsns(addr, left, line_bytes);
+        t = fetchLineChunk(addr & ~static_cast<Addr>(line_bytes - 1), n,
+                           t);
         addr += static_cast<Addr>(n) * 4;
         left -= n;
     }
+    return t;
+}
+
+bool
+InstrCache::bodyResident(Addr pc, unsigned count,
+                         energy::Attojoules &round_aj)
+{
+    resident_refs_.clear();
+    round_aj = 0;
+    Addr addr = pc;
+    unsigned left = count;
+    while (left > 0) {
+        const unsigned n = chunkInsns(addr, left, params_.line_bytes);
+        const auto ref = tags_->lookup(addr);
+        if (!ref)
+            return false;
+        resident_refs_.push_back(*ref);
+        round_aj += read_energy_aj_[n];
+        if (params_.repl == ReplPolicy::LRU)
+            round_aj += lru_update_aj_;
+        addr += static_cast<Addr>(n) * 4;
+        left -= n;
+    }
+    return true;
+}
+
+Cycle
+InstrCache::repeatHits(unsigned count, std::uint64_t rounds,
+                       energy::Attojoules round_aj, Cycle now)
+{
+    const std::uint64_t chunks = resident_refs_.size();
+    stat_fetches_ += static_cast<std::uint64_t>(count) * rounds;
+    stat_hits_ += chunks * rounds;
+    tags_->touchRepeated(resident_refs_.data(),
+                         static_cast<unsigned>(chunks), rounds);
+    if (meter_)
+        meter_->addAj(energy::EnergyCategory::CacheRead,
+                      round_aj * rounds);
+    return now + static_cast<Cycle>(count) * params_.hit_latency * rounds;
+}
+
+Cycle
+InstrCache::fetchRun(Addr pc, unsigned count, Cycle now, unsigned iters)
+{
+    wlc_assert(count > 0 && iters > 0);
+    Cycle t = now;
+    if (iters > 1 && tags_) {
+        // Hits change no residency, so once every line of the body is
+        // resident all remaining iterations hit, and the only state
+        // they move is the hit counters, the meter and the LRU stamps.
+        energy::Attojoules round_aj;
+        if (bodyResident(pc, count, round_aj))
+            return repeatHits(count, iters, round_aj, t);
+        t = fetchOnce(pc, count, t);
+        if (bodyResident(pc, count, round_aj))
+            return repeatHits(count, iters - 1, round_aj, t);
+        // A later chunk of the pass evicted an earlier one.
+        --iters;
+    }
+    // One pass per iteration; without tags (ICacheKind::None) every
+    // chunk is a stateful NVM read.
+    for (unsigned i = 0; i < iters; ++i)
+        t = fetchOnce(pc, count, t);
     return t;
 }
 

@@ -59,10 +59,15 @@ class InstrCache
 
     /**
      * Fetch @p count sequential 4-byte instructions starting at
-     * @p pc, issued at cycle @p now.
+     * @p pc, issued at cycle @p now, @p iters times back to back (a
+     * loop body run @p iters times). Once every line of the body is
+     * resident the remaining iterations are pure hits and are charged
+     * in one step; cycles, energy, statistics and tag state are
+     * exactly those of @p iters single-iteration calls.
      * @return cycle when the last instruction has been fetched.
      */
-    Cycle fetchRun(Addr pc, unsigned count, Cycle now);
+    Cycle fetchRun(Addr pc, unsigned count, Cycle now,
+                   unsigned iters = 1);
 
     /** Power failure: volatile contents disappear (kind dependent). */
     void powerLoss();
@@ -102,6 +107,19 @@ class InstrCache
     };
 
     Cycle fetchLineChunk(Addr line_addr, unsigned insns, Cycle now);
+    Cycle fetchOnce(Addr pc, unsigned count, Cycle now);
+
+    /**
+     * If every line of the run is resident, collect its chunks' line
+     * refs in resident_refs_, set @p round_aj to the CacheRead energy
+     * of one all-hit pass, and return true.
+     */
+    bool bodyResident(Addr pc, unsigned count,
+                      energy::Attojoules &round_aj);
+
+    /** Charge @p rounds all-hit passes over resident_refs_. */
+    Cycle repeatHits(unsigned count, std::uint64_t rounds,
+                     energy::Attojoules round_aj, Cycle now);
 
     CacheParams params_;
     ICacheKind kind_;
@@ -123,6 +141,7 @@ class InstrCache
     double restore_line_energy_;
     Cycle restore_line_latency_;
     std::vector<SavedLine> warm_image_;
+    std::vector<LineRef> resident_refs_;  //!< bodyResident() scratch.
 
     stats::StatGroup stat_group_;
     stats::Scalar &stat_fetches_;

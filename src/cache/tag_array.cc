@@ -1,6 +1,7 @@
 #include "cache/tag_array.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -16,6 +17,7 @@ TagArray::TagArray(const CacheParams &params)
     num_sets_ = params.numSets();
     assoc_ = params.assoc;
     line_bytes_ = params.line_bytes;
+    line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes_));
     line_mask_ = static_cast<Addr>(line_bytes_) - 1;
     set_mask_ = num_sets_ - 1;
     repl_ = params.repl;
@@ -40,7 +42,7 @@ std::uint32_t
 TagArray::setIndex(Addr addr) const
 {
     return static_cast<std::uint32_t>(
-        (addr / line_bytes_) & set_mask_);
+        (addr >> line_shift_) & set_mask_);
 }
 
 std::optional<LineRef>
@@ -68,6 +70,22 @@ TagArray::touch(LineRef ref)
 {
     touch_seq_[index(ref)] = ++seq_;
     mru_way_[ref.set] = ref.way;
+}
+
+void
+TagArray::touchRepeated(const LineRef *refs, unsigned n,
+                        std::uint64_t rounds)
+{
+    if (rounds == 0)
+        return;
+    // Every ref's last stamp comes from the final round; a ref listed
+    // twice keeps its later position, as the sequential loop would.
+    const std::uint64_t base = seq_ + (rounds - 1) * n;
+    for (unsigned j = 0; j < n; ++j) {
+        touch_seq_[index(refs[j])] = base + j + 1;
+        mru_way_[refs[j].set] = refs[j].way;
+    }
+    seq_ = base + n;
 }
 
 LineRef

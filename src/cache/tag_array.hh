@@ -78,6 +78,13 @@ class TagArray
     void touch(LineRef ref);
 
     /**
+     * Leave the replacement state exactly as @p rounds passes of
+     * touch(refs[0]) ... touch(refs[n - 1]) would, in O(n).
+     */
+    void touchRepeated(const LineRef *refs, unsigned n,
+                       std::uint64_t rounds);
+
+    /**
      * Choose a victim way in the set of @p addr. Prefers an invalid
      * way; otherwise applies the configured replacement policy.
      */
@@ -143,6 +150,7 @@ class TagArray
     unsigned num_sets_;
     unsigned assoc_;
     unsigned line_bytes_;
+    unsigned line_shift_;  //!< log2(line_bytes_).
     Addr line_mask_;
     std::uint32_t set_mask_;
     ReplPolicy repl_;

@@ -42,9 +42,22 @@ ICacheStream::newRegion()
 }
 
 FetchRun
-ICacheStream::take(unsigned max_insns)
+ICacheStream::take(unsigned max_insns, unsigned max_iters)
 {
-    wlc_assert(max_insns >= 1);
+    wlc_assert(max_insns >= 1 && max_iters >= 1);
+    if (pos_ == 0 && body_len_ <= max_insns) {
+        // Whole iterations: the loop state only moves (and the RNG
+        // only draws) when the last iteration retires, so k at once
+        // is k single-body takes.
+        unsigned k = std::min(iters_left_, max_iters);
+        if (k > 1)
+            k = std::min(k, max_insns / body_len_);
+        const FetchRun run{ body_start_, body_len_, k };
+        iters_left_ -= k;
+        if (iters_left_ == 0)
+            newRegion();
+        return run;
+    }
     const unsigned n = std::min(max_insns, body_len_ - pos_);
     const FetchRun run{ body_start_ + 4 * static_cast<Addr>(pos_), n };
     pos_ += n;

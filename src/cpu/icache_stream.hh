@@ -39,11 +39,15 @@ struct ICacheStreamParams
     std::uint64_t seed = 1;
 };
 
-/** A contiguous run of sequential instruction fetches. */
+/**
+ * A contiguous run of sequential instruction fetches, repeated
+ * @c iters times back to back (a loop body run whole @c iters times).
+ */
 struct FetchRun
 {
     Addr pc;
     unsigned count;
+    unsigned iters = 1;
 };
 
 /** Deterministic synthetic PC walk. */
@@ -53,10 +57,15 @@ class ICacheStream
     explicit ICacheStream(const ICacheStreamParams &params);
 
     /**
-     * Produce the next run of at most @p max_insns sequential
-     * fetches. Always returns at least one instruction.
+     * Produce the next run of at most @p max_insns fetches. Always
+     * returns at least one instruction. With @p max_iters > 1 and the
+     * cursor at the top of a loop body, the run may cover several
+     * whole iterations of that body (iters * count <= max_insns);
+     * otherwise iters is 1 and the run never crosses the end of the
+     * body. The RNG advances exactly as the equivalent sequence of
+     * single-iteration takes would advance it.
      */
-    FetchRun take(unsigned max_insns);
+    FetchRun take(unsigned max_insns, unsigned max_iters = 1);
 
     const ICacheStreamParams &params() const { return params_; }
 

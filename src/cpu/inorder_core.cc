@@ -30,12 +30,14 @@ InOrderCore::executeEvent(const MemAccess &ev, Cycle now,
     const unsigned insns = ev.computeGap + 1;
     Cycle t = now;
 
-    // Fetch the gap instructions plus the memory instruction itself.
+    // Fetch the gap instructions plus the memory instruction itself,
+    // whole loop iterations at a time (outages only strike between
+    // events, so nothing can observe the iterations one by one).
     unsigned left = insns;
     while (left > 0) {
-        const FetchRun run = stream_.take(left);
-        t = icache_.fetchRun(run.pc, run.count, t);
-        left -= run.count;
+        const FetchRun run = stream_.take(left, left);
+        t = icache_.fetchRun(run.pc, run.count, t, run.iters);
+        left -= run.count * run.iters;
     }
 
     if (meter_)

@@ -1,0 +1,379 @@
+/**
+ * @file
+ * Differential tests for fetch fast-forward. A multi-iteration
+ * InstrCache::fetchRun must leave exactly the state that the same
+ * number of single-iteration calls leaves (cycles, every energy
+ * category, counters, snapshot bytes), over random geometries that
+ * include direct-mapped and one- or two-set arrays where a loop body
+ * evicts itself. At core level, InOrderCore::executeEvent (whole
+ * iterations per step) must match a reference that fetches through
+ * ICacheStream::take(left) and one single-iteration fetchRun per run.
+ */
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cache/icache.hh"
+#include "cache/vcache_wt.hh"
+#include "cpu/icache_stream.hh"
+#include "cpu/inorder_core.hh"
+#include "mem/nvm_memory.hh"
+#include "sim/rng.hh"
+#include "sim/snapshot.hh"
+
+using namespace wlcache;
+using namespace wlcache::cache;
+using namespace wlcache::cpu;
+
+namespace {
+
+constexpr ICacheKind kKinds[] = { ICacheKind::None, ICacheKind::Volatile,
+                                  ICacheKind::NonVolatile,
+                                  ICacheKind::WarmRestore };
+
+mem::NvmParams
+nvmParams()
+{
+    mem::NvmParams np;
+    np.size_bytes = 8u << 20;
+    return np;
+}
+
+/** A random geometry; small arrays make loop bodies collide. */
+CacheParams
+randomGeometry(Rng &rng)
+{
+    CacheParams p;
+    const unsigned lines[] = { 16, 32, 64 };
+    const unsigned assocs[] = { 1, 2, 4 };
+    const unsigned sets[] = { 1, 2, 4, 16, 64 };
+    p.line_bytes = lines[rng.nextBelow(3)];
+    p.assoc = assocs[rng.nextBelow(3)];
+    p.size_bytes = static_cast<std::size_t>(p.line_bytes) * p.assoc *
+        sets[rng.nextBelow(5)];
+    p.repl = rng.nextBool() ? ReplPolicy::LRU : ReplPolicy::FIFO;
+    p.hit_latency = rng.nextBool() ? 1 : 2;
+    // Uneven per-word energy so per-chunk quantization is exercised.
+    p.access_energy_read = rng.nextDouble(1.0e-12, 20.0e-12);
+    p.lru_update_energy = rng.nextDouble(0.5e-12, 5.0e-12);
+    return p;
+}
+
+std::vector<std::uint8_t>
+bytesOf(const InstrCache &ic)
+{
+    SnapshotWriter w;
+    ic.saveState(w);
+    return w.take();
+}
+
+std::vector<std::uint8_t>
+bytesOf(const ICacheStream &s)
+{
+    SnapshotWriter w;
+    s.saveState(w);
+    return w.take();
+}
+
+std::vector<std::uint8_t>
+bytesOf(const DataCache &dc)
+{
+    SnapshotWriter w;
+    dc.saveState(w);
+    return w.take();
+}
+
+double
+statValue(stats::StatGroup &g, const std::string &name)
+{
+    const auto *s = dynamic_cast<const stats::Scalar *>(g.find(name));
+    return s ? s->value() : -1.0;
+}
+
+void
+expectSameMeters(const energy::EnergyMeter &a,
+                 const energy::EnergyMeter &b)
+{
+    for (std::size_t c = 0; c < energy::EnergyMeter::kNumCategories;
+         ++c) {
+        const auto cat = static_cast<energy::EnergyCategory>(c);
+        EXPECT_EQ(a.getAj(cat), b.getAj(cat)) << "category " << c;
+    }
+}
+
+void
+expectSameICaches(InstrCache &a, InstrCache &b)
+{
+    EXPECT_EQ(a.fetches(), b.fetches());
+    EXPECT_EQ(a.lineMisses(), b.lineMisses());
+    EXPECT_EQ(statValue(a.statGroup(), "line_hits"),
+              statValue(b.statGroup(), "line_hits"));
+    EXPECT_EQ(bytesOf(a), bytesOf(b));
+}
+
+/** One cache under test and its twin, each with its own NVM/meter. */
+struct Twin
+{
+    explicit Twin(const CacheParams &p, ICacheKind kind)
+        : nvm(nvmParams(), &meter), ic(p, kind, nvm, &meter)
+    {
+    }
+
+    energy::EnergyMeter meter;
+    mem::NvmMemory nvm;
+    InstrCache ic;
+};
+
+} // namespace
+
+TEST(FetchLoop, MultiIterationRunMatchesRepeatedRuns)
+{
+    Rng rng(0xfe7c41007ull);
+    for (int trial = 0; trial < 400; ++trial) {
+        const CacheParams p = randomGeometry(rng);
+        const ICacheKind kind = kKinds[trial % 4];
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " kind "
+                     << static_cast<int>(kind) << " line " << p.line_bytes
+                     << " assoc " << p.assoc << " sets " << p.numSets()
+                     << (p.repl == ReplPolicy::LRU ? " LRU" : " FIFO")
+                     << " hit " << p.hit_latency);
+        Twin fast(p, kind);
+        Twin ref(p, kind);
+        Cycle t_fast = 0;
+        Cycle t_ref = 0;
+        const Addr base = 0x400000 + 4 * rng.nextBelow(64);
+        for (int op = 0; op < 60; ++op) {
+            if (rng.nextBool(0.05)) {
+                fast.ic.powerLoss();
+                ref.ic.powerLoss();
+                t_fast = fast.ic.powerRestore(t_fast + 100);
+                t_ref = ref.ic.powerRestore(t_ref + 100);
+                ASSERT_EQ(t_fast, t_ref);
+            }
+            // Bodies up to 96 instructions over a 1.5 KB footprint, so
+            // a body can span more lines than a small array's sets
+            // and ways hold.
+            const Addr pc = base + 4 * rng.nextBelow(384);
+            const unsigned count =
+                static_cast<unsigned>(rng.nextRange(1, 96));
+            const unsigned iters =
+                static_cast<unsigned>(rng.nextRange(1, 40));
+            t_fast = fast.ic.fetchRun(pc, count, t_fast, iters);
+            for (unsigned i = 0; i < iters; ++i)
+                t_ref = ref.ic.fetchRun(pc, count, t_ref);
+            ASSERT_EQ(t_fast, t_ref) << "op " << op;
+        }
+        expectSameMeters(fast.meter, ref.meter);
+        expectSameICaches(fast.ic, ref.ic);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+TEST(FetchLoop, ResidentBodyChargesPureHits)
+{
+    energy::EnergyMeter meter;
+    mem::NvmMemory nvm(nvmParams(), &meter);
+    const CacheParams p;
+    InstrCache ic(p, ICacheKind::Volatile, nvm, &meter);
+    // 40 instructions from mid-line: three 64-byte lines.
+    const Cycle warm = ic.fetchRun(0x400020, 40, 0);
+    EXPECT_EQ(ic.lineMisses(), 3u);
+    const Cycle end = ic.fetchRun(0x400020, 40, warm, 1000);
+    EXPECT_EQ(end - warm, 40u * 1000u * p.hit_latency);
+    EXPECT_EQ(ic.lineMisses(), 3u);
+    EXPECT_EQ(ic.fetches(), 40u * 1001u);
+    EXPECT_EQ(statValue(ic.statGroup(), "line_hits"), 3.0 * 1000);
+}
+
+TEST(FetchLoop, SelfEvictingBodyFallsBack)
+{
+    // Direct-mapped, one set: every line of a two-line body evicts
+    // the other, so every iteration misses twice.
+    energy::EnergyMeter meter;
+    mem::NvmMemory nvm(nvmParams(), &meter);
+    CacheParams p;
+    p.size_bytes = 64;
+    p.assoc = 1;
+    InstrCache ic(p, ICacheKind::Volatile, nvm, &meter);
+    ic.fetchRun(0x400000, 32, 0, 5);
+    EXPECT_EQ(ic.lineMisses(), 10u);
+    EXPECT_EQ(statValue(ic.statGroup(), "line_hits"), 0.0);
+}
+
+namespace {
+
+/** A core plus everything it drives, built from one parameter set. */
+struct CoreRig
+{
+    CoreRig(const CacheParams &ip, ICacheKind kind,
+            const ICacheStreamParams &sp)
+        : nvm(nvmParams(), &meter), ic(ip, kind, nvm, &meter),
+          dc(CacheParams{}, nvm, &meter),
+          core(CoreParams{}, ic, dc, ICacheStream(sp), &meter)
+    {
+    }
+
+    energy::EnergyMeter meter;
+    mem::NvmMemory nvm;
+    InstrCache ic;
+    VCacheWT dc;
+    InOrderCore core;
+};
+
+/**
+ * The fetch path before whole-iteration batching: take(left) with the
+ * default single-body limit, one single-iteration fetchRun per run,
+ * then the same compute charge and data access as executeEvent.
+ */
+struct ReferenceCore
+{
+    ReferenceCore(const CacheParams &ip, ICacheKind kind,
+                  const ICacheStreamParams &sp)
+        : nvm(nvmParams(), &meter), ic(ip, kind, nvm, &meter),
+          dc(CacheParams{}, nvm, &meter), stream(sp)
+    {
+    }
+
+    Cycle execute(const MemAccess &ev, Cycle now)
+    {
+        const unsigned insns = ev.computeGap + 1;
+        Cycle t = now;
+        unsigned left = insns;
+        while (left > 0) {
+            const FetchRun run = stream.take(left);
+            EXPECT_EQ(run.iters, 1u);
+            EXPECT_LE(run.count, left);
+            t = ic.fetchRun(run.pc, run.count, t);
+            left -= run.count;
+        }
+        meter.add(energy::EnergyCategory::Compute,
+                  CoreParams{}.compute_energy_per_insn *
+                      static_cast<double>(insns));
+        instret += insns;
+        std::uint64_t load = 0;
+        const Cycle ready =
+            dc.access(ev.op, ev.addr, ev.size, ev.value, &load, t).ready;
+        busy += ready - now;
+        return ready;
+    }
+
+    energy::EnergyMeter meter;
+    mem::NvmMemory nvm;
+    InstrCache ic;
+    VCacheWT dc;
+    ICacheStream stream;
+    std::uint64_t instret = 0;
+    std::uint64_t busy = 0;
+};
+
+ICacheStreamParams
+randomStreamParams(Rng &rng)
+{
+    ICacheStreamParams sp;
+    sp.seed = rng.next();
+    sp.body_min_insns = static_cast<unsigned>(rng.nextRange(1, 8));
+    sp.body_max_insns = sp.body_min_insns +
+        static_cast<unsigned>(rng.nextRange(0, 90));
+    sp.code_bytes = (4 * sp.body_max_insns) +
+        static_cast<unsigned>(4 * rng.nextRange(1, 4096));
+    sp.mean_iterations = rng.nextDouble(1.0, 60.0);
+    sp.call_probability = rng.nextDouble(0.0, 0.5);
+    return sp;
+}
+
+unsigned
+randomGap(Rng &rng)
+{
+    switch (rng.nextBelow(3)) {
+      case 0: return static_cast<unsigned>(rng.nextBelow(8));
+      case 1: return static_cast<unsigned>(rng.nextBelow(600));
+      default: return static_cast<unsigned>(rng.nextRange(20000, 60000));
+    }
+}
+
+} // namespace
+
+TEST(FetchLoop, CoreMatchesSingleIterationReference)
+{
+    Rng rng(0xc0de10015ull);
+    for (int trial = 0; trial < 48; ++trial) {
+        const CacheParams ip = randomGeometry(rng);
+        const ICacheKind kind = kKinds[trial % 4];
+        const ICacheStreamParams sp = randomStreamParams(rng);
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " kind "
+                     << static_cast<int>(kind) << " body "
+                     << sp.body_min_insns << ".." << sp.body_max_insns
+                     << " code " << sp.code_bytes);
+        CoreRig rig(ip, kind, sp);
+        ReferenceCore ref(ip, kind, sp);
+        Cycle t_rig = 0;
+        Cycle t_ref = 0;
+        // A ReplayCache-style rollback point part-way through.
+        const int rewind_at = 10 + static_cast<int>(rng.nextBelow(10));
+        ICacheStream rig_mark = rig.core.streamSnapshot();
+        ICacheStream ref_mark = ref.stream;
+        for (int e = 0; e < 30; ++e) {
+            if (e == 5) {
+                rig_mark = rig.core.streamSnapshot();
+                ref_mark = ref.stream;
+            }
+            if (e == rewind_at) {
+                rig.core.restoreStream(rig_mark);
+                ref.stream = ref_mark;
+            }
+            const MemAccess ev{ randomGap(rng),
+                                rng.nextBool() ? MemOp::Load
+                                               : MemOp::Store,
+                                4, 0x1000 + 4 * rng.nextBelow(1024),
+                                rng.next() & 0xffffffffu };
+            t_rig = rig.core.executeEvent(ev, t_rig);
+            t_ref = ref.execute(ev, t_ref);
+            ASSERT_EQ(t_rig, t_ref) << "event " << e;
+            ASSERT_EQ(bytesOf(rig.core.streamSnapshot()),
+                      bytesOf(ref.stream))
+                << "event " << e;
+            expectSameMeters(rig.meter, ref.meter);
+            expectSameICaches(rig.ic, ref.ic);
+            EXPECT_EQ(bytesOf(rig.dc), bytesOf(ref.dc));
+            EXPECT_EQ(rig.core.instructionsRetired(), ref.instret);
+            EXPECT_EQ(statValue(rig.core.statGroup(), "instructions"),
+                      static_cast<double>(ref.instret));
+            EXPECT_EQ(statValue(rig.core.statGroup(), "busy_cycles"),
+                      static_cast<double>(ref.busy));
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(FetchLoop, WholeIterationTakeMatchesSingleBodyTakes)
+{
+    Rng rng(0x7a4e5ull);
+    for (int trial = 0; trial < 200; ++trial) {
+        const ICacheStreamParams sp = randomStreamParams(rng);
+        ICacheStream batched(sp);
+        ICacheStream single(sp);
+        for (int i = 0; i < 200; ++i) {
+            const unsigned max_insns = randomGap(rng) + 1;
+            const unsigned max_iters =
+                static_cast<unsigned>(rng.nextRange(1, 1000));
+            const FetchRun run = batched.take(max_insns, max_iters);
+            ASSERT_GE(run.iters, 1u);
+            ASSERT_LE(run.iters, max_iters);
+            ASSERT_LE(run.count * run.iters, max_insns);
+            for (unsigned k = 0; k < run.iters; ++k) {
+                const FetchRun one = single.take(max_insns - k * run.count);
+                ASSERT_EQ(one.iters, 1u);
+                ASSERT_EQ(one.pc, run.pc);
+                ASSERT_EQ(one.count, run.count);
+            }
+            ASSERT_EQ(bytesOf(batched), bytesOf(single));
+        }
+    }
+}

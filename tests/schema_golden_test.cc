@@ -8,7 +8,7 @@
  *   - the snapshot compat key and a digest of the snapshot bytes cut
  *     mid-run (which include the "RES " result section), and
  *   - the full run-record JSON,
- * and compares the rendering with tests/golden/schema.txt. Existing
+ * plus one mid-run snapshot digest per design, and compares the rendering with tests/golden/schema.txt. Existing
  * result caches, drain checkpoints and snapshots stay valid exactly
  * when these bytes do not move, so a diff here is a compatibility
  * break, not a cosmetic change.
@@ -189,6 +189,37 @@ renderDesigns(std::ostream &os)
     }
 }
 
+/**
+ * One mid-run snapshot digest per design, so every design's own
+ * serialized state (and the oracle's "CHK " section) is pinned.
+ */
+void
+renderSnapshots(std::ostream &os)
+{
+    os << "=== snapshots\n";
+    for (int k = 0; k <= static_cast<int>(nvp::DesignKind::WLLog); ++k) {
+        nvp::ExperimentSpec spec;
+        spec.design = static_cast<nvp::DesignKind>(k);
+        spec.workload = "sha";
+        spec.power = energy::TraceKind::RfHome;
+        spec.tweak = [](nvp::SystemConfig &c) {
+            c.validate_consistency = true;
+        };
+        const nvp::RunResult cold = nvp::runExperiment(spec);
+
+        nvp::RunOptions cut_opts;
+        nvp::SystemSnapshot cut;
+        cut_opts.max_events = cold.trace_events / 2;
+        cut_opts.cut = &cut;
+        nvp::runExperimentEx(spec, cut_opts);
+        EXPECT_TRUE(cut.valid()) << nvp::designKindName(spec.design);
+
+        os << nvp::designKindName(spec.design) << " event "
+           << cut.event_index << " cycle " << cut.cycle << " state "
+           << hex(cut.state) << " (" << cut.state.size() << " bytes)\n";
+    }
+}
+
 std::string
 render()
 {
@@ -197,6 +228,7 @@ render()
     for (const NamedSpec &ns : specs())
         renderSpec(os, ns);
     renderDesigns(os);
+    renderSnapshots(os);
     return os.str();
 }
 

@@ -120,17 +120,10 @@ BaseTagCache::readLineData(LineRef ref, Addr addr, unsigned bytes) const
 }
 
 void
-BaseTagCache::saveState(SnapshotWriter &w) const
+BaseTagCache::ioState(StateIo &io)
 {
-    DataCache::saveState(w);
-    tags_.saveState(w);
-}
-
-void
-BaseTagCache::restoreState(SnapshotReader &r)
-{
-    DataCache::restoreState(r);
-    tags_.restoreState(r);
+    DataCache::ioState(io);
+    tags_.ioState(io);
 }
 
 } // namespace cache

@@ -42,8 +42,7 @@ class BaseTagCache : public DataCache
         tags_.resetDirtyHighWater();
     }
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   protected:
     /** Charge cache-array read energy for a word-sized access. */

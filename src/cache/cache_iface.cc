@@ -8,17 +8,10 @@ namespace wlcache {
 namespace cache {
 
 void
-DataCache::saveState(SnapshotWriter &w) const
+DataCache::ioState(StateIo &io)
 {
-    w.section("DC  ");
-    stat_group_.saveState(w);
-}
-
-void
-DataCache::restoreState(SnapshotReader &r)
-{
-    r.section("DC  ");
-    stat_group_.restoreState(r);
+    io.section("DC  ");
+    stat_group_.ioState(io);
 }
 
 } // namespace cache

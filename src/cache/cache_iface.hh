@@ -20,8 +20,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace telemetry { class TimelineBuffer; }
 
@@ -187,10 +186,7 @@ class DataCache
      * covers the shared statistics block; overrides must call it
      * first and then append their own state.
      */
-    virtual void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    virtual void restoreState(SnapshotReader &r);
+    virtual void ioState(StateIo &io);
 
   protected:
     stats::StatGroup stat_group_;

@@ -229,39 +229,17 @@ InstrCache::leakageWatts() const
 }
 
 void
-InstrCache::saveState(SnapshotWriter &w) const
+InstrCache::ioState(StateIo &io)
 {
-    w.section("IC  ");
-    w.b(tags_ != nullptr);
+    io.section("IC  ");
+    io.check(tags_ != nullptr, "icache snapshot kind");
     if (tags_)
-        tags_->saveState(w);
-    w.u64(warm_image_.size());
-    for (const SavedLine &sl : warm_image_) {
-        w.u64(sl.addr);
-        w.vecU8(sl.data);
-    }
-    stat_group_.saveState(w);
-}
-
-void
-InstrCache::restoreState(SnapshotReader &r)
-{
-    r.section("IC  ");
-    const bool has_tags = r.b();
-    wlc_assert(has_tags == (tags_ != nullptr),
-               "icache snapshot kind mismatch");
-    if (tags_)
-        tags_->restoreState(r);
-    warm_image_.clear();
-    const std::uint64_t n = r.u64();
-    warm_image_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        SavedLine sl;
-        sl.addr = r.u64();
-        sl.data = r.vecU8();
-        warm_image_.push_back(std::move(sl));
-    }
-    stat_group_.restoreState(r);
+        tags_->ioState(io);
+    io.seq(warm_image_, [&io](SavedLine &sl) {
+        io.u64(sl.addr);
+        io.vecU8(sl.data);
+    });
+    stat_group_.ioState(io);
 }
 
 } // namespace cache

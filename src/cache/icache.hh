@@ -24,8 +24,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace telemetry { class TimelineBuffer; }
 
@@ -94,10 +93,7 @@ class InstrCache
     }
 
     /** Serialize tags (when present), warm image, and statistics. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     struct SavedLine

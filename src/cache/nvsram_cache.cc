@@ -175,35 +175,16 @@ NvsramCacheWB::collectPersistentOverlay(
 }
 
 void
-NvsramCacheWB::saveState(SnapshotWriter &w) const
+NvsramCacheWB::ioState(StateIo &io)
 {
-    BaseTagCache::saveState(w);
-    w.section("NVSR");
-    w.b(has_backup_);
-    w.u64(backup_.size());
-    for (const auto &bl : backup_) {
-        w.u64(bl.addr);
-        w.b(bl.dirty);
-        w.vecU8(bl.data);
-    }
-}
-
-void
-NvsramCacheWB::restoreState(SnapshotReader &r)
-{
-    BaseTagCache::restoreState(r);
-    r.section("NVSR");
-    has_backup_ = r.b();
-    backup_.clear();
-    const std::uint64_t n = r.u64();
-    backup_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        BackupLine bl;
-        bl.addr = r.u64();
-        bl.dirty = r.b();
-        bl.data = r.vecU8();
-        backup_.push_back(std::move(bl));
-    }
+    BaseTagCache::ioState(io);
+    io.section("NVSR");
+    io.b(has_backup_);
+    io.seq(backup_, [&io](BackupLine &bl) {
+        io.u64(bl.addr);
+        io.b(bl.dirty);
+        io.vecU8(bl.data);
+    });
 }
 
 } // namespace cache

@@ -78,8 +78,7 @@ class NvsramCacheWB : public BaseTagCache
 
     const NvsramParams &nvsramParams() const { return nvsram_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     /** One backed-up line in the counterpart image. */

@@ -325,33 +325,16 @@ NvsramPracticalCache::leakageWatts() const
 }
 
 void
-NvsramPracticalCache::saveState(SnapshotWriter &w) const
+NvsramPracticalCache::ioState(StateIo &io)
 {
-    DataCache::saveState(w);
-    w.section("NVSP");
-    sram_.saveState(w);
-    nv_.saveState(w);
-    w.u64(inflight_.size());
-    for (const auto &[addr, ready] : inflight_) {
-        w.u64(addr);
-        w.u64(ready);
-    }
-}
-
-void
-NvsramPracticalCache::restoreState(SnapshotReader &r)
-{
-    DataCache::restoreState(r);
-    r.section("NVSP");
-    sram_.restoreState(r);
-    nv_.restoreState(r);
-    inflight_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr addr = r.u64();
-        const Cycle ready = r.u64();
-        inflight_.emplace_back(addr, ready);
-    }
+    DataCache::ioState(io);
+    io.section("NVSP");
+    sram_.ioState(io);
+    nv_.ioState(io);
+    io.seq(inflight_, [&io](std::pair<Addr, Cycle> &p) {
+        io.u64(p.first);
+        io.u64(p.second);
+    });
 }
 
 } // namespace cache

@@ -82,8 +82,7 @@ class NvsramPracticalCache : public DataCache
     const TagArray &sramTags() const { return sram_; }
     const TagArray &nvTags() const { return nv_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     /** Write a full line image from @p tags to NVM main memory. */

@@ -143,36 +143,17 @@ ReplayCacheModel::drainAndFlush(Cycle now)
 }
 
 void
-ReplayCacheModel::saveState(SnapshotWriter &w) const
+ReplayCacheModel::ioState(StateIo &io)
 {
-    BaseTagCache::saveState(w);
-    w.section("RPLY");
-    w.u64(inflight_.size());
-    for (const Persist &p : inflight_) {
-        w.u64(p.word_addr);
-        w.u64(p.ready);
-    }
-    w.u64(coalesced_);
-    w.u32(region_counter_);
-    w.u64(pending_drain_);
-}
-
-void
-ReplayCacheModel::restoreState(SnapshotReader &r)
-{
-    BaseTagCache::restoreState(r);
-    r.section("RPLY");
-    inflight_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Persist p;
-        p.word_addr = r.u64();
-        p.ready = r.u64();
-        inflight_.push_back(p);
-    }
-    coalesced_ = r.u64();
-    region_counter_ = r.u32();
-    pending_drain_ = r.u64();
+    BaseTagCache::ioState(io);
+    io.section("RPLY");
+    io.seq(inflight_, [&io](Persist &p) {
+        io.u64(p.word_addr);
+        io.u64(p.ready);
+    });
+    io.u64(coalesced_);
+    io.u32(region_counter_);
+    io.u64(pending_drain_);
 }
 
 } // namespace cache

@@ -75,8 +75,7 @@ class ReplayCacheModel : public BaseTagCache
     /** Persists coalesced into an in-flight word (testing). */
     std::uint64_t coalescedPersists() const { return coalesced_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     /** One outstanding word persist. */

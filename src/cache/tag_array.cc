@@ -218,46 +218,25 @@ TagArray::forEachValidLine(
 }
 
 void
-TagArray::saveState(SnapshotWriter &w) const
+TagArray::ioState(StateIo &io)
 {
     // Serialized line-by-line (not vector-by-vector) so the "TAGS"
     // byte stream is identical to the pre-SoA layout.
-    w.section("TAGS");
-    const std::size_t n = addrs_.size();
-    w.u64(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        w.u64(addrs_[i]);
-        w.b(valid_[i] != 0);
-        w.b(dirty_[i] != 0);
-        w.u64(touch_seq_[i]);
-        w.u64(install_seq_[i]);
+    io.section("TAGS");
+    io.check(addrs_.size(), "tag-array snapshot geometry");
+    for (std::size_t i = 0; i < addrs_.size(); ++i) {
+        io.u64(addrs_[i]);
+        io.b(valid_[i]);
+        io.b(dirty_[i]);
+        io.u64(touch_seq_[i]);
+        io.u64(install_seq_[i]);
     }
-    w.vecU8(bytes_);
-    w.u64(seq_);
-    w.u32(dirty_count_);
-    w.u32(dirty_high_water_);
-}
-
-void
-TagArray::restoreState(SnapshotReader &r)
-{
-    r.section("TAGS");
-    const std::uint64_t n = r.u64();
-    wlc_assert(n == addrs_.size(),
-               "tag-array snapshot geometry mismatch");
-    for (std::size_t i = 0; i < n; ++i) {
-        addrs_[i] = r.u64();
-        valid_[i] = r.b() ? 1 : 0;
-        dirty_[i] = r.b() ? 1 : 0;
-        touch_seq_[i] = r.u64();
-        install_seq_[i] = r.u64();
-    }
-    const auto bytes = r.vecU8();
-    wlc_assert(bytes.size() == bytes_.size());
-    bytes_ = bytes;
-    seq_ = r.u64();
-    dirty_count_ = r.u32();
-    dirty_high_water_ = r.u32();
+    // The layout of vecU8(bytes_), with the size checked on load.
+    io.check(bytes_.size(), "tag-array snapshot data size");
+    io.bytes(bytes_.data(), bytes_.size());
+    io.u64(seq_);
+    io.u32(dirty_count_);
+    io.u32(dirty_high_water_);
 }
 
 } // namespace cache

@@ -18,8 +18,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace cache {
 
@@ -137,10 +136,7 @@ class TagArray
      * accounting. Geometry is not stored: restore requires an array
      * built from the same CacheParams.
      */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     /** Flat metadata index of a line: set * assoc + way. */

@@ -155,32 +155,15 @@ WtBufferedCache::leakageWatts() const
 }
 
 void
-WtBufferedCache::saveState(SnapshotWriter &w) const
+WtBufferedCache::ioState(StateIo &io)
 {
-    BaseTagCache::saveState(w);
-    w.section("WTBF");
-    w.u64(buffer_.size());
-    for (const Pending &p : buffer_) {
-        w.u64(p.word_addr);
-        w.u64(p.ready);
-    }
-    w.u64(coalesced_);
-}
-
-void
-WtBufferedCache::restoreState(SnapshotReader &r)
-{
-    BaseTagCache::restoreState(r);
-    r.section("WTBF");
-    buffer_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Pending p;
-        p.word_addr = r.u64();
-        p.ready = r.u64();
-        buffer_.push_back(p);
-    }
-    coalesced_ = r.u64();
+    BaseTagCache::ioState(io);
+    io.section("WTBF");
+    io.seq(buffer_, [&io](Pending &p) {
+        io.u64(p.word_addr);
+        io.u64(p.ready);
+    });
+    io.u64(coalesced_);
 }
 
 } // namespace cache

@@ -54,8 +54,7 @@ class WtBufferedCache : public BaseTagCache
     std::size_t bufferDepth() const { return buffer_.size(); }
     std::uint64_t coalescedWrites() const { return coalesced_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     struct Pending

@@ -132,39 +132,21 @@ AdaptiveRuntime::reset(unsigned initial_maxline)
 }
 
 void
-AdaptiveRuntime::saveState(SnapshotWriter &w) const
+AdaptiveRuntime::ioState(StateIo &io)
 {
-    w.section("ADPT");
-    w.u32(maxline_);
-    w.u32(t_n2_);
-    w.u32(t_n1_);
-    w.u32(boots_);
-    w.u32(reconfigs_);
-    w.u32(observed_min_);
-    w.u32(observed_max_);
-    w.u8(static_cast<std::uint8_t>(last_decision_));
-    w.b(cooldown_);
-    w.b(have_pending_prediction_);
-    w.u32(predictions_);
-    w.u32(correct_predictions_);
-}
-
-void
-AdaptiveRuntime::restoreState(SnapshotReader &r)
-{
-    r.section("ADPT");
-    maxline_ = r.u32();
-    t_n2_ = static_cast<std::uint16_t>(r.u32());
-    t_n1_ = static_cast<std::uint16_t>(r.u32());
-    boots_ = r.u32();
-    reconfigs_ = r.u32();
-    observed_min_ = r.u32();
-    observed_max_ = r.u32();
-    last_decision_ = static_cast<AdaptDecision>(r.u8());
-    cooldown_ = r.b();
-    have_pending_prediction_ = r.b();
-    predictions_ = r.u32();
-    correct_predictions_ = r.u32();
+    io.section("ADPT");
+    io.u32(maxline_);
+    io.u32(t_n2_);
+    io.u32(t_n1_);
+    io.u32(boots_);
+    io.u32(reconfigs_);
+    io.u32(observed_min_);
+    io.u32(observed_max_);
+    io.u8(last_decision_);
+    io.b(cooldown_);
+    io.b(have_pending_prediction_);
+    io.u32(predictions_);
+    io.u32(correct_predictions_);
 }
 
 } // namespace core

@@ -20,8 +20,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace core {
 
@@ -85,10 +84,7 @@ class AdaptiveRuntime
     void reset(unsigned initial_maxline);
 
     /** Serialize the controller's mutable state. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     AdaptDecision decide(std::uint16_t t_prev2,

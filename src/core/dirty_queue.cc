@@ -141,37 +141,19 @@ DirtyQueue::clear()
 }
 
 void
-DirtyQueue::saveState(SnapshotWriter &w) const
+DirtyQueue::ioState(StateIo &io)
 {
-    w.section("DQ  ");
-    w.u64(slots_.size());
-    for (const DqEntry &e : slots_) {
-        w.u8(static_cast<std::uint8_t>(e.state));
-        w.u64(e.line_addr);
-        w.u64(e.insert_seq);
-        w.u64(e.touch_seq);
-        w.u64(e.wb_ready);
-    }
-    w.u64(seq_);
-    w.u32(occupied_);
-}
-
-void
-DirtyQueue::restoreState(SnapshotReader &r)
-{
-    r.section("DQ  ");
-    const std::uint64_t n = r.u64();
-    wlc_assert(n == slots_.size(),
-               "dirty-queue snapshot capacity mismatch");
+    io.section("DQ  ");
+    io.check(slots_.size(), "dirty-queue snapshot capacity");
     for (DqEntry &e : slots_) {
-        e.state = static_cast<DqEntryState>(r.u8());
-        e.line_addr = r.u64();
-        e.insert_seq = r.u64();
-        e.touch_seq = r.u64();
-        e.wb_ready = r.u64();
+        io.u8(e.state);
+        io.u64(e.line_addr);
+        io.u64(e.insert_seq);
+        io.u64(e.touch_seq);
+        io.u64(e.wb_ready);
     }
-    seq_ = r.u64();
-    occupied_ = r.u32();
+    io.u64(seq_);
+    io.u32(occupied_);
 }
 
 } // namespace core

@@ -23,8 +23,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace core {
 
@@ -110,10 +109,7 @@ class DirtyQueue
     void clear();
 
     /** Serialize every slot plus the sequence/occupancy counters. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     unsigned capacity_;

@@ -355,21 +355,15 @@ WLCache::onDirtyEviction(Addr line_addr)
 }
 
 void
-WLCache::saveState(SnapshotWriter &w) const
+WLCache::ioState(StateIo &io)
 {
-    BaseTagCache::saveState(w);
-    w.section("WLC ");
-    w.u32(wl_.maxline);
-    dq_.saveState(w);
-}
-
-void
-WLCache::restoreState(SnapshotReader &r)
-{
-    BaseTagCache::restoreState(r);
-    r.section("WLC ");
-    setMaxline(r.u32());
-    dq_.restoreState(r);
+    BaseTagCache::ioState(io);
+    io.section("WLC ");
+    unsigned maxline = wl_.maxline;
+    io.u32(maxline);
+    if (io.loading())
+        setMaxline(maxline);
+    dq_.ioState(io);
 }
 
 } // namespace core

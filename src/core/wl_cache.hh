@@ -162,8 +162,7 @@ class WLCache : public cache::BaseTagCache
      * maxline. The reserve/probe callbacks are reattached by the
      * owning system, not serialized.
      */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   protected:
     void onDirtyEviction(Addr line_addr) override;

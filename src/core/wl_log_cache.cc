@@ -117,17 +117,10 @@ WlLogCache::collectPersistentOverlay(
 }
 
 void
-WlLogCache::saveState(SnapshotWriter &w) const
+WlLogCache::ioState(StateIo &io)
 {
-    WLCache::saveState(w);
-    journal_.saveState(w);
-}
-
-void
-WlLogCache::restoreState(SnapshotReader &r)
-{
-    WLCache::restoreState(r);
-    journal_.restoreState(r);
+    WLCache::ioState(io);
+    journal_.ioState(io);
 }
 
 } // namespace core

@@ -45,8 +45,7 @@ class WlLogCache : public WLCache
         std::unordered_map<Addr, std::uint8_t> &overlay) const override;
 
     /** WL-Cache state followed by the journal's "NLOG" section. */
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
     mem::NvmJournal &journal() { return journal_; }
     const mem::NvmJournal &journal() const { return journal_; }

@@ -70,25 +70,14 @@ ICacheStream::take(unsigned max_insns, unsigned max_iters)
 }
 
 void
-ICacheStream::saveState(SnapshotWriter &w) const
+ICacheStream::ioState(StateIo &io)
 {
-    w.section("STRM");
-    rng_.saveState(w);
-    w.u64(body_start_);
-    w.u32(body_len_);
-    w.u32(pos_);
-    w.u32(iters_left_);
-}
-
-void
-ICacheStream::restoreState(SnapshotReader &r)
-{
-    r.section("STRM");
-    rng_.restoreState(r);
-    body_start_ = r.u64();
-    body_len_ = r.u32();
-    pos_ = r.u32();
-    iters_left_ = r.u32();
+    io.section("STRM");
+    rng_.ioState(io);
+    io.u64(body_start_);
+    io.u32(body_len_);
+    io.u32(pos_);
+    io.u32(iters_left_);
 }
 
 } // namespace cpu

@@ -22,8 +22,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace cpu {
 
@@ -70,10 +69,7 @@ class ICacheStream
     const ICacheStreamParams &params() const { return params_; }
 
     /** Serialize the PC-walk cursor and its RNG. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     void newRegion();

@@ -75,30 +75,18 @@ InOrderCore::executeEvent(const MemAccess &ev, Cycle now,
 }
 
 void
-InOrderCore::saveState(SnapshotWriter &w) const
+InOrderCore::ioState(StateIo &io)
 {
-    w.section("CORE");
-    stream_.saveState(w);
-    w.u64(next_progress_);
-    const auto snap = regs_.snapshot();
-    for (const std::uint32_t v : snap)
-        w.u32(v);
-    w.u64(instret_);
-    stat_group_.saveState(w);
-}
-
-void
-InOrderCore::restoreState(SnapshotReader &r)
-{
-    r.section("CORE");
-    stream_.restoreState(r);
-    next_progress_ = r.u64();
-    std::array<std::uint32_t, RegisterFile::kNumRegs> snap;
-    for (auto &v : snap)
-        v = r.u32();
-    regs_.restore(snap);
-    instret_ = r.u64();
-    stat_group_.restoreState(r);
+    io.section("CORE");
+    stream_.ioState(io);
+    io.u64(next_progress_);
+    auto regs = regs_.snapshot();
+    for (std::uint32_t &v : regs)
+        io.u32(v);
+    if (io.loading())
+        regs_.restore(regs);
+    io.u64(instret_);
+    stat_group_.ioState(io);
 }
 
 } // namespace cpu

@@ -26,8 +26,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace telemetry { class TimelineBuffer; }
 
@@ -82,10 +81,7 @@ class InOrderCore
     static constexpr std::uint64_t kProgressStride = 1u << 16;
 
     /** Serialize stream, registers, retire count, and statistics. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     CoreParams params_;

@@ -128,17 +128,10 @@ Capacitor::voltageForEnergyAbove(double v_floor, double joules) const
 }
 
 void
-Capacitor::saveState(SnapshotWriter &w) const
+Capacitor::ioState(StateIo &io)
 {
-    w.section("CAP ");
-    w.u64(energy_aj_);
-}
-
-void
-Capacitor::restoreState(SnapshotReader &r)
-{
-    r.section("CAP ");
-    energy_aj_ = r.u64();
+    io.section("CAP ");
+    io.u64(energy_aj_);
 }
 
 } // namespace energy

@@ -20,8 +20,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace energy {
 
@@ -115,10 +114,7 @@ class Capacitor
     double voltageForEnergyAbove(double v_floor, double joules) const;
 
     /** Serialize the stored-energy level. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     double energyForVoltage(double v) const;

@@ -73,19 +73,11 @@ EnergyMeter::reset()
 }
 
 void
-EnergyMeter::saveState(SnapshotWriter &w) const
+EnergyMeter::ioState(StateIo &io)
 {
-    w.section("METR");
-    for (const Attojoules a : aj_)
-        w.u64(a);
-}
-
-void
-EnergyMeter::restoreState(SnapshotReader &r)
-{
-    r.section("METR");
+    io.section("METR");
     for (Attojoules &a : aj_)
-        a = r.u64();
+        io.u64(a);
 }
 
 } // namespace energy

@@ -21,8 +21,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace energy {
 
@@ -72,10 +71,7 @@ class EnergyMeter
     void reset();
 
     /** Serialize every category's accumulator. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     std::array<Attojoules, kNumCategories> aj_{};

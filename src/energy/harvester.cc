@@ -199,23 +199,13 @@ Harvester::reset()
 }
 
 void
-Harvester::saveState(SnapshotWriter &w) const
+Harvester::ioState(StateIo &io)
 {
-    w.section("HARV");
-    w.u64(now_cycles_);
-    w.u64(total_harvested_aj_);
-    w.u64(sample_idx_);
-    w.u64(pos_in_sample_cycles_);
-}
-
-void
-Harvester::restoreState(SnapshotReader &r)
-{
-    r.section("HARV");
-    now_cycles_ = r.u64();
-    total_harvested_aj_ = r.u64();
-    sample_idx_ = r.u64();
-    pos_in_sample_cycles_ = r.u64();
+    io.section("HARV");
+    io.u64(now_cycles_);
+    io.u64(total_harvested_aj_);
+    io.u64(sample_idx_);
+    io.u64(pos_in_sample_cycles_);
 }
 
 } // namespace energy

@@ -24,8 +24,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace energy {
 
@@ -106,10 +105,7 @@ class Harvester
     Cycle periodCycles() const { return period_cycles_; }
 
     /** Serialize clock, trace cursor, and harvest accumulator. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     /** Move the cursor to the start of the next trace sample. */

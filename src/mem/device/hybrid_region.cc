@@ -1,7 +1,5 @@
 #include "mem/device/hybrid_region.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -102,40 +100,18 @@ HybridRegion::reset()
 }
 
 void
-HybridRegion::saveState(SnapshotWriter &w) const
+HybridRegion::ioState(StateIo &io)
 {
-    w.u64(tick_);
-    w.u64(slots_.size());
-    for (const Slot &s : slots_) {
-        w.u64(s.line);
-        w.u64(s.last_use);
-    }
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> heat(
-        heat_.begin(), heat_.end());
-    std::sort(heat.begin(), heat.end());
-    w.u64(heat.size());
-    for (const auto &[line, h] : heat) {
-        w.u64(line);
-        w.u32(h);
-    }
-}
-
-void
-HybridRegion::restoreState(SnapshotReader &r)
-{
-    tick_ = r.u64();
-    const std::uint64_t n = r.u64();
-    wlc_assert(n == slots_.size(), "hybrid region size mismatch");
+    io.u64(tick_);
+    io.check(slots_.size(), "hybrid region size");
     for (Slot &s : slots_) {
-        s.line = r.u64();
-        s.last_use = r.u64();
+        io.u64(s.line);
+        io.u64(s.last_use);
     }
-    heat_.clear();
-    const std::uint64_t m = r.u64();
-    for (std::uint64_t i = 0; i < m; ++i) {
-        const std::uint64_t line = r.u64();
-        heat_[line] = r.u32();
-    }
+    io.sorted(heat_, [&io](std::uint64_t &line, std::uint32_t &h) {
+        io.u64(line);
+        io.u32(h);
+    });
 }
 
 } // namespace mem

@@ -26,8 +26,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace mem {
 
@@ -72,8 +71,7 @@ class HybridRegion
     void reset();
 
     /** Deterministic serialization (heat map sorted by line). */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     static constexpr std::uint64_t kEmpty = ~0ull;

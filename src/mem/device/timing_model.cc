@@ -63,22 +63,12 @@ SingleCursorModel::reset()
 }
 
 void
-SingleCursorModel::saveState(SnapshotWriter &w) const
+SingleCursorModel::ioState(StateIo &io)
 {
-    w.u64(channel_busy_until_);
-    w.u64(bank_busy_until_.size());
-    for (const Cycle b : bank_busy_until_)
-        w.u64(b);
-}
-
-void
-SingleCursorModel::restoreState(SnapshotReader &r)
-{
-    channel_busy_until_ = r.u64();
-    const std::uint64_t n = r.u64();
-    wlc_assert(n == bank_busy_until_.size());
+    io.u64(channel_busy_until_);
+    io.check(bank_busy_until_.size(), "nvm bank count");
     for (Cycle &b : bank_busy_until_)
-        b = r.u64();
+        io.u64(b);
 }
 
 // --- BankedQueueModel -----------------------------------------------------
@@ -177,36 +167,18 @@ BankedQueueModel::reset()
 }
 
 void
-BankedQueueModel::saveState(SnapshotWriter &w) const
+BankedQueueModel::ioState(StateIo &io)
 {
-    w.u64(channel_busy_until_);
-    w.u64(last_write_end_);
-    w.u64(banks_.size());
-    for (const Bank &b : banks_) {
-        w.u64(b.work_done);
-        w.u64(b.open_row);
-        w.u64(b.ring.size());
-        for (const Cycle c : b.ring)
-            w.u64(c);
-        w.u32(b.head);
-    }
-}
-
-void
-BankedQueueModel::restoreState(SnapshotReader &r)
-{
-    channel_busy_until_ = r.u64();
-    last_write_end_ = r.u64();
-    const std::uint64_t n = r.u64();
-    wlc_assert(n == banks_.size());
+    io.u64(channel_busy_until_);
+    io.u64(last_write_end_);
+    io.check(banks_.size(), "nvm bank count");
     for (Bank &b : banks_) {
-        b.work_done = r.u64();
-        b.open_row = r.u64();
-        const std::uint64_t d = r.u64();
-        wlc_assert(d == b.ring.size());
+        io.u64(b.work_done);
+        io.u64(b.open_row);
+        io.check(b.ring.size(), "nvm bank queue depth");
         for (Cycle &c : b.ring)
-            c = r.u64();
-        b.head = r.u32();
+            io.u64(c);
+        io.u32(b.head);
         wlc_assert(b.head < b.ring.size());
     }
 }

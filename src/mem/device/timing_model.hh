@@ -37,8 +37,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace mem {
 
@@ -74,8 +73,7 @@ class NvmTimingModel
     virtual void reset() = 0;
 
     /** Serialize cursors/queues (bit-exact, deterministic order). */
-    virtual void saveState(SnapshotWriter &w) const = 0;
-    virtual void restoreState(SnapshotReader &r) = 0;
+    virtual void ioState(StateIo &io) = 0;
 
     /** Build the model @p params selects. */
     static std::unique_ptr<NvmTimingModel> create(
@@ -95,8 +93,7 @@ class SingleCursorModel : public NvmTimingModel
         return channel_busy_until_;
     }
     void reset() override;
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     const NvmParams params_;
@@ -117,8 +114,7 @@ class BankedQueueModel : public NvmTimingModel
         return channel_busy_until_;
     }
     void reset() override;
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     /** Row-buffer sentinel: no row open (post power cycle). */

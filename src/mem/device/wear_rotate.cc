@@ -37,19 +37,11 @@ WearRotator::reset()
 }
 
 void
-WearRotator::saveState(SnapshotWriter &w) const
+WearRotator::ioState(StateIo &io)
 {
-    w.u64(offset_);
-    w.u64(writes_since_rotate_);
-    w.u64(rotations_);
-}
-
-void
-WearRotator::restoreState(SnapshotReader &r)
-{
-    offset_ = r.u64();
-    writes_since_rotate_ = r.u64();
-    rotations_ = r.u64();
+    io.u64(offset_);
+    io.u64(writes_since_rotate_);
+    io.u64(rotations_);
     wlc_assert(offset_ < total_lines_);
 }
 

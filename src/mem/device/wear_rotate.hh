@@ -22,8 +22,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace mem {
 
@@ -67,8 +66,7 @@ class WearRotator
     /** Forget all rotation state between runs. */
     void reset();
 
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     std::uint64_t total_lines_;

@@ -55,51 +55,31 @@ WearTracker::reset()
 }
 
 void
-WearTracker::saveState(SnapshotWriter &w) const
+WearTracker::ioState(StateIo &io)
 {
-    w.u64(total_lines_);
-    w.u64(endurance_writes_);
-    w.u64(max_wear_);
-    w.u64(lines_touched_);
-    w.u64(total_writes_);
+    io.check(total_lines_, "wear tracker geometry (lines)");
+    io.check(endurance_writes_, "wear tracker geometry (endurance)");
+    io.u64(max_wear_);
+    io.u64(lines_touched_);
+    io.u64(total_writes_);
     // Allocated shards only, in index order: the byte stream is a
     // deterministic function of the wear state.
-    std::uint64_t allocated = 0;
-    for (const auto &shard : shards_)
-        if (!shard.empty())
-            ++allocated;
-    w.u64(allocated);
+    std::vector<std::uint64_t> allocated;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (shards_[i].empty())
-            continue;
-        w.u64(i);
-        w.bytes(shards_[i].data(),
-                shards_[i].size() * sizeof(std::uint32_t));
+        if (io.loading())
+            shards_[i].clear();
+        else if (!shards_[i].empty())
+            allocated.push_back(i);
     }
-}
-
-void
-WearTracker::restoreState(SnapshotReader &r)
-{
-    const std::uint64_t total_lines = r.u64();
-    const std::uint64_t endurance = r.u64();
-    wlc_assert(total_lines == total_lines_ &&
-                   endurance == endurance_writes_,
-               "wear tracker geometry mismatch");
-    max_wear_ = r.u64();
-    lines_touched_ = r.u64();
-    total_writes_ = r.u64();
-    for (auto &shard : shards_)
-        shard.clear();
-    const std::uint64_t allocated = r.u64();
-    for (std::uint64_t i = 0; i < allocated; ++i) {
-        const std::uint64_t idx = r.u64();
+    io.seq(allocated, [&](std::uint64_t &idx) {
+        io.u64(idx);
         wlc_assert(idx < shards_.size(),
                    "wear shard index out of range");
-        shards_[idx].assign(kLinesPerShard, 0);
-        r.bytes(shards_[idx].data(),
-                kLinesPerShard * sizeof(std::uint32_t));
-    }
+        if (io.loading())
+            shards_[idx].assign(kLinesPerShard, 0);
+        io.bytes(shards_[idx].data(),
+                 kLinesPerShard * sizeof(std::uint32_t));
+    });
 }
 
 } // namespace mem

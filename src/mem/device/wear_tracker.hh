@@ -19,8 +19,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace mem {
 
@@ -72,8 +71,7 @@ class WearTracker
     void reset();
 
     /** Serialize allocated shards, sorted by shard index. */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     std::uint64_t total_lines_;

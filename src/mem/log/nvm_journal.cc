@@ -372,52 +372,28 @@ NvmJournal::compactAll(Cycle now)
 }
 
 void
-NvmJournal::saveState(SnapshotWriter &w) const
+NvmJournal::ioState(StateIo &io)
 {
-    w.section("NLOG");
-    w.u32(cursor_);
-    w.u64(next_seqno_);
-    // Mapping sorted by line address: deterministic byte stream.
-    std::vector<std::pair<Addr, unsigned>> entries(mapping_.begin(),
-                                                   mapping_.end());
-    std::sort(entries.begin(), entries.end());
-    w.u64(entries.size());
-    for (const auto &[line, slot] : entries) {
-        w.u64(line);
-        w.u32(slot);
+    io.section("NLOG");
+    io.u32(cursor_);
+    io.u64(next_seqno_);
+    io.sorted(mapping_, [&io](Addr &line, unsigned &slot) {
+        io.u64(line);
+        io.u32(slot);
+    });
+    if (io.loading()) {
+        std::fill(slot_line_.begin(), slot_line_.end(), kNoLine);
+        for (const auto &[line, slot] : mapping_)
+            slot_line_[slot] = line;
     }
-    w.u64(stats_.appends);
-    w.u64(stats_.append_bytes);
-    w.u64(stats_.replays);
-    w.u64(stats_.replay_records);
-    w.u64(stats_.replay_bytes);
-    w.u64(stats_.compactions);
-    w.u64(stats_.compacted_lines);
-    w.u64(stats_.compacted_bytes);
-}
-
-void
-NvmJournal::restoreState(SnapshotReader &r)
-{
-    r.section("NLOG");
-    cursor_ = r.u32();
-    next_seqno_ = r.u64();
-    mapping_.clear();
-    std::fill(slot_line_.begin(), slot_line_.end(), kNoLine);
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr line = r.u64();
-        const unsigned slot = r.u32();
-        mapLine(line, slot);
-    }
-    stats_.appends = r.u64();
-    stats_.append_bytes = r.u64();
-    stats_.replays = r.u64();
-    stats_.replay_records = r.u64();
-    stats_.replay_bytes = r.u64();
-    stats_.compactions = r.u64();
-    stats_.compacted_lines = r.u64();
-    stats_.compacted_bytes = r.u64();
+    io.u64(stats_.appends);
+    io.u64(stats_.append_bytes);
+    io.u64(stats_.replays);
+    io.u64(stats_.replay_records);
+    io.u64(stats_.replay_bytes);
+    io.u64(stats_.compactions);
+    io.u64(stats_.compacted_lines);
+    io.u64(stats_.compacted_bytes);
 }
 
 } // namespace mem

@@ -42,8 +42,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace telemetry { class TimelineBuffer; }
 
@@ -207,8 +206,7 @@ class NvmJournal
     void setTimeline(telemetry::TimelineBuffer *tl) { tl_ = tl; }
 
     /** Serialize cursor/seqno/mapping/stats ("NLOG" section). */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     /** slot_line_ sentinel: slot holds no live record. */

@@ -402,60 +402,32 @@ NvmMemory::clearJournal()
 }
 
 void
-NvmMemory::saveState(SnapshotWriter &w) const
+NvmMemory::ioState(StateIo &io)
 {
-    w.section("NVM ");
-    model_->saveState(w);
-    w.u64(fast_busy_until_);
-    stat_group_.saveState(w);
+    io.section("NVM ");
+    model_->ioState(io);
+    io.u64(fast_busy_until_);
+    stat_group_.ioState(io);
     // Wear/rotation/hybrid presence is a pure function of the
     // configuration, which the snapshot compat key already pins.
     if (wear_)
-        wear_->saveState(w);
+        wear_->ioState(io);
     if (rotator_)
-        rotator_->saveState(w);
+        rotator_->ioState(io);
     if (hybrid_)
-        hybrid_->saveState(w);
+        hybrid_->ioState(io);
 
-    std::vector<std::uint64_t> pages(touched_pages_.begin(),
-                                     touched_pages_.end());
-    std::sort(pages.begin(), pages.end());
-    w.u64(pages.size());
-    for (const std::uint64_t p : pages) {
+    io.sorted(touched_pages_, [&](std::uint64_t &p) {
+        io.u64(p);
         const std::size_t off = p * kJournalPageBytes;
-        const std::size_t n =
-            std::min(kJournalPageBytes, data_.size() - off);
-        w.u64(p);
-        w.u64(n);
-        w.bytes(data_.data() + off, n);
-    }
-}
-
-void
-NvmMemory::restoreState(SnapshotReader &r)
-{
-    r.section("NVM ");
-    model_->restoreState(r);
-    fast_busy_until_ = r.u64();
-    stat_group_.restoreState(r);
-    if (wear_)
-        wear_->restoreState(r);
-    if (rotator_)
-        rotator_->restoreState(r);
-    if (hybrid_)
-        hybrid_->restoreState(r);
-
-    touched_pages_.clear();
-    const std::uint64_t n_pages = r.u64();
-    for (std::uint64_t i = 0; i < n_pages; ++i) {
-        const std::uint64_t p = r.u64();
-        const std::uint64_t n = r.u64();
-        const std::size_t off = p * kJournalPageBytes;
+        std::uint64_t n =
+            io.loading() ? 0
+                         : std::min(kJournalPageBytes, data_.size() - off);
+        io.u64(n);
         wlc_assert(off + n <= data_.size(),
                    "snapshot journal page out of range");
-        r.bytes(data_.data() + off, n);
-        touched_pages_.insert(p);
-    }
+        io.bytes(data_.data() + off, n);
+    });
 }
 
 } // namespace mem

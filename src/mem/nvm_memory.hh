@@ -37,8 +37,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace telemetry { class TimelineBuffer; }
 
@@ -190,17 +189,12 @@ class NvmMemory
     /**
      * Serialize timing-model cursors, statistics, wear/rotation/
      * hybrid state, and the journal pages (sorted by page index for
-     * a deterministic byte stream).
+     * a deterministic byte stream). A load goes onto a memory holding
+     * the pristine initial image: journal pages overwrite their page
+     * contents and become the new journal (so a later snapshot of the
+     * resumed run still covers every page dirtied since construction).
      */
-    void saveState(SnapshotWriter &w) const;
-
-    /**
-     * Restore onto a memory holding the pristine initial image:
-     * journal pages overwrite their page contents and become the new
-     * journal (so a later snapshot of the resumed run still covers
-     * every page dirtied since construction).
-     */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     void checkRange(Addr addr, unsigned bytes) const;

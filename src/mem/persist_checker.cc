@@ -116,30 +116,13 @@ PersistChecker::describe(const std::vector<PersistMismatch> &ms)
 }
 
 void
-PersistChecker::saveState(SnapshotWriter &w) const
+PersistChecker::ioState(StateIo &io)
 {
-    w.section("CHK ");
-    std::vector<std::pair<Addr, std::uint8_t>> entries(shadow_.begin(),
-                                                       shadow_.end());
-    std::sort(entries.begin(), entries.end());
-    w.u64(entries.size());
-    for (const auto &[addr, expected] : entries) {
-        w.u64(addr);
-        w.u8(expected);
-    }
-}
-
-void
-PersistChecker::restoreState(SnapshotReader &r)
-{
-    r.section("CHK ");
-    shadow_.clear();
-    const std::uint64_t n = r.u64();
-    shadow_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr addr = r.u64();
-        shadow_[addr] = r.u8();
-    }
+    io.section("CHK ");
+    io.sorted(shadow_, [&io](Addr &addr, std::uint8_t &expected) {
+        io.u64(addr);
+        io.u8(expected);
+    });
 }
 
 } // namespace mem

@@ -19,8 +19,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace mem {
 
@@ -109,10 +108,7 @@ class PersistChecker
     static std::string describe(const std::vector<PersistMismatch> &ms);
 
     /** Serialize the shadow image (sorted for determinism). */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     std::unordered_map<Addr, std::uint8_t> shadow_;

@@ -53,24 +53,14 @@ NvffStore::restore(void *data, unsigned bytes, unsigned offset) const
 }
 
 void
-NvffStore::saveState(SnapshotWriter &w) const
+NvffStore::ioState(StateIo &io)
 {
-    w.section("NVFF");
-    w.vecU8(data_);
-    w.b(has_image_);
-    w.u64(checkpoints_);
-}
-
-void
-NvffStore::restoreState(SnapshotReader &r)
-{
-    r.section("NVFF");
-    const auto bytes = r.vecU8();
-    wlc_assert(bytes.size() == data_.size(),
-               "NVFF snapshot capacity mismatch");
-    data_ = bytes;
-    has_image_ = r.b();
-    checkpoints_ = r.u64();
+    io.section("NVFF");
+    // The layout of vecU8(data_), with the capacity checked on load.
+    io.check(data_.size(), "NVFF snapshot capacity");
+    io.bytes(data_.data(), data_.size());
+    io.b(has_image_);
+    io.u64(checkpoints_);
 }
 
 } // namespace nvp

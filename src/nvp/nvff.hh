@@ -20,8 +20,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace nvp {
 
@@ -63,10 +62,7 @@ class NvffStore
     std::uint64_t checkpointCount() const { return checkpoints_; }
 
     /** Serialize the bank contents and checkpoint bookkeeping. */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     std::vector<std::uint8_t> data_;

@@ -617,62 +617,37 @@ SystemSim::computeFinalDigest()
 
 namespace {
 
-// Mirrored scalar codings of the "RES " section.
-void io(SnapshotWriter &w, unsigned v) { w.u32(v); }
-void io(SnapshotReader &r, unsigned &v) { v = r.u32(); }
-void io(SnapshotWriter &w, std::uint64_t v) { w.u64(v); }
-void io(SnapshotReader &r, std::uint64_t &v) { v = r.u64(); }
-void io(SnapshotWriter &w, double v) { w.f64(v); }
-void io(SnapshotReader &r, double &v) { v = r.f64(); }
-void io(SnapshotWriter &w, bool v) { w.b(v); }
-void io(SnapshotReader &r, bool &v) { v = r.b(); }
-void io(SnapshotWriter &w, const std::string &v) { w.str(v); }
-void io(SnapshotReader &r, std::string &v) { v = r.str(); }
-
-/**
- * Save (Io = SnapshotWriter, const @p record) or restore
- * (SnapshotReader) one field.
- */
-template <class Io, class Record>
+/** Save or restore one field of a schema-table record. */
 void
-ioField(Io &io_, const Field &f, Record *record)
+ioField(StateIo &io, const Field &f, void *record)
 {
-    constexpr bool saving = std::is_same_v<Io, SnapshotWriter>;
     switch (f.kind) {
       case FieldKind::Unsigned:
-        return io(io_, f.ref<unsigned>(record));
+        return io.u32(f.ref<unsigned>(record));
       case FieldKind::U64:
-        return io(io_, f.ref<std::uint64_t>(record));
+        return io.u64(f.ref<std::uint64_t>(record));
       case FieldKind::Double:
-        return io(io_, f.ref<double>(record));
+        return io.f64(f.ref<double>(record));
       case FieldKind::Bool:
-        return io(io_, f.ref<bool>(record));
+        return io.b(f.ref<bool>(record));
       case FieldKind::String:
       case FieldKind::JsonText:
-        return io(io_, f.ref<std::string>(record));
-      case FieldKind::Enum:
-        if constexpr (saving)
-            io_.u8(static_cast<std::uint8_t>(f.codec->index(f.at(record))));
-        else
-            f.codec->setIndex(f.at(record), io_.u8());
-        return;
-      case FieldKind::Meter:
-        if constexpr (saving)
-            f.ref<energy::EnergyMeter>(record).saveState(io_);
-        else
-            f.ref<energy::EnergyMeter>(record).restoreState(io_);
-        return;
-      case FieldKind::Rollups: {
-        auto &rollups = f.ref<std::vector<telemetry::IntervalRollup>>(record);
-        std::uint64_t n = rollups.size();
-        io(io_, n);
-        if constexpr (!saving)
-            rollups.resize(n);
-        for (auto &iv : rollups)
-            for (const Field &rf : rollupFields())
-                ioField(io_, rf, &iv);
+        return io.str(f.ref<std::string>(record));
+      case FieldKind::Enum: {
+        auto index = static_cast<std::uint8_t>(f.codec->index(f.at(record)));
+        io.u8(index);
+        if (io.loading())
+            f.codec->setIndex(f.at(record), index);
         return;
       }
+      case FieldKind::Meter:
+        return f.ref<energy::EnergyMeter>(record).ioState(io);
+      case FieldKind::Rollups:
+        return io.seq(f.ref<std::vector<telemetry::IntervalRollup>>(record),
+                      [&io](telemetry::IntervalRollup &iv) {
+                          for (const Field &rf : rollupFields())
+                              ioField(io, rf, &iv);
+                      });
       case FieldKind::U64List:
         break;
     }
@@ -681,60 +656,72 @@ ioField(Io &io_, const Field &f, Record *record)
 
 } // namespace
 
+void
+SystemSim::ioState(StateIo &io, Cycle cycle, std::uint64_t event_index)
+{
+    io.section("SYSH");
+    std::uint32_t version = SystemSnapshot::kFormatVersion;
+    io.u32(version);
+    wlc_assert(version == SystemSnapshot::kFormatVersion,
+               "unsupported snapshot format version %u", version);
+    io.check(cycle, "snapshot header cycle vs metadata");
+    io.check(event_index, "snapshot header event index vs metadata");
+    io.section("RES ");
+    for (const Field &f : resultFields())
+        ioField(io, f, &res_);
+    meter_.ioState(io);
+    cap_.ioState(io);
+    harvester_.ioState(io);
+    nvm_->ioState(io);
+    dcache_->ioState(io);
+    icache_->ioState(io);
+    core_->ioState(io);
+    io.check(runtime_ != nullptr, "snapshot adaptive-runtime presence");
+    if (runtime_)
+        runtime_->ioState(io);
+    nvff_->ioState(io);
+    checker_.ioState(io);
+    io.section("SYS2");
+    io.u64(now_);
+    io.u64(boot_cycle_);
+    io.u64(last_meter_aj_);
+    io.f64(backup_energy_level_);
+    io.u64(backup_level_aj_);
+    io.f64(vbackup_now_);
+    io.f64(von_now_);
+    io.b(environment_dead_);
+    io.b(warned_reserve_);
+    io.u64(interval_index_);
+    io.u64(interval_start_cycle_);
+    io.u64(interval_instret_base_);
+    io.u64(interval_nvm_writes_base_);
+    io.u64(interval_cleans_base_);
+    io.f64(interval_harvest_base_);
+    io.u64(forced_idx_);
+    for (std::uint32_t &v : last_ckpt_regs_)
+        io.u32(v);
+    io.b(has_ckpt_regs_);
+    io.u64(idx_);
+    io.u64(region_start_idx_);
+    bool has_stream = region_stream_snapshot_ != nullptr;
+    io.b(has_stream);
+    if (io.loading()) {
+        if (!has_stream)
+            region_stream_snapshot_.reset();
+        else if (!region_stream_snapshot_)
+            region_stream_snapshot_ = std::make_unique<cpu::ICacheStream>(
+                core_->streamSnapshot());
+    }
+    if (region_stream_snapshot_)
+        region_stream_snapshot_->ioState(io);
+    io.sorted(region_dirty_bytes_, [&io](Addr &a) { io.u64(a); });
+}
+
 SystemSnapshot
 SystemSim::takeSnapshot() const
 {
     SnapshotWriter w;
-    w.section("SYSH");
-    w.u32(SystemSnapshot::kFormatVersion);
-    w.u64(now_);
-    w.u64(idx_);
-    w.section("RES ");
-    for (const Field &f : resultFields())
-        ioField(w, f, &res_);
-    meter_.saveState(w);
-    cap_.saveState(w);
-    harvester_.saveState(w);
-    nvm_->saveState(w);
-    dcache_->saveState(w);
-    icache_->saveState(w);
-    core_->saveState(w);
-    w.b(runtime_ != nullptr);
-    if (runtime_)
-        runtime_->saveState(w);
-    nvff_->saveState(w);
-    checker_.saveState(w);
-    w.section("SYS2");
-    w.u64(now_);
-    w.u64(boot_cycle_);
-    w.u64(last_meter_aj_);
-    w.f64(backup_energy_level_);
-    w.u64(backup_level_aj_);
-    w.f64(vbackup_now_);
-    w.f64(von_now_);
-    w.b(environment_dead_);
-    w.b(warned_reserve_);
-    w.u64(interval_index_);
-    w.u64(interval_start_cycle_);
-    w.u64(interval_instret_base_);
-    w.u64(interval_nvm_writes_base_);
-    w.u64(interval_cleans_base_);
-    w.f64(interval_harvest_base_);
-    w.u64(forced_idx_);
-    for (const std::uint32_t v : last_ckpt_regs_)
-        w.u32(v);
-    w.b(has_ckpt_regs_);
-    w.u64(idx_);
-    w.u64(region_start_idx_);
-    w.b(region_stream_snapshot_ != nullptr);
-    if (region_stream_snapshot_)
-        region_stream_snapshot_->saveState(w);
-    std::vector<Addr> dirty(region_dirty_bytes_.begin(),
-                            region_dirty_bytes_.end());
-    std::sort(dirty.begin(), dirty.end());
-    w.u64(dirty.size());
-    for (const Addr a : dirty)
-        w.u64(a);
+    StateIo::save(*this, w, now_, idx_);
 
     SystemSnapshot snap;
     snap.compat_key = snapshot_key_;
@@ -753,68 +740,7 @@ SystemSim::restoreSnapshot(const SystemSnapshot &snap)
                "(%s vs this system's %s)",
                snap.compat_key.c_str(), snapshot_key_.c_str());
     SnapshotReader r(snap.state);
-    r.section("SYSH");
-    const std::uint32_t ver = r.u32();
-    wlc_assert(ver == SystemSnapshot::kFormatVersion,
-               "unsupported snapshot format version %u", ver);
-    const Cycle header_cycle = r.u64();
-    const std::uint64_t header_idx = r.u64();
-    wlc_assert(header_cycle == snap.cycle &&
-                   header_idx == snap.event_index,
-               "snapshot header disagrees with its metadata");
-    r.section("RES ");
-    for (const Field &f : resultFields())
-        ioField(r, f, &res_);
-    meter_.restoreState(r);
-    cap_.restoreState(r);
-    harvester_.restoreState(r);
-    nvm_->restoreState(r);
-    dcache_->restoreState(r);
-    icache_->restoreState(r);
-    core_->restoreState(r);
-    const bool has_rt = r.b();
-    wlc_assert(has_rt == (runtime_ != nullptr),
-               "snapshot adaptive-runtime presence mismatch");
-    if (runtime_)
-        runtime_->restoreState(r);
-    nvff_->restoreState(r);
-    checker_.restoreState(r);
-    r.section("SYS2");
-    now_ = r.u64();
-    boot_cycle_ = r.u64();
-    last_meter_aj_ = r.u64();
-    backup_energy_level_ = r.f64();
-    backup_level_aj_ = r.u64();
-    vbackup_now_ = r.f64();
-    von_now_ = r.f64();
-    environment_dead_ = r.b();
-    warned_reserve_ = r.b();
-    interval_index_ = r.u64();
-    interval_start_cycle_ = r.u64();
-    interval_instret_base_ = r.u64();
-    interval_nvm_writes_base_ = r.u64();
-    interval_cleans_base_ = r.u64();
-    interval_harvest_base_ = r.f64();
-    forced_idx_ = static_cast<std::size_t>(r.u64());
-    for (std::uint32_t &v : last_ckpt_regs_)
-        v = r.u32();
-    has_ckpt_regs_ = r.b();
-    idx_ = static_cast<std::size_t>(r.u64());
-    region_start_idx_ = static_cast<std::size_t>(r.u64());
-    if (r.b()) {
-        if (!region_stream_snapshot_)
-            region_stream_snapshot_ =
-                std::make_unique<cpu::ICacheStream>(
-                    core_->streamSnapshot());
-        region_stream_snapshot_->restoreState(r);
-    } else {
-        region_stream_snapshot_.reset();
-    }
-    region_dirty_bytes_.clear();
-    const std::uint64_t n_dirty = r.u64();
-    region_dirty_bytes_.reserve(n_dirty);
-    for (std::uint64_t i = 0; i < n_dirty; ++i)
-        region_dirty_bytes_.insert(r.u64());
+    StateIo::load(*this, r, snap.cycle, snap.event_index);
     wlc_assert(r.atEnd(), "trailing bytes after snapshot restore");
 }
 

@@ -39,6 +39,7 @@
 namespace wlcache {
 
 namespace core { class WlLogCache; }
+class StateIo;
 
 namespace nvp {
 
@@ -274,6 +275,16 @@ class SystemSim
     void dumpStats(std::ostream &os) const;
 
   private:
+    friend class wlcache::StateIo;
+
+    /**
+     * The whole snapshot state for both directions: the SYSH header
+     * (format version, @p cycle and @p event_index, checked against
+     * the snapshot's metadata on load), the RES result section, every
+     * component, and the SYS2 run-loop state.
+     */
+    void ioState(StateIo &io, Cycle cycle, std::uint64_t event_index);
+
     void buildCaches();
     double reserveNeededJ() const;
     double wlVbackup(unsigned maxline) const;

@@ -117,23 +117,13 @@ Rng::nextExponential(double mean_value)
 }
 
 void
-Rng::saveState(SnapshotWriter &w) const
+Rng::ioState(StateIo &io)
 {
-    w.section("RNG ");
-    for (const std::uint64_t s : s_)
-        w.u64(s);
-    w.b(have_cached_gaussian_);
-    w.f64(cached_gaussian_);
-}
-
-void
-Rng::restoreState(SnapshotReader &r)
-{
-    r.section("RNG ");
+    io.section("RNG ");
     for (std::uint64_t &s : s_)
-        s = r.u64();
-    have_cached_gaussian_ = r.b();
-    cached_gaussian_ = r.f64();
+        io.u64(s);
+    io.b(have_cached_gaussian_);
+    io.f64(cached_gaussian_);
 }
 
 } // namespace wlcache

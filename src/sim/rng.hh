@@ -12,8 +12,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 /**
  * xoshiro256** PRNG seeded via SplitMix64. Small, fast, and fully
@@ -53,10 +52,7 @@ class Rng
     double nextExponential(double mean_value);
 
     /** Serialize the generator state (stream + cached gaussian). */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
   private:
     std::uint64_t s_[4];

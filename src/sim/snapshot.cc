@@ -152,4 +152,70 @@ SnapshotReader::vecU8()
     return v;
 }
 
+void
+StateIo::section(const char *tag)
+{
+    if (r_)
+        r_->section(tag);
+    else
+        w_->section(tag);
+}
+
+void
+StateIo::f64(double &v)
+{
+    if (r_)
+        v = r_->f64();
+    else
+        w_->f64(v);
+}
+
+void
+StateIo::str(std::string &v)
+{
+    if (r_)
+        v = r_->str();
+    else
+        w_->str(v);
+}
+
+void
+StateIo::bytes(void *p, std::size_t n)
+{
+    if (r_)
+        r_->bytes(p, n);
+    else
+        w_->bytes(p, n);
+}
+
+void
+StateIo::vecU8(std::vector<std::uint8_t> &v)
+{
+    if (r_)
+        v = r_->vecU8();
+    else
+        w_->vecU8(v);
+}
+
+void
+StateIo::check(std::uint64_t expected, const char *what)
+{
+    std::uint64_t got = expected;
+    u64(got);
+    wlc_assert(got == expected,
+               "%s mismatch: snapshot has %llu, this system has %llu",
+               what, static_cast<unsigned long long>(got),
+               static_cast<unsigned long long>(expected));
+}
+
+void
+StateIo::check(bool expected, const char *what)
+{
+    bool got = expected;
+    b(got);
+    wlc_assert(got == expected,
+               "%s mismatch: snapshot has %d, this system has %d", what,
+               got, expected);
+}
+
 } // namespace wlcache

@@ -123,41 +123,22 @@ Distribution::reset()
 }
 
 void
-Scalar::saveState(SnapshotWriter &w) const
+Scalar::ioState(StateIo &io)
 {
-    w.f64(value_);
-    w.u64(u64_);
+    io.f64(value_);
+    io.u64(u64_);
 }
 
 void
-Scalar::restoreState(SnapshotReader &r)
+Distribution::ioState(StateIo &io)
 {
-    value_ = r.f64();
-    u64_ = r.u64();
-}
-
-void
-Distribution::saveState(SnapshotWriter &w) const
-{
-    w.u64(count_);
-    w.f64(sum_);
-    w.f64(sum_sq_);
-    w.f64(min_);
-    w.f64(max_);
-    for (const std::uint64_t b : buckets_)
-        w.u64(b);
-}
-
-void
-Distribution::restoreState(SnapshotReader &r)
-{
-    count_ = r.u64();
-    sum_ = r.f64();
-    sum_sq_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
+    io.u64(count_);
+    io.f64(sum_);
+    io.f64(sum_sq_);
+    io.f64(min_);
+    io.f64(max_);
     for (std::uint64_t &b : buckets_)
-        b = r.u64();
+        io.u64(b);
 }
 
 Scalar &
@@ -233,39 +214,17 @@ StatGroup::dumpJson(std::ostream &os) const
 }
 
 void
-StatGroup::saveState(SnapshotWriter &w) const
+StatGroup::ioState(StateIo &io)
 {
-    w.section("STAT");
-    w.u64(owned_.size());
-    for (const auto &s : owned_)
-        s->saveState(w);
-    w.u64(children_.size());
-    for (const auto *c : children_)
-        c->saveState(w);
-}
-
-void
-StatGroup::restoreState(SnapshotReader &r)
-{
-    r.section("STAT");
-    const std::uint64_t n_owned = r.u64();
-    wlc_assert(n_owned == owned_.size(),
-               "stat group '%s': snapshot has %llu statistics, "
-               "group has %zu",
-               name_.c_str(),
-               static_cast<unsigned long long>(n_owned),
-               owned_.size());
+    io.section("STAT");
+    io.check(owned_.size(),
+             ("stat group '" + name_ + "' statistics count").c_str());
     for (auto &s : owned_)
-        s->restoreState(r);
-    const std::uint64_t n_children = r.u64();
-    wlc_assert(n_children == children_.size(),
-               "stat group '%s': snapshot has %llu children, "
-               "group has %zu",
-               name_.c_str(),
-               static_cast<unsigned long long>(n_children),
-               children_.size());
+        s->ioState(io);
+    io.check(children_.size(),
+             ("stat group '" + name_ + "' children count").c_str());
     for (auto *c : children_)
-        c->restoreState(r);
+        c->ioState(io);
 }
 
 const Statistic *

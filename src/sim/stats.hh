@@ -20,8 +20,7 @@
 
 namespace wlcache {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIo;
 
 namespace stats {
 
@@ -47,10 +46,7 @@ class Statistic
     virtual void reset() = 0;
 
     /** Serialize the accumulator state for a simulation snapshot. */
-    virtual void saveState(SnapshotWriter &w) const = 0;
-
-    /** Restore a state saved with saveState(). */
-    virtual void restoreState(SnapshotReader &r) = 0;
+    virtual void ioState(StateIo &io) = 0;
 
   private:
     std::string name_;
@@ -94,8 +90,7 @@ class Scalar : public Statistic
     std::string render() const override;
     void writeJson(std::ostream &os) const override;
     void reset() override { value_ = 0.0; u64_ = 0; }
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     double value_ = 0.0;
@@ -133,8 +128,7 @@ class Distribution : public Statistic
     std::string render() const override;
     void writeJson(std::ostream &os) const override;
     void reset() override;
-    void saveState(SnapshotWriter &w) const override;
-    void restoreState(SnapshotReader &r) override;
+    void ioState(StateIo &io) override;
 
   private:
     std::uint64_t count_ = 0;
@@ -190,10 +184,7 @@ class StatGroup
      * component built from the same configuration), which snapshots
      * guarantee via their compatibility key.
      */
-    void saveState(SnapshotWriter &w) const;
-
-    /** Restore a state saved with saveState(). */
-    void restoreState(SnapshotReader &r);
+    void ioState(StateIo &io);
 
     const std::string &name() const { return name_; }
 

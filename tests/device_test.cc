@@ -338,12 +338,12 @@ TEST(Wear, TrackerSnapshotRoundTripsBitExactly)
     a.recordLine(WearTracker::kLinesPerShard * 100 + 7);
 
     SnapshotWriter w;
-    a.saveState(w);
+    StateIo::save(a, w);
     const std::vector<std::uint8_t> bytes = w.data();
 
     WearTracker b(1 << 20, 500);
     SnapshotReader r(bytes);
-    b.restoreState(r);
+    StateIo::load(b, r);
     EXPECT_TRUE(r.atEnd());
     EXPECT_EQ(b.lineWear(5), 3u);
     EXPECT_EQ(b.lineWear(WearTracker::kLinesPerShard * 100 + 7), 1u);
@@ -353,7 +353,7 @@ TEST(Wear, TrackerSnapshotRoundTripsBitExactly)
 
     // The restored tracker re-serializes to the same byte stream.
     SnapshotWriter w2;
-    b.saveState(w2);
+    StateIo::save(b, w2);
     EXPECT_EQ(w2.data(), bytes);
 }
 
@@ -399,11 +399,11 @@ TEST(WearRotate, RotatorSnapshotRoundTrips)
     for (int i = 0; i < 7; ++i)
         a.onWrite();
     SnapshotWriter w;
-    a.saveState(w);
+    StateIo::save(a, w);
 
     WearRotator b(1024, 64, 3);
     SnapshotReader r(w.data());
-    b.restoreState(r);
+    StateIo::load(b, r);
     EXPECT_TRUE(r.atEnd());
     EXPECT_EQ(b.offset(), a.offset());
     EXPECT_EQ(b.rotations(), a.rotations());
@@ -487,11 +487,11 @@ TEST(Hybrid, RegionSnapshotRoundTrips)
     a.onWrite(10);  // Promote line 10.
     a.onWrite(20);  // Heat 1, not yet promoted.
     SnapshotWriter w;
-    a.saveState(w);
+    StateIo::save(a, w);
 
     HybridRegion b(2, 2);
     SnapshotReader r(w.data());
-    b.restoreState(r);
+    StateIo::load(b, r);
     EXPECT_TRUE(r.atEnd());
     EXPECT_TRUE(b.resident(10));
     EXPECT_FALSE(b.resident(20));
@@ -548,13 +548,13 @@ TEST(DeviceSnapshot, QueuedWearRotateHybridStateRoundTrips)
     a.read(0x0, 4, t, nullptr);
 
     SnapshotWriter w;
-    a.saveState(w);
+    StateIo::save(a, w);
     const std::vector<std::uint8_t> bytes = w.data();
 
     NvmMemory b(p);
     b.clearJournal();
     SnapshotReader r(bytes);
-    b.restoreState(r);
+    StateIo::load(b, r);
     EXPECT_TRUE(r.atEnd());
 
     // Observable state agrees...
@@ -567,7 +567,7 @@ TEST(DeviceSnapshot, QueuedWearRotateHybridStateRoundTrips)
 
     // ...and the restored device re-serializes byte-identically.
     SnapshotWriter w2;
-    b.saveState(w2);
+    StateIo::save(b, w2);
     EXPECT_EQ(w2.data(), bytes);
 
     // The two devices stay in lockstep on further traffic.

@@ -66,7 +66,7 @@ std::vector<std::uint8_t>
 bytesOf(const InstrCache &ic)
 {
     SnapshotWriter w;
-    ic.saveState(w);
+    StateIo::save(ic, w);
     return w.take();
 }
 
@@ -74,7 +74,7 @@ std::vector<std::uint8_t>
 bytesOf(const ICacheStream &s)
 {
     SnapshotWriter w;
-    s.saveState(w);
+    StateIo::save(s, w);
     return w.take();
 }
 
@@ -82,7 +82,7 @@ std::vector<std::uint8_t>
 bytesOf(const DataCache &dc)
 {
     SnapshotWriter w;
-    dc.saveState(w);
+    StateIo::save(dc, w);
     return w.take();
 }
 

@@ -389,12 +389,12 @@ TEST_F(JournalFixture, SnapshotRoundTripsStateByteExactly)
     j->ensureSpace(0, t);  // Force at least one compaction into stats.
 
     SnapshotWriter w;
-    j->saveState(w);
+    StateIo::save(*j, w);
     const std::vector<std::uint8_t> bytes = w.data();
 
     auto k = makeJournal(32, 512, 0.5);
     SnapshotReader r(bytes);
-    k->restoreState(r);
+    StateIo::load(*k, r);
     EXPECT_TRUE(r.atEnd());
     EXPECT_EQ(k->cursor(), j->cursor());
     EXPECT_EQ(k->nextSeqno(), j->nextSeqno());
@@ -412,7 +412,7 @@ TEST_F(JournalFixture, SnapshotRoundTripsStateByteExactly)
 
     // The restored journal re-serializes to the same byte stream.
     SnapshotWriter w2;
-    k->saveState(w2);
+    StateIo::save(*k, w2);
     EXPECT_EQ(w2.data(), bytes);
 }
 

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dirty_queue.hh"
 #include "mem/nvm_params.hh"
 #include "nvp/experiment.hh"
 #include "nvp/run_json.hh"
@@ -100,6 +101,27 @@ TEST(SnapshotIo, UnderflowIsFatal)
     SnapshotReader r(w.data());
     r.u8();
     EXPECT_DEATH(r.u32(), "");
+}
+
+TEST(SnapshotIo, LoadSideGeometryMismatchIsFatal)
+{
+    // The one-serializer form keeps the load-side checks: a 6-slot
+    // dirty queue's state restores into a 6-slot queue but not into
+    // an 8-slot one.
+    core::DirtyQueue six(6, cache::ReplPolicy::FIFO);
+    SnapshotWriter w;
+    StateIo::save(six, w);
+
+    core::DirtyQueue same(6, cache::ReplPolicy::FIFO);
+    SnapshotReader ok(w.data());
+    StateIo::load(same, ok);
+    EXPECT_TRUE(ok.atEnd());
+
+    core::DirtyQueue eight(8, cache::ReplPolicy::FIFO);
+    SnapshotReader r(w.data());
+    EXPECT_DEATH(StateIo::load(eight, r),
+                 "dirty-queue snapshot capacity mismatch: snapshot "
+                 "has 6, this system has 8");
 }
 
 // --- Blob encode/decode ---
@@ -243,6 +265,11 @@ const FuzzCase kFuzzCases[] = {
       energy::TraceKind::RfHome },
     { nvp::DesignKind::NoCache, "sha", false,
       energy::TraceKind::Thermal },
+    { nvp::DesignKind::NvsramPractical, "dijkstra", false,
+      energy::TraceKind::RfOffice },
+    { nvp::DesignKind::NvsramFull, "adpcmdecode", false,
+      energy::TraceKind::RfHome },
+    { nvp::DesignKind::WLLog, "sha", false, energy::TraceKind::RfHome },
 };
 
 nvp::ExperimentSpec
@@ -314,6 +341,43 @@ TEST(SnapshotResume, FuzzObservationalIdentity)
     }
     // The fuzz only counts if it actually covered enough points.
     EXPECT_GE(total_points, 100u);
+}
+
+TEST(SnapshotResume, ResaveIsByteIdentical)
+{
+    // A field that one direction of a component's serializer covers
+    // and the other does not leaves the restored system different
+    // from the one that was cut; re-saving it exposes that byte for
+    // byte, for every design in the design table.
+    const std::vector<std::string> designs = nvp::designShortNames();
+    ASSERT_GE(designs.size(), 10u);
+    for (const std::string &name : designs) {
+        nvp::ExperimentSpec spec;
+        ASSERT_TRUE(nvp::designFromShortName(name, spec.design));
+        spec.tweak = [](nvp::SystemConfig &cfg) {
+            cfg.validate_consistency = true;
+            cfg.check_load_values = true;
+        };
+        SCOPED_TRACE(nvp::designKindName(spec.design));
+
+        const nvp::RunResult cold = nvp::runExperiment(spec);
+        nvp::SystemSnapshot cut;
+        nvp::RunOptions ro;
+        ro.max_events = cold.trace_events / 2;
+        ro.cut = &cut;
+        nvp::runExperimentEx(spec, ro);
+        ASSERT_TRUE(cut.valid());
+
+        energy::TraceGenConfig tg;
+        tg.seed = spec.power_seed;
+        nvp::SystemSim fresh(
+            nvp::resolveConfig(spec),
+            workloads::getTrace(spec.workload, spec.scale,
+                                spec.workload_seed),
+            energy::makeTrace(spec.power, tg), spec.no_failure);
+        fresh.restoreSnapshot(cut);
+        EXPECT_EQ(fresh.takeSnapshot().state, cut.state);
+    }
 }
 
 TEST(SnapshotResume, WearStateFuzzObservationalIdentity)

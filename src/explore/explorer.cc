@@ -1,6 +1,7 @@
 #include "explore/explorer.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <numeric>
 
@@ -8,7 +9,6 @@
 #include "explore/pareto.hh"
 #include "nvp/snapshot.hh"
 #include "runner/runner.hh"
-#include "runner/spec_key.hh"
 #include "sim/logging.hh"
 #include "workloads/workloads.hh"
 
@@ -17,27 +17,12 @@ namespace explore {
 
 namespace {
 
-/** Evaluate @p points at @p scale through the runner. Each point may
-    carry a resume snapshot (snapshot_extend's final rung) — a pure
-    accelerator that never changes results or cache keys. */
+/** Run @p set through a runner configured from @p cfg; adds the
+    batch economics to @p report and its job count to @p runs. */
 std::vector<nvp::RunResult>
-runPoints(const ExploreConfig &cfg,
-          const std::vector<const DesignPoint *> &points,
-          unsigned scale, ExploreReport &report, bool full_scale,
-          const std::vector<std::shared_ptr<nvp::SystemSnapshot>>
-              *resumes = nullptr)
+runJobs(const ExploreConfig &cfg, const runner::JobSet &set,
+        std::size_t &runs, ExploreReport &report)
 {
-    runner::JobSet set;
-    for (std::size_t k = 0; k < points.size(); ++k) {
-        const DesignPoint *p = points[k];
-        nvp::ExperimentSpec spec = p->spec;
-        spec.scale = scale;
-        const std::size_t j =
-            set.add(std::move(spec), p->id + "@x" +
-                                         std::to_string(scale));
-        if (resumes && (*resumes)[k] && (*resumes)[k]->valid())
-            set.setResume(j, (*resumes)[k]);
-    }
     runner::RunnerConfig rc;
     rc.jobs = cfg.jobs;
     rc.cache_dir = cfg.cache_dir;
@@ -49,9 +34,49 @@ runPoints(const ExploreConfig &cfg,
     const auto &stats = runner.stats();
     report.cache_hits += stats.cache_hits;
     report.executed += stats.executed;
-    (full_scale ? report.full_runs : report.triage_runs) +=
-        stats.total;
+    runs += stats.total;
     return results;
+}
+
+/**
+ * The jobs that evaluate @p points: one per point, at @p scale (0
+ * keeps each point's own), or under a @p fleet block one per node,
+ * node fastest — power_node = n, the block's jitter and the node's
+ * mix workload. A point may carry a resume snapshot (snapshot_extend's
+ * final rung) — a pure accelerator that never changes results or
+ * cache keys.
+ */
+runner::JobSet
+pointJobs(const std::vector<const DesignPoint *> &points, unsigned scale,
+          const std::optional<FleetBlock> &fleet,
+          const std::vector<std::shared_ptr<nvp::SystemSnapshot>>
+              *resumes = nullptr)
+{
+    runner::JobSet set;
+    const std::vector<std::string> pattern =
+        fleet ? fleet->workloadPattern() : std::vector<std::string>{};
+    for (std::size_t k = 0; k < points.size(); ++k) {
+        const DesignPoint &p = *points[k];
+        if (fleet) {
+            for (unsigned n = 0; n < fleet->nodes; ++n) {
+                nvp::ExperimentSpec spec = p.spec;
+                spec.power_node = n;
+                spec.power_jitter = fleet->jitter;
+                if (!pattern.empty())
+                    spec.workload = pattern[n % pattern.size()];
+                set.add(std::move(spec), p.id + "#n" + std::to_string(n));
+            }
+            continue;
+        }
+        nvp::ExperimentSpec spec = p.spec;
+        if (scale != 0)
+            spec.scale = scale;
+        const std::string label = p.id + "@x" + std::to_string(spec.scale);
+        const std::size_t j = set.add(std::move(spec), label);
+        if (resumes && (*resumes)[k] && (*resumes)[k]->valid())
+            set.setResume(j, (*resumes)[k]);
+    }
+    return set;
 }
 
 /**
@@ -89,18 +114,7 @@ runExtendRung(const ExploreConfig &cfg,
                                          std::to_string(budget));
         set.setBudget(j, budget, cuts[k], next[k]);
     }
-    runner::RunnerConfig rc;
-    rc.jobs = cfg.jobs;
-    rc.cache_dir = cfg.cache_dir;
-    rc.snapshot_dir = cfg.snapshot_dir;
-    rc.progress = cfg.progress;
-    rc.progress_out = cfg.progress_out;
-    runner::Runner runner(rc);
-    auto results = runner.runAll(set);
-    const auto &stats = runner.stats();
-    report.cache_hits += stats.cache_hits;
-    report.executed += stats.executed;
-    report.triage_runs += stats.total;
+    auto results = runJobs(cfg, set, report.triage_runs, report);
     cuts = std::move(next);
     return results;
 }
@@ -124,6 +138,36 @@ evalAll(const std::vector<std::string> &names,
 
 } // anonymous namespace
 
+void
+aggregatePoint(PointOutcome &out, const FleetBlock &fleet,
+               const std::vector<std::string> &objective_names)
+{
+    // Reduction order must not depend on delivery order: node id is
+    // the one stable sort key a worker pool cannot permute.
+    std::sort(out.nodes.begin(), out.nodes.end(),
+              [](const NodeResult &a, const NodeResult &b) {
+                  return a.node < b.node;
+              });
+    out.total_instructions = out.total_nvm_writes = out.total_outages = 0;
+    out.completed_nodes = 0;
+    for (const NodeResult &n : out.nodes) {
+        out.total_instructions += n.result.instructions;
+        out.total_nvm_writes += n.result.nvm_writes;
+        out.total_outages += n.result.outages;
+        if (n.result.completed)
+            ++out.completed_nodes;
+    }
+    out.objectives.clear();
+    for (const std::string &name : objective_names) {
+        const ObjectiveDef *def = findObjective(name);
+        wlc_assert(def && def->reduce, "not a fleet objective: '%s'",
+                   name.c_str());
+        // A non-finite reduction must never reach a report.
+        const double v = def->reduce(out.nodes, fleet);
+        out.objectives.push_back(std::isfinite(v) ? v : 0.0);
+    }
+}
+
 bool
 runExploration(const ExploreConfig &cfg, ExploreReport &out,
                std::string *err)
@@ -135,15 +179,19 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
     };
 
     // Resolve objectives: config overrides sweep, default otherwise.
+    // parseSweepSpec checked the sweep's own; this catches overrides.
+    const std::optional<FleetBlock> &fleet = cfg.sweep.fleet;
     std::vector<std::string> objectives =
-        !cfg.objectives.empty() ? cfg.objectives
-        : !cfg.sweep.objectives.empty()
-            ? cfg.sweep.objectives
-            : std::vector<std::string>{ "time", "nvm_writes" };
+        !cfg.objectives.empty()       ? cfg.objectives
+        : !cfg.sweep.objectives.empty() ? cfg.sweep.objectives
+        : fleet ? std::vector<std::string>{ "fleet_p99_progress",
+                                            "fleet_wear_total" }
+                : std::vector<std::string>{ "time", "nvm_writes" };
     for (const auto &name : objectives)
-        if (!findObjective(name))
-            return fail("unknown objective '" + name + "' (valid: " +
-                        objectiveNameList() + ")");
+        if (!checkObjective(name, fleet.has_value(), err))
+            return false;
+    if (fleet && cfg.sweep.mode == SearchMode::Halving)
+        return fail("a \"fleet\" block cannot use halving search");
 
     std::vector<DesignPoint> points;
     if (!expandPoints(cfg.sweep, points, err))
@@ -151,8 +199,9 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
     if (points.empty())
         return fail("sweep expands to zero points");
 
-    // The full scale every point shares. Halving owns the scale
-    // dimension, so a swept/per-point scale is rejected up front.
+    // The final rung's scale. Halving owns the scale dimension, so a
+    // swept/per-point scale is rejected up front; an exhaustive sweep
+    // runs every point at its own scale.
     const unsigned full_scale = points.front().spec.scale;
     if (cfg.sweep.mode == SearchMode::Halving) {
         for (const auto &p : points)
@@ -165,6 +214,7 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
     ExploreReport report;
     report.name = cfg.sweep.name;
     report.mode = cfg.sweep.mode;
+    report.fleet = fleet;
     report.objective_names = objectives;
     report.expanded_points = points.size();
     report.full_scale = full_scale;
@@ -172,9 +222,6 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
     // Survivors, as indices into `points`, kept in expansion order.
     std::vector<std::size_t> alive(points.size());
     std::iota(alive.begin(), alive.end(), 0);
-
-    std::vector<nvp::RunResult> final_results;
-    std::vector<std::vector<double>> final_objs;
 
     // snapshot_extend: per-point cut snapshots, carried rung to rung
     // (indexed like `points`; null until the point's first rung).
@@ -211,8 +258,9 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
                 objs = evalAll(objectives, entrants, results,
                                full_scale);
             } else {
-                results =
-                    runPoints(cfg, entrants, scale, report, false);
+                results = runJobs(cfg,
+                                  pointJobs(entrants, scale, std::nullopt),
+                                  report.triage_runs, report);
                 objs = evalAll(objectives, entrants, results, scale);
             }
 
@@ -243,43 +291,48 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
         }
     }
 
-    // Final rung: survivors at full scale. Under snapshot_extend the
-    // survivors fast-forward from their last cut; the cache key stays
-    // the plain full-run key, so the result is interchangeable with a
-    // cold full-scale run.
-    {
-        std::vector<const DesignPoint *> entrants;
-        for (const std::size_t i : alive)
-            entrants.push_back(&points[i]);
-        std::vector<std::shared_ptr<nvp::SystemSnapshot>> resumes;
-        if (extend) {
-            resumes.reserve(alive.size());
-            for (const std::size_t i : alive)
-                resumes.push_back(cuts[i]);
-        }
-        final_results =
-            runPoints(cfg, entrants, full_scale, report, true,
-                      extend ? &resumes : nullptr);
-        final_objs =
-            evalAll(objectives, entrants, final_results, full_scale);
-        if (cfg.sweep.mode == SearchMode::Halving)
-            report.rungs.push_back(
-                { full_scale, alive.size(), alive.size() });
+    // Final rung: the survivors at full scale, once per node under a
+    // fleet block. Under snapshot_extend the survivors fast-forward
+    // from their last cut; the cache key stays the plain full-run
+    // key, so the result is interchangeable with a cold full-scale run.
+    std::vector<const DesignPoint *> entrants;
+    std::vector<std::shared_ptr<nvp::SystemSnapshot>> resumes;
+    for (const std::size_t i : alive) {
+        entrants.push_back(&points[i]);
+        if (extend)
+            resumes.push_back(cuts[i]);
     }
+    const runner::JobSet set =
+        pointJobs(entrants, 0, fleet, extend ? &resumes : nullptr);
+    const std::vector<nvp::RunResult> results =
+        runJobs(cfg, set, report.full_runs, report);
+    if (cfg.sweep.mode == SearchMode::Halving)
+        report.rungs.push_back({ full_scale, alive.size(), alive.size() });
 
+    std::vector<std::vector<double>> objs;
     std::vector<std::string> ids;
-    for (std::size_t k = 0; k < alive.size(); ++k) {
+    std::size_t job = 0;
+    for (const DesignPoint *p : entrants) {
         PointOutcome o;
-        o.point = points[alive[k]];
-        o.point.spec.scale = full_scale;
-        o.result = final_results[k];
-        o.objectives = final_objs[k];
-        o.run_key = runner::specKey(o.point.spec);
+        o.point = *p;
+        if (fleet) {
+            for (unsigned n = 0; n < fleet->nodes; ++n, ++job)
+                o.nodes.push_back({ n, set[job].spec.workload,
+                                    set[job].key, results[job] });
+            aggregatePoint(o, *fleet, objectives);
+        } else {
+            o.result = results[job];
+            o.run_key = set[job++].key;
+            o.objectives =
+                evalObjectives(objectives, o.result,
+                               nvp::resolveConfig(p->spec), p->spec);
+        }
+        objs.push_back(o.objectives);
         ids.push_back(o.point.id);
         report.outcomes.push_back(std::move(o));
     }
 
-    report.frontier = paretoFrontier(final_objs, ids);
+    report.frontier = paretoFrontier(objs, ids);
     for (const std::size_t i : report.frontier)
         report.outcomes[i].on_frontier = true;
 

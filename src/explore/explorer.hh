@@ -8,7 +8,9 @@
  * exhaustive evaluation of every point at full scale, and budgeted
  * successive halving that triages the whole space on short-scale
  * runs and promotes only the most promising configurations (by
- * non-dominated rank) to the full-scale rung.
+ * non-dominated rank) to the full-scale rung. Under a fleet block
+ * every point runs once per node and the fleet objectives reduce the
+ * node results before the frontier is taken.
  */
 
 #ifndef WLCACHE_EXPLORE_EXPLORER_HH
@@ -21,6 +23,7 @@
 
 #include <iosfwd>
 
+#include "explore/objectives.hh"
 #include "explore/sweep_spec.hh"
 #include "nvp/system.hh"
 #include "runner/runner.hh"
@@ -36,7 +39,8 @@ struct ExploreConfig
     /**
      * Objective names (see objectives.hh). Overrides the sweep's own
      * list when non-empty; the engine falls back to the sweep's, and
-     * then to {"time", "nvm_writes"}.
+     * then to {"time", "nvm_writes"} ({"fleet_p99_progress",
+     * "fleet_wear_total"} under a fleet block).
      */
     std::vector<std::string> objectives;
 
@@ -68,7 +72,24 @@ struct PointOutcome
      */
     std::string run_key;
     bool on_frontier = false;
+
+    // --- Fleet block only (result and run_key stay empty) ---
+    /** Per-node results, sorted by node id (aggregatePoint sorts). */
+    std::vector<NodeResult> nodes;
+    std::uint64_t total_instructions = 0;
+    std::uint64_t total_nvm_writes = 0;
+    std::uint64_t total_outages = 0;
+    std::size_t completed_nodes = 0;
 };
+
+/**
+ * Reduce @p out.nodes into fleet objectives and totals. Sorts the
+ * nodes by id first, so the result is identical no matter what order
+ * the runner delivered them in. @p objective_names must all be
+ * registered fleet objectives.
+ */
+void aggregatePoint(PointOutcome &out, const FleetBlock &fleet,
+                    const std::vector<std::string> &objective_names);
 
 /** One successive-halving rung. */
 struct RungStats
@@ -89,6 +110,8 @@ struct ExploreReport
 {
     std::string name;
     SearchMode mode = SearchMode::Exhaustive;
+    /** The sweep's fleet block, when it has one. */
+    std::optional<FleetBlock> fleet;
     std::vector<std::string> objective_names;
 
     /**
@@ -117,8 +140,9 @@ struct ExploreReport
 
 /**
  * Run one exploration.
- * @return true on success; false fills @p err (bad objective name,
- *         halving over a swept "scale" parameter, expansion failure).
+ * @return true on success; false fills @p err (an objective that is
+ *         unknown or of the wrong kind, halving over a swept "scale"
+ *         parameter or a fleet block, expansion failure).
  */
 bool runExploration(const ExploreConfig &cfg, ExploreReport &out,
                     std::string *err = nullptr);

@@ -37,14 +37,78 @@ paramColumns(const ExploreReport &report)
     return cols;
 }
 
-/** Last binding of @p name, or null. */
-const ParamValue *
-findBinding(const DesignPoint &p, const std::string &name)
+/**
+ * The Markdown frontier table. @p last names the final column and
+ * @p cell writes it for one point.
+ */
+template <typename Cell>
+void
+writeMarkdownFrontier(std::ostream &os, const ExploreReport &report,
+                      const char *last, Cell cell)
 {
-    for (auto it = p.params.rbegin(); it != p.params.rend(); ++it)
-        if (it->first == name)
-            return &it->second;
-    return nullptr;
+    os << "| # | point |";
+    for (const auto &name : report.objective_names)
+        os << " " << name << " |";
+    os << " " << last << " |\n";
+    os << "|---|-------|";
+    for (std::size_t i = 0; i < report.objective_names.size(); ++i)
+        os << "---|";
+    os << "---|\n";
+
+    std::size_t n = 0;
+    for (const std::size_t idx : report.frontier) {
+        const PointOutcome &o = report.outcomes[idx];
+        os << "| " << ++n << " | `" << o.point.id << "` |";
+        for (const double obj : o.objectives)
+            os << " " << fmtObjective(obj) << " |";
+        os << " ";
+        cell(o);
+        os << " |\n";
+    }
+}
+
+void
+writeFleetMarkdown(std::ostream &os, const ExploreReport &report)
+{
+    const unsigned nodes = report.fleet->nodes;
+    os << "# Fleet report: " << report.name << "\n\n";
+    os << "- fleet: " << nodes << " node" << (nodes == 1 ? "" : "s")
+       << ", power jitter " << fmtObjective(report.fleet->jitter)
+       << " (shared environment envelope, node-seeded gain)\n";
+    os << "- points: " << report.outcomes.size() << " evaluated, "
+       << report.frontier.size() << " on the frontier\n";
+    os << "- objectives (all minimized):";
+    for (const auto &name : report.objective_names)
+        os << " " << name;
+    os << "\n\n";
+
+    writeMarkdownFrontier(os, report, "completed",
+                          [&](const PointOutcome &o) {
+                              os << o.completed_nodes << "/"
+                                 << o.nodes.size();
+                          });
+
+    if (!report.frontier.empty()) {
+        const PointOutcome &w = report.outcomes[report.frontier.front()];
+        os << "\n## Per-node breakdown: `" << w.point.id << "`\n\n";
+        os << "| node | workload | progress (insn/s) | outages | "
+              "nvm writes | completed |\n";
+        os << "|------|----------|-------------------|---------|"
+              "------------|-----------|\n";
+        for (const NodeResult &nr : w.nodes) {
+            os << "| " << nr.node << " | " << nr.workload << " | "
+               << fmtObjective(nodeProgressRate(nr.result)) << " | "
+               << nr.result.outages << " | " << nr.result.nvm_writes
+               << " | " << (nr.result.completed ? "yes" : "no")
+               << " |\n";
+        }
+    }
+
+    os << "\nEvery per-node run is an ordinary content-addressed "
+          "single-node experiment (spec lines `power_node`/"
+          "`power_jitter` select the derived trace), so re-running "
+          "the same fleet spec against the same cache executes "
+          "nothing.\n";
 }
 
 } // anonymous namespace
@@ -56,26 +120,36 @@ writeCsv(std::ostream &os, const ExploreReport &report)
     const auto cols = paramColumns(report);
 
     std::vector<std::string> header{ "id" };
-    for (const auto &c : cols)
-        header.push_back(c);
-    for (const auto &name : report.objective_names)
-        header.push_back(name);
+    header.insert(header.end(), cols.begin(), cols.end());
+    header.insert(header.end(), report.objective_names.begin(),
+                  report.objective_names.end());
     header.push_back("frontier");
-    header.push_back("completed");
-    header.push_back("run_key");
+    if (report.fleet)
+        header.insert(header.end(),
+                      { "completed_nodes", "total_instructions",
+                        "total_nvm_writes", "total_outages" });
+    else
+        header.insert(header.end(), { "completed", "run_key" });
     csv.row(header);
 
     for (const auto &o : report.outcomes) {
         std::vector<std::string> row{ o.point.id };
         for (const auto &c : cols) {
-            const ParamValue *v = findBinding(o.point, c);
+            const ParamValue *v = findBinding(o.point.params, c);
             row.push_back(v ? v->display() : "-");
         }
         for (const double obj : o.objectives)
             row.push_back(fmtObjective(obj));
         row.push_back(o.on_frontier ? "1" : "0");
-        row.push_back(o.result.completed ? "1" : "0");
-        row.push_back(o.run_key);
+        if (report.fleet)
+            row.insert(row.end(),
+                       { std::to_string(o.completed_nodes),
+                         std::to_string(o.total_instructions),
+                         std::to_string(o.total_nvm_writes),
+                         std::to_string(o.total_outages) });
+        else
+            row.insert(row.end(),
+                       { o.result.completed ? "1" : "0", o.run_key });
         csv.row(row);
     }
 }
@@ -84,6 +158,9 @@ void
 writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
                       const std::string &cache_dir)
 {
+    if (report.fleet)
+        return writeFleetMarkdown(os, report);
+
     os << "# Exploration frontier: " << report.name << "\n\n";
     os << "- search: " << searchModeName(report.mode) << ", "
        << report.expanded_points << " points expanded, "
@@ -103,27 +180,15 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
     os << "\n- frontier: " << report.frontier.size() << " point"
        << (report.frontier.size() == 1 ? "" : "s") << "\n\n";
 
-    os << "| # | point |";
-    for (const auto &name : report.objective_names)
-        os << " " << name << " |";
-    os << " run record |\n";
-    os << "|---|-------|";
-    for (std::size_t i = 0; i < report.objective_names.size(); ++i)
-        os << "---|";
-    os << "---|\n";
-
-    std::size_t n = 0;
-    for (const std::size_t idx : report.frontier) {
-        const PointOutcome &o = report.outcomes[idx];
-        os << "| " << ++n << " | `" << o.point.id << "` |";
-        for (const double obj : o.objectives)
-            os << " " << fmtObjective(obj) << " |";
-        os << " `";
-        if (!cache_dir.empty())
-            os << cache_dir << "/";
-        os << o.run_key << (cache_dir.empty() ? "" : ".json")
-           << "` |\n";
-    }
+    writeMarkdownFrontier(os, report, "run record",
+                          [&](const PointOutcome &o) {
+                              os << "`";
+                              if (!cache_dir.empty())
+                                  os << cache_dir << "/";
+                              os << o.run_key
+                                 << (cache_dir.empty() ? "" : ".json")
+                                 << "`";
+                          });
 
     os << "\nEach run record is the content-addressed run JSON in "
           "the result cache; it carries the point's full structured "
@@ -137,26 +202,33 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
 void
 writeSummaryText(std::ostream &os, const ExploreReport &report)
 {
-    os << "=== " << report.name << ": " << report.expanded_points
-       << " points, " << report.outcomes.size()
-       << " at full scale, " << report.frontier.size()
-       << " on the frontier (" << searchModeName(report.mode)
-       << ") ===\n";
+    if (report.fleet)
+        os << "=== " << report.name << ": " << report.fleet->nodes
+           << " nodes x " << report.outcomes.size() << " points, "
+           << report.frontier.size() << " on the frontier ===\n";
+    else
+        os << "=== " << report.name << ": " << report.expanded_points
+           << " points, " << report.outcomes.size()
+           << " at full scale, " << report.frontier.size()
+           << " on the frontier (" << searchModeName(report.mode)
+           << ") ===\n";
     util::TextTable t;
     std::vector<std::string> header{ "#", "point" };
     for (const auto &name : report.objective_names)
         header.push_back(name);
+    if (report.fleet)
+        header.push_back("completed");
     t.header(header);
     std::size_t n = 0;
     for (const std::size_t idx : report.frontier) {
         const PointOutcome &o = report.outcomes[idx];
         std::vector<std::string> row{ std::to_string(++n),
                                       o.point.id };
-        for (const double v : o.objectives) {
-            char buf[40];
-            std::snprintf(buf, sizeof(buf), "%.9g", v);
-            row.push_back(buf);
-        }
+        for (const double v : o.objectives)
+            row.push_back(fmtObjective(v));
+        if (report.fleet)
+            row.push_back(std::to_string(o.completed_nodes) + "/" +
+                          std::to_string(o.nodes.size()));
         t.row(row);
     }
     t.print(os);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "explore/objectives.hh"
 #include "mem/device/tech_profile.hh"
 #include "nvp/schema.hh"
 #include "sim/logging.hh"
@@ -58,6 +59,16 @@ boolValue(bool b)
     out.kind = ParamValue::Kind::Bool;
     out.b = b;
     return out;
+}
+
+std::vector<std::string>
+FleetBlock::workloadPattern() const
+{
+    std::vector<std::string> pattern;
+    for (const MixEntry &e : mix)
+        for (unsigned i = 0; i < e.weight; ++i)
+            pattern.push_back(e.workload);
+    return pattern;
 }
 
 const char *
@@ -337,12 +348,8 @@ parseBindings(const util::JsonValue &obj,
         const ParamDef *def = findParam(key);
         if (!def)
             return fail(err, vpath + ": unknown parameter '" + key + "'");
-        for (const auto &[prev, pv] : out) {
-            (void)pv;
-            if (prev == key)
-                return fail(err, vpath + ": duplicate parameter '" + key +
-                                 "'");
-        }
+        if (findBinding(out, key))
+            return fail(err, vpath + ": duplicate parameter '" + key + "'");
         ParamValue v;
         if (!scalarFromJson(jv, v, vpath, err))
             return false;
@@ -353,16 +360,94 @@ parseBindings(const util::JsonValue &obj,
     return true;
 }
 
+/**
+ * An integral JSON number in [@p lo, @p hi] (lo >= 0). The range is
+ * checked on the double, so the conversion never sees a value its
+ * destination cannot hold.
+ */
 bool
-hasBinding(const std::vector<ParamBinding> &bindings,
-           const std::string &name)
+wantInteger(const util::JsonValue &jv, double lo, double hi,
+            const std::string &path, std::uint64_t &out,
+            std::string *err)
 {
-    for (const auto &[k, v] : bindings) {
-        (void)v;
-        if (k == name)
-            return true;
+    const double d = jv.isNumber() ? jv.asDouble() : -1.0;
+    if (d != std::floor(d) || d < lo)
+        return fail(err, path + ": expected an integer >= " +
+                             numValue(lo).text);
+    if (d > hi)
+        return fail(err, path + ": expected an integer <= " +
+                             util::fmtExact(hi));
+    out = static_cast<std::uint64_t>(d);
+    return true;
+}
+
+/** Parse the "fleet" block at @p path. */
+bool
+parseFleet(const util::JsonValue &jv, FleetBlock &out,
+           const std::string &path, std::string *err)
+{
+    if (!jv.isObject())
+        return fail(err, path + ": expected an object {nodes, jitter?, "
+                         "deadline_cycles?, mix?}");
+    bool saw_nodes = false;
+    std::uint64_t n = 0;
+    for (const auto &[key, v] : jv.members()) {
+        const std::string fpath = path + "." + key;
+        if (key == "nodes") {
+            if (!wantInteger(v, 1.0, 4096.0, fpath, n, err))
+                return false;
+            out.nodes = static_cast<unsigned>(n);
+            saw_nodes = true;
+        } else if (key == "jitter") {
+            if (!v.isNumber() || v.asDouble() < 0.0 ||
+                v.asDouble() > 2.0)
+                return fail(err, fpath + ": expected a number in [0, 2]");
+            out.jitter = v.asDouble();
+        } else if (key == "deadline_cycles") {
+            if (!wantInteger(v, 0.0, kMaxExactInteger, fpath,
+                             out.deadline_cycles, err))
+                return false;
+        } else if (key == "mix") {
+            if (!v.isArray() || v.items().empty())
+                return fail(err, fpath + ": expected a non-empty array");
+            for (std::size_t i = 0; i < v.items().size(); ++i) {
+                const auto &ej = v.items()[i];
+                const std::string epath =
+                    fpath + "[" + std::to_string(i) + "]";
+                if (!ej.isObject())
+                    return fail(err, epath + ": expected an object "
+                                     "{workload, weight?}");
+                MixEntry e;
+                for (const auto &[ekey, ev] : ej.members()) {
+                    if (ekey == "workload") {
+                        // Validated like the "workload" parameter.
+                        ParamValue w;
+                        const std::string wpath = epath + ".workload";
+                        if (!scalarFromJson(ev, w, wpath, err) ||
+                            !checkValue(*findParam(ekey), w, wpath, err))
+                            return false;
+                        e.workload = w.text;
+                    } else if (ekey == "weight") {
+                        if (!wantInteger(ev, 1.0, 1024.0,
+                                         epath + ".weight", n, err))
+                            return false;
+                        e.weight = static_cast<unsigned>(n);
+                    } else {
+                        return fail(err, epath + "." + ekey +
+                                         ": unknown mix key");
+                    }
+                }
+                if (e.workload.empty())
+                    return fail(err, epath + ": missing \"workload\"");
+                out.mix.push_back(std::move(e));
+            }
+        } else {
+            return fail(err, fpath + ": unknown fleet key");
+        }
     }
-    return false;
+    if (!saw_nodes)
+        return fail(err, path + ": missing \"nodes\"");
+    return true;
 }
 
 } // anonymous namespace
@@ -439,7 +524,7 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                 if (axis.param.empty() || axis.values.empty())
                     return fail(err, apath +
                                      ": axis needs 'param' and 'values'");
-                if (hasBinding(spec.base, axis.param))
+                if (findBinding(spec.base, axis.param))
                     return fail(err, apath + ".param: '" + axis.param +
                                      "' already bound in $.base");
                 for (const auto &other : spec.axes) {
@@ -528,15 +613,13 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                                     ? SearchMode::Halving
                                     : SearchMode::Exhaustive;
                 } else if (skey == "eta" || skey == "min_scale") {
-                    const double lo = skey == "eta" ? 2.0 : 1.0;
-                    if (!sv.isNumber() ||
-                        sv.asDouble() != std::floor(sv.asDouble()) ||
-                        sv.asDouble() < lo)
-                        return fail(err, path + "." + skey +
-                                         ": expected an integer >= " +
-                                         numValue(lo).text);
+                    std::uint64_t v = 0;
+                    if (!wantInteger(sv, skey == "eta" ? 2.0 : 1.0,
+                                     kMaxUnsigned, path + "." + skey, v,
+                                     err))
+                        return false;
                     (skey == "eta" ? spec.eta : spec.min_scale) =
-                        static_cast<unsigned>(sv.asDouble());
+                        static_cast<unsigned>(v);
                 } else if (skey == "snapshot_extend") {
                     if (!sv.isBool())
                         return fail(err, path + ".snapshot_extend: "
@@ -547,12 +630,26 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                                      ": unknown search key");
                 }
             }
+        } else if (key == "fleet") {
+            spec.fleet.emplace();
+            if (!parseFleet(jv, *spec.fleet, path, err))
+                return false;
         } else {
             return fail(err, path + ": unknown sweep-spec key");
         }
     }
 
     // Cross-checks the per-key loops above cannot do.
+    for (std::size_t i = 0; i < spec.objectives.size(); ++i) {
+        std::string why;
+        if (!checkObjective(spec.objectives[i], spec.fleet.has_value(),
+                            &why))
+            return fail(err, "$.objectives[" + std::to_string(i) +
+                             "]: " + why);
+    }
+    if (spec.fleet && spec.mode == SearchMode::Halving)
+        return fail(err, "$.search.mode: a \"fleet\" block cannot use "
+                         "halving search");
     for (std::size_t i = 0; i < spec.derived.size(); ++i) {
         const auto &d = spec.derived[i];
         const std::string dpath = "$.derived[" + std::to_string(i) +
@@ -562,7 +659,7 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
             (d.mul != 1.0 || d.add != 0.0))
             return fail(err, dpath + ": mul/add need a numeric target, "
                              "but '" + d.param + "' is not a number");
-        if (hasBinding(spec.base, d.param))
+        if (findBinding(spec.base, d.param))
             return fail(err, dpath + ".param: '" + d.param +
                              "' already bound in $.base");
         for (const auto &axis : spec.axes) {
@@ -578,16 +675,16 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
         bool source_in_axes = false;
         for (const auto &axis : spec.axes)
             source_in_axes |= axis.param == d.source;
-        if (!source_in_axes && !hasBinding(spec.base, d.source))
+        if (!source_in_axes && !findBinding(spec.base, d.source))
             return fail(err, dpath + ".source: '" + d.source +
                              "' is neither a base parameter nor an axis");
         for (std::size_t p = 0; p < spec.points.size(); ++p) {
-            if (hasBinding(spec.points[p], d.param))
+            if (findBinding(spec.points[p], d.param))
                 return fail(err, "$.points[" + std::to_string(p) + "]." +
                                  d.param + ": derived parameter cannot be "
                                  "bound explicitly");
-            if (!hasBinding(spec.base, d.source) &&
-                !hasBinding(spec.points[p], d.source))
+            if (!findBinding(spec.base, d.source) &&
+                !findBinding(spec.points[p], d.source))
                 return fail(err, "$.points[" + std::to_string(p) +
                                  "]: derived source '" + d.source +
                                  "' is not bound for this point");
@@ -598,18 +695,17 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
     return true;
 }
 
-namespace {
-
 const ParamValue *
-findValue(const std::vector<ParamBinding> &bindings,
-          const std::string &name)
+findBinding(const std::vector<ParamBinding> &bindings,
+            const std::string &name)
 {
-    // Latest binding wins (explicit points may override base).
     for (auto it = bindings.rbegin(); it != bindings.rend(); ++it)
         if (it->first == name)
             return &it->second;
     return nullptr;
 }
+
+namespace {
 
 /** Finish one point: derived params, id, and the runnable spec. */
 bool
@@ -618,7 +714,7 @@ finishPoint(const SweepSpec &spec,
             std::size_t id_begin, DesignPoint &out, std::string *err)
 {
     for (const auto &d : spec.derived) {
-        const ParamValue *src = findValue(bindings, d.source);
+        const ParamValue *src = findBinding(bindings, d.source);
         if (!src)
             return fail(err, "derived parameter '" + d.param +
                              "': source '" + d.source + "' is unbound");

@@ -9,13 +9,16 @@
  * expandPoints() turns the spec into concrete ExperimentSpecs ready
  * for the runner; every parameter goes through a central registry so
  * a sweep axis, a base entry, and a derived target all validate the
- * same way and produce the same content-addressed cache keys.
+ * same way and produce the same content-addressed cache keys. An
+ * optional "fleet" block evaluates every point on N nodes instead of
+ * one (FleetBlock).
  */
 
 #ifndef WLCACHE_EXPLORE_SWEEP_SPEC_HH
 #define WLCACHE_EXPLORE_SWEEP_SPEC_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +57,11 @@ ParamValue boolValue(bool b);
 /** A named parameter binding. */
 using ParamBinding = std::pair<std::string, ParamValue>;
 
+/** The latest binding of @p name (later bindings override earlier
+ *  ones, e.g. an explicit point over base), or null. */
+const ParamValue *findBinding(const std::vector<ParamBinding> &bindings,
+                              const std::string &name);
+
 /** One cartesian-product dimension. */
 struct Axis
 {
@@ -83,6 +91,41 @@ enum class SearchMode
 
 const char *searchModeName(SearchMode m);
 
+/** One fleet workload-mix entry: @c weight nodes out of every cycle
+ *  of the mix run @c workload. */
+struct MixEntry
+{
+    std::string workload;
+    unsigned weight = 1;
+};
+
+/**
+ * The "fleet" block: evaluate every design point on N intermittently
+ * powered nodes sharing one ambient environment. Node n runs the
+ * point's experiment with `power_node` = n and `power_jitter` set (a
+ * node-seeded gain on the shared trace, see energy::deriveNodeTrace)
+ * and its mix-assigned workload, so each node run is an ordinary
+ * content-addressed single-node job. The fleet_* objectives reduce a
+ * point's node results.
+ */
+struct FleetBlock
+{
+    unsigned nodes = 1; //!< Node count (1..4096).
+    /** Per-node power-gain spread handed to deriveNodeTrace(); 0
+     *  gives every node the identical base trace. */
+    double jitter = 0.25;
+    /** fleet_deadline_miss budget: a node meets the deadline when it
+     *  completes within this many cycles of wall-clock (0 = completion
+     *  alone). */
+    std::uint64_t deadline_cycles = 0;
+    /** Workload mix; empty keeps the point's own workload. */
+    std::vector<MixEntry> mix;
+
+    /** The mix as a node→workload pattern: entries repeat by weight
+     *  and node i runs pattern[i % len] (empty when mix is). */
+    std::vector<std::string> workloadPattern() const;
+};
+
 /** A full declarative sweep. */
 struct SweepSpec
 {
@@ -97,8 +140,14 @@ struct SweepSpec
     /** Derived constraints, applied after base/axis/point bindings. */
     std::vector<DerivedParam> derived;
 
-    /** Objective names (see objectives.hh); may be empty. */
+    /**
+     * Objective names (see objectives.hh); may be empty. Fleet
+     * objectives with a fleet block, per-run objectives without.
+     */
     std::vector<std::string> objectives;
+
+    /** Evaluate every point across a fleet of nodes. */
+    std::optional<FleetBlock> fleet;
 
     // --- "search" block ---
     SearchMode mode = SearchMode::Exhaustive;
@@ -136,9 +185,11 @@ struct DesignPoint
 
 /**
  * Parse a JSON sweep-spec document. Strict: unknown keys, unknown
- * parameter names, type mismatches, and malformed structure are all
- * rejected with a diagnostic naming the offending JSON path (e.g.
- * "$.axes[1].values[0]: parameter 'wl.maxline' wants a number").
+ * parameter, workload and objective names, type mismatches, and
+ * malformed structure are all rejected with a diagnostic naming the
+ * offending JSON path (e.g. "$.axes[1].values[0]: parameter
+ * 'wl.maxline' wants a number", "$.fleet.mix[0].workload: unknown
+ * workload 'x'").
  *
  * @return true on success; false leaves @p out untouched and fills
  *         @p err (when given) with the one-line diagnostic.

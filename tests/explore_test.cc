@@ -168,6 +168,17 @@ TEST(SweepSpec, RejectsUnknownDesignAndWorkload)
     expectDiagnostic(
         parseErr(R"({"base": {"workload": "doom"}})"),
         "$.base.workload", "unknown workload 'doom'");
+    // Objectives: registered, and of the kind the sweep evaluates.
+    expectDiagnostic(
+        parseErr(R"({"objectives": ["time", "speed"]})"),
+        "$.objectives[1]", "unknown objective 'speed' (valid: time,");
+    expectDiagnostic(
+        parseErr(R"({"objectives": ["fleet_wear_total"]})"),
+        "$.objectives[0]", "needs a \"fleet\" block");
+    expectDiagnostic(
+        parseErr(R"({"objectives": ["fleet_wear_total", "time"],
+                     "fleet": {"nodes": 2}})"),
+        "$.objectives[1]", "objective 'time' is per-run");
 }
 
 TEST(SweepSpec, RejectsBadAxes)
@@ -260,6 +271,14 @@ TEST(SweepSpec, RejectsBadSearch)
     expectDiagnostic(
         parseErr(R"({"search": {"budget": 10}})"),
         "$.search.budget", "unknown search key");
+    expectDiagnostic(
+        parseErr(R"({"search": {"mode": "halving", "eta": 1e30}})"),
+        "$.search.eta", "integer <= 4294967295");
+    // Fleets have no halving search.
+    expectDiagnostic(
+        parseErr(R"({"search": {"mode": "halving"},
+                     "fleet": {"nodes": 2}})"),
+        "$.search.mode", "cannot use halving search");
 }
 
 // ---------------------------------------------------------------------
@@ -677,6 +696,22 @@ TEST(Explorer, RejectsBadInputsWithClearErrors)
     EXPECT_FALSE(runExploration(halving, report, &err));
     EXPECT_NE(err.find("halving cannot sweep 'scale'"),
               std::string::npos);
+
+    // An override must match the sweep's kind: fleet objectives need
+    // a fleet block, which takes no per-run objectives or halving.
+    cfg.objectives = { "fleet_p99_progress" };
+    EXPECT_FALSE(runExploration(cfg, report, &err));
+    EXPECT_NE(err.find("needs a \"fleet\" block"), std::string::npos);
+    ExploreConfig fleet;
+    fleet.sweep = parseOk(R"({"base": {"workload": "sha"},
+                              "fleet": {"nodes": 2}})");
+    fleet.objectives = { "time" };
+    EXPECT_FALSE(runExploration(fleet, report, &err));
+    EXPECT_NE(err.find("objective 'time' is per-run"), std::string::npos);
+    fleet.objectives.clear();
+    fleet.sweep.mode = SearchMode::Halving;
+    EXPECT_FALSE(runExploration(fleet, report, &err));
+    EXPECT_NE(err.find("cannot use halving search"), std::string::npos);
 }
 
 TEST(Explorer, ExhaustiveIsDeterministic)
@@ -701,6 +736,21 @@ TEST(Explorer, ExhaustiveIsDeterministic)
     // Two cold runs render byte-identical reports.
     EXPECT_EQ(renderCsv(first), renderCsv(second));
     EXPECT_EQ(renderMd(first), renderMd(second));
+}
+
+TEST(Explorer, ExhaustiveRunsEachPointAtItsOwnScale)
+{
+    const auto sweep = parseOk(R"({
+        "base": {"workload": "sha", "power": "trace1"},
+        "axes": [{"param": "scale", "values": [1, 2]}]
+    })");
+    ExploreReport report;
+    ASSERT_TRUE(runSweep(sweep, report));
+    ASSERT_EQ(report.outcomes.size(), 2u);
+    for (const auto &o : report.outcomes)
+        EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
+    EXPECT_EQ(report.outcomes[1].point.spec.scale, 2u);
+    EXPECT_NE(report.outcomes[0].run_key, report.outcomes[1].run_key);
 }
 
 TEST(Explorer, WarmCacheExecutesNothing)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Unit tests for the fleet scenario layer: deterministic per-node
- * trace derivation (same inputs bit-identical, different node ids
- * decorrelated, byte-exact save/load round trips), the nearest-rank
- * percentile against a hand-computed oracle, aggregation that is
- * independent of worker completion order with N=0/N=1 guarded,
- * fleet-spec parsing diagnostics, warm-cache fleet re-runs executing
- * zero jobs, and a fleet whose Pareto winner differs from the
- * single-node winner.
+ * Unit tests for fleet explorations (a sweep with a "fleet" block):
+ * deterministic per-node trace derivation (same inputs bit-identical,
+ * different node ids decorrelated, byte-exact save/load round trips),
+ * the nearest-rank percentile against a hand-computed oracle,
+ * aggregation that is independent of worker completion order with
+ * N=0/N=1 guarded, fleet-block parsing diagnostics, warm-cache fleet
+ * re-runs executing zero jobs, and a fleet whose Pareto winner
+ * differs from the single-node winner.
  */
 
 #include <gtest/gtest.h>
@@ -20,22 +20,22 @@
 #include <vector>
 
 #include "energy/power_trace.hh"
-#include "fleet/fleet.hh"
-#include "fleet/fleet_spec.hh"
-#include "fleet/report.hh"
+#include "explore/explorer.hh"
+#include "explore/report.hh"
+#include "explore/sweep_spec.hh"
 #include "sim/logging.hh"
 
 using namespace wlcache;
-using namespace wlcache::fleet;
+using namespace wlcache::explore;
 
 namespace {
 
-FleetSpec
+SweepSpec
 parseOk(const std::string &text)
 {
-    FleetSpec spec;
+    SweepSpec spec;
     std::string err;
-    EXPECT_TRUE(parseFleetSpec(text, spec, &err)) << err;
+    EXPECT_TRUE(parseSweepSpec(text, spec, &err)) << err;
     return spec;
 }
 
@@ -43,9 +43,9 @@ parseOk(const std::string &text)
 std::string
 parseErr(const std::string &text)
 {
-    FleetSpec spec;
+    SweepSpec spec;
     std::string err;
-    EXPECT_FALSE(parseFleetSpec(text, spec, &err)) << text;
+    EXPECT_FALSE(parseSweepSpec(text, spec, &err)) << text;
     EXPECT_FALSE(err.empty());
     return err;
 }
@@ -69,9 +69,9 @@ makeNode(std::uint64_t node, std::uint64_t instructions,
 std::vector<double>
 aggregate(std::vector<NodeResult> nodes,
           const std::vector<std::string> &objectives,
-          const FleetSpec &spec = {})
+          const FleetBlock &spec = {})
 {
-    FleetPointOutcome out;
+    PointOutcome out;
     out.nodes = std::move(nodes);
     aggregatePoint(out, spec, objectives);
     return out.objectives;
@@ -200,9 +200,9 @@ TEST(Aggregate, IndependentOfDeliveryOrder)
     EXPECT_EQ(aggregate(sorted, objectives),
               aggregate(shuffled, objectives));
 
-    FleetPointOutcome out;
+    PointOutcome out;
     out.nodes = shuffled;
-    aggregatePoint(out, FleetSpec{}, objectives);
+    aggregatePoint(out, FleetBlock{}, objectives);
     for (std::size_t i = 0; i + 1 < out.nodes.size(); ++i)
         EXPECT_LT(out.nodes[i].node, out.nodes[i + 1].node);
     EXPECT_EQ(out.total_instructions, 36000u);
@@ -213,8 +213,9 @@ TEST(Aggregate, IndependentOfDeliveryOrder)
 TEST(Aggregate, GuardsEmptyAndSingleNodeFleets)
 {
     std::vector<std::string> all;
-    for (const auto &d : allFleetObjectives())
-        all.push_back(d.name);
+    for (const auto &d : allObjectives())
+        if (d.reduce)
+            all.push_back(d.name);
 
     // N=0: every objective must come out finite (0), never NaN/Inf.
     for (const double v : aggregate({}, all)) {
@@ -246,7 +247,7 @@ TEST(Aggregate, DeadlineMissCountsCompletionAndBudget)
     EXPECT_EQ(aggregate(nodes, obj)[0], 0.5);
 
     // A finite budget also times out slow completions.
-    FleetSpec strict;
+    FleetBlock strict;
     strict.deadline_cycles = 1; // ~one cycle of wall clock
     nodes = {
         makeNode(0, 100, 1.0e-12, 0, true), // fast: meets
@@ -258,75 +259,96 @@ TEST(Aggregate, DeadlineMissCountsCompletionAndBudget)
 }
 
 // ---------------------------------------------------------------------
-// Fleet-spec parsing.
+// Fleet-block parsing.
 // ---------------------------------------------------------------------
 
 TEST(FleetSpecParse, ParsesFullSpec)
 {
     const auto spec = parseOk(R"({
         "name": "office-fleet",
-        "nodes": 12,
-        "jitter": 0.5,
-        "deadline_cycles": 100000,
-        "mix": [{"workload": "sha", "weight": 2},
-                {"workload": "qsort"}],
+        "base": {"workload": "sha", "power": "trace2"},
+        "axes": [{"param": "design", "values": ["wl", "wllog"]}],
         "objectives": ["fleet_p99_progress", "fleet_wear_total"],
-        "sweep": {
-            "name": "inner",
-            "base": {"workload": "sha", "power": "trace2"},
-            "axes": [{"param": "design", "values": ["wl", "wllog"]}]
+        "fleet": {
+            "nodes": 12,
+            "jitter": 0.5,
+            "deadline_cycles": 100000,
+            "mix": [{"workload": "sha", "weight": 2},
+                    {"workload": "qsort"}]
         }
     })");
+    ASSERT_TRUE(spec.fleet);
+    const FleetBlock &fleet = *spec.fleet;
     EXPECT_EQ(spec.name, "office-fleet");
-    EXPECT_EQ(spec.nodes, 12u);
-    EXPECT_EQ(spec.jitter, 0.5);
-    EXPECT_EQ(spec.deadline_cycles, 100000u);
-    ASSERT_EQ(spec.mix.size(), 2u);
-    EXPECT_EQ(spec.mix[0].weight, 2u);
-    EXPECT_EQ(spec.sweep.axes.size(), 1u);
+    EXPECT_EQ(fleet.nodes, 12u);
+    EXPECT_EQ(fleet.jitter, 0.5);
+    EXPECT_EQ(fleet.deadline_cycles, 100000u);
+    ASSERT_EQ(fleet.mix.size(), 2u);
+    EXPECT_EQ(fleet.mix[0].weight, 2u);
+    EXPECT_EQ(spec.axes.size(), 1u);
 
     // weight-2 sha + weight-1 qsort expands to a 3-long pattern.
-    const auto pattern = spec.workloadPattern();
+    const auto pattern = fleet.workloadPattern();
     const std::vector<std::string> want = { "sha", "sha", "qsort" };
     EXPECT_EQ(pattern, want);
 }
 
 TEST(FleetSpecParse, RejectsBadDocumentsWithDiagnostics)
 {
-    // Unknown top-level key.
-    EXPECT_NE(parseErr(R"({"nodes": 2, "bogus": 1,
-                           "sweep": {"base": {"workload": "sha"}}})")
+    // Unknown fleet key.
+    EXPECT_NE(parseErr(R"({"base": {"workload": "sha"},
+                           "fleet": {"nodes": 2, "bogus": 1}})")
                   .find("bogus"),
               std::string::npos);
 
-    // Missing sweep / missing nodes.
-    parseErr(R"({"nodes": 2})");
-    parseErr(R"({"sweep": {"base": {"workload": "sha"}}})");
+    // Fleet block that is not an object / missing nodes.
+    parseErr(R"({"base": {"workload": "sha"}, "fleet": 2})");
+    parseErr(R"({"base": {"workload": "sha"}, "fleet": {}})");
 
     // Unknown objective names the registry.
     const std::string err = parseErr(R"({
-        "nodes": 2,
+        "base": {"workload": "sha"},
         "objectives": ["fleet_p12_progress"],
-        "sweep": {"base": {"workload": "sha"}}
+        "fleet": {"nodes": 2}
     })");
     EXPECT_NE(err.find("fleet_p12_progress"), std::string::npos);
     EXPECT_NE(err.find("fleet_p99_progress"), std::string::npos);
 
     // Unknown workload in the mix.
     EXPECT_NE(parseErr(R"({
-                  "nodes": 2,
-                  "mix": [{"workload": "no_such_app"}],
-                  "sweep": {"base": {"workload": "sha"}}
+                  "base": {"workload": "sha"},
+                  "fleet": {"nodes": 2,
+                            "mix": [{"workload": "no_such_app"}]}
               })")
                   .find("no_such_app"),
               std::string::npos);
 
-    // A broken inner sweep surfaces the sweep parser's diagnostic.
+    // A broken sweep surfaces the sweep parser's diagnostic.
     EXPECT_NE(parseErr(R"({
-                  "nodes": 2,
-                  "sweep": {"base": {"power": "tracer9"}}
+                  "base": {"power": "tracer9"},
+                  "fleet": {"nodes": 2}
               })")
                   .find("tracer9"),
+              std::string::npos);
+
+    // Numbers too large for any counter are rejected at their path
+    // before conversion, not wrapped or passed on.
+    EXPECT_NE(parseErr(R"({"base": {"workload": "sha"},
+                           "fleet": {"nodes": 1e30}})")
+                  .find("$.fleet.nodes: expected an integer <= 4096"),
+              std::string::npos);
+    EXPECT_NE(parseErr(R"({"base": {"workload": "sha"},
+                           "fleet": {"nodes": 2,
+                                     "mix": [{"workload": "sha",
+                                              "weight": 1e30}]}})")
+                  .find("$.fleet.mix[0].weight: expected an integer "
+                        "<= 1024"),
+              std::string::npos);
+    EXPECT_NE(parseErr(R"({"base": {"workload": "sha"},
+                           "fleet": {"nodes": 2,
+                                     "deadline_cycles": 1e30}})")
+                  .find("$.fleet.deadline_cycles: expected an integer "
+                        "<= 9007199254740992"),
               std::string::npos);
 }
 
@@ -336,51 +358,50 @@ TEST(FleetSpecParse, RejectsBadDocumentsWithDiagnostics)
 
 namespace {
 
-FleetSpec
+SweepSpec
 smallFleet()
 {
     return parseOk(R"({
         "name": "tiny",
-        "nodes": 3,
-        "jitter": 0.35,
-        "mix": [{"workload": "sha", "weight": 2},
-                {"workload": "qsort"}],
+        "base": {"workload": "sha", "power": "trace2"},
+        "axes": [{"param": "design", "values": ["wl", "wt"]}],
         "objectives": ["fleet_p99_progress", "fleet_wear_total"],
-        "sweep": {
-            "name": "tiny-sweep",
-            "base": {"workload": "sha", "power": "trace2"},
-            "axes": [{"param": "design", "values": ["wl", "wt"]}]
+        "fleet": {
+            "nodes": 3,
+            "jitter": 0.35,
+            "mix": [{"workload": "sha", "weight": 2},
+                    {"workload": "qsort"}]
         }
     })");
 }
 
 bool
-runSmall(const FleetSpec &spec, FleetReport &out,
+runSmall(const SweepSpec &spec, ExploreReport &out,
          const std::string &cache_dir)
 {
-    FleetConfig cfg;
-    cfg.spec = spec;
+    ExploreConfig cfg;
+    cfg.sweep = spec;
     cfg.jobs = 2;
     cfg.cache_dir = cache_dir;
     std::string err;
-    const bool ok = runFleet(cfg, out, &err);
+    const bool ok = runExploration(cfg, out, &err);
     EXPECT_TRUE(ok) << err;
     return ok;
 }
 
 std::string
-renderCsv(const FleetReport &r)
+renderCsv(const ExploreReport &r)
 {
     std::ostringstream os;
-    writeFleetCsv(os, r);
+    writeCsv(os, r);
     return os.str();
 }
 
 std::string
-renderMd(const FleetReport &r)
+renderMd(const ExploreReport &r)
 {
     std::ostringstream os;
-    writeFleetMarkdown(os, r);
+    writeFrontierMarkdown(os, r, "");
     return os.str();
 }
 
@@ -392,13 +413,13 @@ TEST(Fleet, WarmCacheExecutesNothing)
     // A stale cache from a previous test run would make the "cold"
     // leg warm; start from an empty directory every time.
     const std::string dir =
-        ::testing::TempDir() + "wlcache_fleet_warm";
+        ::testing::TempDir() + "wlcache_explore_fleet_warm";
     std::filesystem::remove_all(dir);
-    const FleetSpec spec = smallFleet();
+    const SweepSpec spec = smallFleet();
 
-    FleetReport cold, warm;
+    ExploreReport cold, warm;
     ASSERT_TRUE(runSmall(spec, cold, dir));
-    EXPECT_EQ(cold.total_runs, 6u); // 2 points x 3 nodes
+    EXPECT_EQ(cold.full_runs, 6u); // 2 points x 3 nodes
     EXPECT_EQ(cold.executed, 6u);
     ASSERT_TRUE(runSmall(spec, warm, dir));
     EXPECT_EQ(warm.executed, 0u);
@@ -413,8 +434,8 @@ TEST(Fleet, WarmCacheExecutesNothing)
 TEST(Fleet, NodesSeeDistinctTracesAndMixedWorkloads)
 {
     setQuiet(true);
-    const FleetSpec spec = smallFleet();
-    FleetReport report;
+    const SweepSpec spec = smallFleet();
+    ExploreReport report;
     ASSERT_TRUE(runSmall(spec, report, ""));
     ASSERT_EQ(report.outcomes.size(), 2u);
 

@@ -3,7 +3,9 @@
  * Design-space exploration driver: expand a declarative JSON sweep
  * spec into concrete experiments, evaluate them through the parallel
  * runner (content-addressed caching makes explorations resumable),
- * and report the Pareto frontier over the chosen objectives.
+ * and report the Pareto frontier over the chosen objectives. A spec
+ * with a "fleet" block evaluates every point on N nodes and renders
+ * fleet reports.
  *
  * Examples:
  *   # Exhaustive 2-axis sweep, frontier on time vs NVM writes:
@@ -15,6 +17,10 @@
  *   wlcache_explore --spec sweep.json --mode halving \
  *                   --objective time --objective nvm_writes \
  *                   --objective hw_area
+ *
+ *   # N-node fleet (the spec's "fleet" block), tail objectives:
+ *   wlcache_explore --spec examples/sweeps/fleet_smoke.json \
+ *                   --csv fleet.csv --report fleet.md
  *
  *   # CI warm-cache check: fail unless everything is served from
  *   # the result cache:
@@ -33,23 +39,12 @@
 #include "runner/runner.hh"
 #include "sim/logging.hh"
 #include "util/arg_parser.hh"
+#include "util/fs.hh"
 #include "util/strings.hh"
-#include "util/table.hh"
 
 using namespace wlcache;
 
 namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot read sweep spec '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 void
 writeFileOrDie(const std::string &path, const std::string &content)
@@ -102,7 +97,7 @@ main(int argc, char **argv)
     }
     if (args.getFlag("list-objectives")) {
         for (const auto &d : explore::allObjectives())
-            std::cout << util::padRight(d.name, 14) << d.help
+            std::cout << util::padRight(d.name, 22) << d.help
                       << "\n";
         return 0;
     }
@@ -113,7 +108,9 @@ main(int argc, char **argv)
     if (spec_path.empty())
         fatal("need a sweep spec: --spec <file.json>");
 
-    const std::string spec_text = readFile(spec_path);
+    std::string spec_text;
+    if (!util::readFileText(spec_path, spec_text))
+        fatal("cannot read sweep spec '%s'", spec_path.c_str());
 
     explore::ExploreConfig cfg;
     std::string err;
@@ -130,10 +127,6 @@ main(int argc, char **argv)
               mode.c_str());
 
     cfg.objectives = args.getList("objective");
-    for (const auto &name : cfg.objectives)
-        if (!explore::findObjective(name))
-            fatal("unknown objective '%s' (valid: %s)", name.c_str(),
-                  explore::objectiveNameList().c_str());
     cfg.jobs = static_cast<unsigned>(args.getInt("jobs"));
     cfg.cache_dir = args.get("cache-dir");
     cfg.snapshot_dir = args.get("snapshot-dir");

@@ -38,7 +38,8 @@ struct Combo
     const char *workload;
 };
 
-/** The fast subset: small kernels, one ambient environment. */
+/** The fast subset: every design on sha, the store-heavy paths on
+ *  qsort, one ambient environment. */
 const std::vector<Combo> &
 combos()
 {
@@ -49,6 +50,16 @@ combos()
         { nvp::DesignKind::VCacheWT, "sha" },
         { nvp::DesignKind::NVCacheWB, "sha" },
         { nvp::DesignKind::Replay, "sha" },
+        { nvp::DesignKind::NoCache, "sha" },
+        { nvp::DesignKind::NvsramFull, "sha" },
+        { nvp::DesignKind::NvsramPractical, "sha" },
+        { nvp::DesignKind::WtBuffered, "sha" },
+        { nvp::DesignKind::WLLog, "sha" },
+        // Store-heavy: write-allocate write-back, persist-queue
+        // coalescing and back-pressure.
+        { nvp::DesignKind::NVCacheWB, "qsort" },
+        { nvp::DesignKind::Replay, "qsort" },
+        { nvp::DesignKind::WtBuffered, "qsort" },
     };
     return c;
 }

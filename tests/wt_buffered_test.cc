@@ -77,6 +77,34 @@ TEST_F(WtBufFixture, SameWordWritesCoalesce)
     EXPECT_EQ(nvm->peekInt(0x100, 4), 2u);
 }
 
+TEST_F(WtBufFixture, WordLandingInsideCamSearchIsWrittenAfresh)
+{
+    // A store coalesces only into a buffered word still pending once
+    // its CAM search is done; an entry whose write lands inside the
+    // search window stays queued but no longer absorbs the store.
+    WtBufferParams wb;
+    wb.cam_search_latency = 1;
+    WtBufferedCache c(params, wb, *nvm, &meter);
+    c.access(MemOp::Store, 0x100, 4, 1, nullptr, 0);
+    // The first store is the first NVM operation: a fresh device
+    // issued the same write gives its completion cycle.
+    mem::NvmMemory twin(nvm->params());
+    const std::uint64_t one = 1;
+    const Cycle landed =
+        twin.write(0x100, 4, &one, wb.cam_search_latency).ready;
+
+    c.access(MemOp::Store, 0x100, 4, 2, nullptr, landed - 2);
+    EXPECT_EQ(c.coalescedWrites(), 1u);
+    EXPECT_EQ(nvm->numWrites(), 1u);
+
+    c.access(MemOp::Store, 0x100, 4, 3, nullptr, landed - 1);
+    EXPECT_EQ(c.coalescedWrites(), 1u);
+    EXPECT_EQ(nvm->numWrites(), 2u);
+    EXPECT_EQ(c.bufferDepth(), 2u);
+    c.checkpoint(landed + 100000);
+    EXPECT_EQ(nvm->peekInt(0x100, 4), 3u);
+}
+
 TEST_F(WtBufFixture, FullBufferBackpressures)
 {
     auto c = make(/*entries=*/2);

@@ -1,6 +1,8 @@
 #include "cache/base_tag_cache.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <tuple>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -8,6 +10,43 @@
 
 namespace wlcache {
 namespace cache {
+
+void
+PersistQueue::popCompleted(Cycle now)
+{
+    while (!q_.empty() && q_.front().ready <= now)
+        q_.pop_front();
+}
+
+const PersistQueue::Entry *
+PersistQueue::find(Addr addr) const
+{
+    for (const Entry &e : q_)
+        if (e.addr == addr)
+            return &e;
+    return nullptr;
+}
+
+Cycle
+PersistQueue::waitForSlot(std::size_t capacity, Cycle now,
+                          stats::Scalar &stall_cycles)
+{
+    if (q_.size() < capacity)
+        return now;
+    const Cycle t = std::max(now, q_.front().ready);
+    stall_cycles += t - now;
+    popCompleted(t);
+    return t;
+}
+
+void
+PersistQueue::ioState(StateIo &io)
+{
+    io.seq(q_, [&io](Entry &e) {
+        io.u64(e.addr);
+        io.u64(e.ready);
+    });
+}
 
 BaseTagCache::BaseTagCache(const std::string &name,
                            const CacheParams &params, mem::NvmMemory &nvm,
@@ -55,6 +94,87 @@ BaseTagCache::chargeLineRead()
     if (meter_)
         meter_->add(energy::EnergyCategory::CacheRead,
                     params_.line_read_energy);
+}
+
+CacheAccessResult
+BaseTagCache::load(Addr addr, unsigned bytes, std::uint64_t *load_out,
+                   Cycle issue)
+{
+    ++stats_.loads;
+    auto ref = tags_.lookup(addr);
+    const bool hit = ref.has_value();
+    Cycle t = issue;
+    if (hit) {
+        ++stats_.load_hits;
+        tags_.touch(*ref);
+    } else {
+        std::tie(ref, t) =
+            fillLine(addr, issue + params_.miss_lookup_latency);
+    }
+    chargeArrayRead();
+    chargeReplUpdate();
+    if (load_out)
+        *load_out = readLineData(*ref, addr, bytes);
+    return { t + params_.hit_latency, hit };
+}
+
+BaseTagCache::StoreAlloc
+BaseTagCache::storeAllocate(Addr addr, unsigned bytes,
+                            std::uint64_t value, Cycle now)
+{
+    ++stats_.stores;
+    auto ref = tags_.lookup(addr);
+    const bool hit = ref.has_value();
+    Cycle t = now;
+    if (hit) {
+        ++stats_.store_hits;
+        tags_.touch(*ref);
+    } else {
+        std::tie(ref, t) =
+            fillLine(addr, now + params_.miss_lookup_latency);
+    }
+    writeLineData(*ref, addr, bytes, value);
+    chargeArrayWrite();
+    chargeReplUpdate();
+    return { *ref, t, hit };
+}
+
+CacheAccessResult
+BaseTagCache::storeWriteBack(Addr addr, unsigned bytes,
+                             std::uint64_t value, Cycle now)
+{
+    const StoreAlloc s = storeAllocate(addr, bytes, value, now);
+    tags_.setDirty(s.line, true);
+    return { s.ready + params_.write_hit_latency, s.hit };
+}
+
+bool
+BaseTagCache::storeNoAllocate(Addr addr, unsigned bytes,
+                              std::uint64_t value)
+{
+    ++stats_.stores;
+    const auto ref = tags_.lookup(addr);
+    if (!ref)
+        return false;
+    ++stats_.store_hits;
+    tags_.touch(*ref);
+    writeLineData(*ref, addr, bytes, value);
+    chargeArrayWrite();
+    chargeReplUpdate();
+    return true;
+}
+
+Cycle
+BaseTagCache::flushDirty(Cycle now)
+{
+    Cycle t = now;
+    tags_.forEachValidLine([&](LineRef ref, Addr, bool dirty) {
+        if (dirty) {
+            t = writeBackLine(ref, t);
+            tags_.setDirty(ref, false);
+        }
+    });
+    return t;
 }
 
 std::pair<LineRef, Cycle>

@@ -1,13 +1,17 @@
 /**
  * @file
- * Shared machinery for tag-array-backed data caches: miss handling,
- * line fill, victim eviction, and energy charging. Concrete designs
- * (write-through, NV write-back, NVSRAM, ReplayCache, WL-Cache)
- * specialize the policy hooks.
+ * Shared machinery for tag-array-backed data caches: the load path,
+ * the write-allocate and no-write-allocate store updates, line fill,
+ * victim eviction, dirty flush and energy charging, plus the queue of
+ * asynchronous persists. Concrete designs (write-through, NV
+ * write-back, NVSRAM, ReplayCache, WT+Buffer, WL-Cache) keep only
+ * their store and persistence policy.
  */
 
 #ifndef WLCACHE_CACHE_BASE_TAG_CACHE_HH
 #define WLCACHE_CACHE_BASE_TAG_CACHE_HH
+
+#include <deque>
 
 #include "cache/cache_iface.hh"
 #include "cache/tag_array.hh"
@@ -16,6 +20,48 @@
 
 namespace wlcache {
 namespace cache {
+
+/**
+ * Outstanding asynchronous NVM writes, oldest first: ReplayCache's
+ * word persists, WT+Buffer's write-back buffer and NVSRAM-practical's
+ * background NV-way write-backs. Callers keep their own coalescing
+ * rule on top of find().
+ */
+class PersistQueue
+{
+  public:
+    struct Entry
+    {
+        Addr addr;
+        Cycle ready;  //!< Cycle the write completes.
+    };
+
+    /** Drop the entries whose write completed by @p now. */
+    void popCompleted(Cycle now);
+
+    /** First queued entry for @p addr, or null. */
+    const Entry *find(Addr addr) const;
+
+    /**
+     * Back-pressure: when @p capacity entries are queued, wait for
+     * the oldest to complete, adding the wait to @p stall_cycles,
+     * then pop what has completed. @return the cycle to issue at.
+     */
+    Cycle waitForSlot(std::size_t capacity, Cycle now,
+                      stats::Scalar &stall_cycles);
+
+    void push(Addr addr, Cycle ready) { q_.push_back({ addr, ready }); }
+    void clear() { q_.clear(); }
+    bool empty() const { return q_.empty(); }
+    std::size_t size() const { return q_.size(); }
+    const Entry &back() const { return q_.back(); }
+
+    /** A length-prefixed sequence of (u64 addr, u64 ready). */
+    void ioState(StateIo &io);
+
+  private:
+    std::deque<Entry> q_;
+};
 
 /** Base class for designs built around a TagArray. */
 class BaseTagCache : public DataCache
@@ -45,6 +91,42 @@ class BaseTagCache : public DataCache
     void ioState(StateIo &io) override;
 
   protected:
+    /**
+     * The load path every design shares (§3.3: persistence machinery
+     * stays off it). A hit reads the line at @p issue + hit latency; a
+     * miss fills it first.
+     */
+    CacheAccessResult load(Addr addr, unsigned bytes,
+                           std::uint64_t *load_out, Cycle issue);
+
+    /** Where a write-allocate store landed. */
+    struct StoreAlloc
+    {
+        LineRef line;
+        Cycle ready;  //!< Cycle the data is in the line.
+        bool hit;
+    };
+
+    /**
+     * Write-allocate store: count it, fill the line on a miss, write
+     * the data and charge the array write. No persistence.
+     */
+    StoreAlloc storeAllocate(Addr addr, unsigned bytes,
+                             std::uint64_t value, Cycle now);
+
+    /** Write-back store: storeAllocate() and mark the line dirty. */
+    CacheAccessResult storeWriteBack(Addr addr, unsigned bytes,
+                                     std::uint64_t value, Cycle now);
+
+    /**
+     * No-write-allocate store: count it and update the cached copy on
+     * a tag hit; the line stays clean. @return whether the tag hit.
+     */
+    bool storeNoAllocate(Addr addr, unsigned bytes, std::uint64_t value);
+
+    /** Write back every dirty line and clear it. @return ack cycle. */
+    Cycle flushDirty(Cycle now);
+
     /** Charge cache-array read energy for a word-sized access. */
     void chargeArrayRead();
     /** Charge cache-array write energy for a word-sized access. */

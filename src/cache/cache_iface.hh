@@ -96,9 +96,6 @@ class DataCache
                                      std::uint64_t *load_out,
                                      Cycle now) = 0;
 
-    /** Complete any asynchronous machinery up to cycle @p now. */
-    virtual void tick(Cycle now) { (void)now; }
-
     /**
      * JIT checkpoint: persist whatever the design needs before the
      * supply collapses. @return completion cycle.
@@ -126,18 +123,6 @@ class DataCache
      * above Vmin when deriving Vbackup.
      */
     virtual double checkpointEnergyBound() const = 0;
-
-    /**
-     * Functional probe of the *persistent* view this design
-     * contributes beyond NVM main memory (NV arrays, NVSRAM backup
-     * images). Volatile designs return false after powerLoss().
-     */
-    virtual bool probePersistent(Addr addr, unsigned bytes,
-                                 void *out) const
-    {
-        (void)addr; (void)bytes; (void)out;
-        return false;
-    }
 
     /**
      * Collect the design's persistent bytes that *override* NVM main

@@ -13,46 +13,9 @@ CacheAccessResult
 NVCacheWB::access(MemOp op, Addr addr, unsigned bytes, std::uint64_t value,
                   std::uint64_t *load_out, Cycle now)
 {
-    auto ref = tags_.lookup(addr);
-
-    if (op == MemOp::Load) {
-        ++stats_.loads;
-        if (ref) {
-            ++stats_.load_hits;
-            tags_.touch(*ref);
-            chargeArrayRead();
-            chargeReplUpdate();
-            if (load_out)
-                *load_out = readLineData(*ref, addr, bytes);
-            return { now + params_.hit_latency, true };
-        }
-        const auto [line, ready] =
-            fillLine(addr, now + params_.miss_lookup_latency);
-        chargeArrayRead();
-        chargeReplUpdate();
-        if (load_out)
-            *load_out = readLineData(line, addr, bytes);
-        return { ready + params_.hit_latency, false };
-    }
-
-    // Store: write-allocate write-back.
-    ++stats_.stores;
-    if (ref) {
-        ++stats_.store_hits;
-        tags_.touch(*ref);
-        writeLineData(*ref, addr, bytes, value);
-        tags_.setDirty(*ref, true);
-        chargeArrayWrite();
-        chargeReplUpdate();
-        return { now + params_.write_hit_latency, true };
-    }
-    const auto [line, ready] =
-        fillLine(addr, now + params_.miss_lookup_latency);
-    writeLineData(line, addr, bytes, value);
-    tags_.setDirty(line, true);
-    chargeArrayWrite();
-    chargeReplUpdate();
-    return { ready + params_.write_hit_latency, false };
+    if (op == MemOp::Load)
+        return load(addr, bytes, load_out, now);
+    return storeWriteBack(addr, bytes, value, now);
 }
 
 void
@@ -67,19 +30,6 @@ NVCacheWB::collectPersistentOverlay(
         for (unsigned i = 0; i < tags_.lineBytes(); ++i)
             overlay[laddr + i] = bytes[i];
     });
-}
-
-Cycle
-NVCacheWB::drainAndFlush(Cycle now)
-{
-    Cycle t = now;
-    tags_.forEachValidLine([&](LineRef ref, Addr, bool dirty) {
-        if (dirty) {
-            t = writeBackLine(ref, t);
-            tags_.setDirty(ref, false);
-        }
-    });
-    return t;
 }
 
 } // namespace cache

@@ -33,16 +33,9 @@ class NVCacheWB : public BaseTagCache
     /** Contents survive an outage. */
     void powerLoss() override {}
 
-    Cycle drainAndFlush(Cycle now) override;
+    Cycle drainAndFlush(Cycle now) override { return flushDirty(now); }
 
     double checkpointEnergyBound() const override { return 0.0; }
-
-    /** The NV array is part of the persistent state. */
-    bool probePersistent(Addr addr, unsigned bytes,
-                         void *out) const override
-    {
-        return tags_.probe(addr, bytes, out);
-    }
 
     /** Dirty NV lines shadow their NVM home locations. */
     void collectPersistentOverlay(

@@ -1,8 +1,5 @@
 #include "cache/nvsram_cache.hh"
 
-#include <cstring>
-
-#include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "telemetry/timeline.hh"
 
@@ -21,45 +18,9 @@ NvsramCacheWB::access(MemOp op, Addr addr, unsigned bytes,
                       std::uint64_t value, std::uint64_t *load_out,
                       Cycle now)
 {
-    auto ref = tags_.lookup(addr);
-
-    if (op == MemOp::Load) {
-        ++stats_.loads;
-        if (ref) {
-            ++stats_.load_hits;
-            tags_.touch(*ref);
-            chargeArrayRead();
-            chargeReplUpdate();
-            if (load_out)
-                *load_out = readLineData(*ref, addr, bytes);
-            return { now + params_.hit_latency, true };
-        }
-        const auto [line, ready] =
-            fillLine(addr, now + params_.miss_lookup_latency);
-        chargeArrayRead();
-        chargeReplUpdate();
-        if (load_out)
-            *load_out = readLineData(line, addr, bytes);
-        return { ready + params_.hit_latency, false };
-    }
-
-    ++stats_.stores;
-    if (ref) {
-        ++stats_.store_hits;
-        tags_.touch(*ref);
-        writeLineData(*ref, addr, bytes, value);
-        tags_.setDirty(*ref, true);
-        chargeArrayWrite();
-        chargeReplUpdate();
-        return { now + params_.write_hit_latency, true };
-    }
-    const auto [line, ready] =
-        fillLine(addr, now + params_.miss_lookup_latency);
-    writeLineData(line, addr, bytes, value);
-    tags_.setDirty(line, true);
-    chargeArrayWrite();
-    chargeReplUpdate();
-    return { ready + params_.write_hit_latency, false };
+    if (op == MemOp::Load)
+        return load(addr, bytes, load_out, now);
+    return storeWriteBack(addr, bytes, value, now);
 }
 
 Cycle
@@ -123,13 +84,7 @@ NvsramCacheWB::powerRestore(Cycle now)
 Cycle
 NvsramCacheWB::drainAndFlush(Cycle now)
 {
-    Cycle t = now;
-    tags_.forEachValidLine([&](LineRef ref, Addr, bool dirty) {
-        if (dirty) {
-            t = writeBackLine(ref, t);
-            tags_.setDirty(ref, false);
-        }
-    });
+    const Cycle t = flushDirty(now);
     has_backup_ = false;
     backup_.clear();
     return t;
@@ -140,24 +95,6 @@ NvsramCacheWB::checkpointEnergyBound() const
 {
     return static_cast<double>(tags_.numLines()) *
         nvsram_.backup_line_energy;
-}
-
-bool
-NvsramCacheWB::probePersistent(Addr addr, unsigned bytes,
-                               void *out) const
-{
-    if (!has_backup_)
-        return false;
-    const Addr laddr = tags_.lineAddrOf(addr);
-    for (const auto &bl : backup_) {
-        if (bl.addr == laddr && bl.dirty) {
-            const unsigned off = tags_.lineOffset(addr);
-            wlc_assert(off + bytes <= tags_.lineBytes());
-            std::memcpy(out, bl.data.data() + off, bytes);
-            return true;
-        }
-    }
-    return false;
 }
 
 void

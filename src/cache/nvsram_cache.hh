@@ -67,9 +67,6 @@ class NvsramCacheWB : public BaseTagCache
     /** Worst case: every line dirty. */
     double checkpointEnergyBound() const override;
 
-    bool probePersistent(Addr addr, unsigned bytes,
-                         void *out) const override;
-
     /** Backed-up dirty lines shadow their NVM home locations. */
     void collectPersistentOverlay(
         std::unordered_map<Addr, std::uint8_t> &overlay) const override;

@@ -1,6 +1,5 @@
 #include "cache/nvsram_practical_cache.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -65,13 +64,6 @@ NvsramPracticalCache::writeBackLine(TagArray &tags, LineRef ref,
 }
 
 void
-NvsramPracticalCache::tick(Cycle now)
-{
-    while (!inflight_.empty() && inflight_.front().second <= now)
-        inflight_.pop_front();
-}
-
-void
 NvsramPracticalCache::maintain(Addr set_addr, Cycle now)
 {
     // Keep enough free NV room for JIT checkpointing: a set's NV way
@@ -98,7 +90,7 @@ NvsramPracticalCache::maintain(Addr set_addr, Cycle now)
             const Cycle ready = writeBackLine(nv_, ref, now);
             nv_.setDirty(ref, false);
             ++stat_nv_writebacks_;
-            inflight_.emplace_back(nv_.lineAddr(ref), ready);
+            inflight_.push(nv_.lineAddr(ref), ready);
         }
     }
 }
@@ -331,10 +323,7 @@ NvsramPracticalCache::ioState(StateIo &io)
     io.section("NVSP");
     sram_.ioState(io);
     nv_.ioState(io);
-    io.seq(inflight_, [&io](std::pair<Addr, Cycle> &p) {
-        io.u64(p.first);
-        io.u64(p.second);
-    });
+    inflight_.ioState(io);
 }
 
 } // namespace cache

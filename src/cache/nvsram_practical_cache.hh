@@ -18,12 +18,7 @@
 #ifndef WLCACHE_CACHE_NVSRAM_PRACTICAL_CACHE_HH
 #define WLCACHE_CACHE_NVSRAM_PRACTICAL_CACHE_HH
 
-#include <deque>
-
-#include "cache/cache_iface.hh"
-#include "cache/tag_array.hh"
-#include "energy/energy_meter.hh"
-#include "mem/nvm_memory.hh"
+#include "cache/base_tag_cache.hh"
 
 namespace wlcache {
 namespace cache {
@@ -57,7 +52,8 @@ class NvsramPracticalCache : public DataCache
                              std::uint64_t value, std::uint64_t *load_out,
                              Cycle now) override;
 
-    void tick(Cycle now) override;
+    /** Retire the background write-backs that completed by @p now. */
+    void tick(Cycle now) { inflight_.popCompleted(now); }
 
     /** Move remaining dirty SRAM lines into their set's NV way. */
     Cycle checkpoint(Cycle now) override;
@@ -107,7 +103,7 @@ class NvsramPracticalCache : public DataCache
     energy::EnergyMeter *meter_;
 
     /** Outstanding background NV write-backs (ACK cycles). */
-    std::deque<std::pair<Addr, Cycle>> inflight_;
+    PersistQueue inflight_;
 
     stats::Scalar &stat_migrations_;
     stats::Scalar &stat_nv_hits_;

@@ -1,7 +1,5 @@
 #include "cache/replay_cache.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -18,87 +16,37 @@ ReplayCacheModel::ReplayCacheModel(const CacheParams &params,
     wlc_assert(replay_.region_events > 0);
 }
 
-void
-ReplayCacheModel::tick(Cycle now)
-{
-    while (!inflight_.empty() && inflight_.front().ready <= now)
-        inflight_.pop_front();
-}
-
 CacheAccessResult
 ReplayCacheModel::access(MemOp op, Addr addr, unsigned bytes,
                          std::uint64_t value, std::uint64_t *load_out,
                          Cycle now)
 {
     tick(now);
-    auto ref = tags_.lookup(addr);
-
-    if (op == MemOp::Load) {
-        ++stats_.loads;
-        if (ref) {
-            ++stats_.load_hits;
-            tags_.touch(*ref);
-            chargeArrayRead();
-            chargeReplUpdate();
-            if (load_out)
-                *load_out = readLineData(*ref, addr, bytes);
-            return { now + params_.hit_latency, true };
-        }
-        const auto [line, ready] =
-            fillLine(addr, now + params_.miss_lookup_latency);
-        chargeArrayRead();
-        chargeReplUpdate();
-        if (load_out)
-            *load_out = readLineData(line, addr, bytes);
-        return { ready + params_.hit_latency, false };
-    }
+    if (op == MemOp::Load)
+        return load(addr, bytes, load_out, now);
 
     // Store: update the cache (write-allocate so later loads hit) and
     // enqueue an asynchronous word persist to NVM.
-    ++stats_.stores;
-    Cycle t = now;
-    bool hit = false;
-    if (ref) {
-        hit = true;
-        ++stats_.store_hits;
-        tags_.touch(*ref);
-        writeLineData(*ref, addr, bytes, value);
-    } else {
-        const auto [line, ready] =
-            fillLine(addr, now + params_.miss_lookup_latency);
-        writeLineData(line, addr, bytes, value);
-        t = ready;
-    }
-    chargeArrayWrite();
-    chargeReplUpdate();
+    const StoreAlloc s = storeAllocate(addr, bytes, value, now);
 
     // Write combining: a store whose word is already waiting in the
     // persist queue merges into that entry instead of issuing a new
     // NVM write (the queue is a coalescing store buffer).
     const Addr word = addr & ~static_cast<Addr>(7);
-    for (const Persist &p : inflight_) {
-        if (p.word_addr == word) {
-            nvm_.poke(addr, bytes, &value);
-            ++coalesced_;
-            return { t + params_.write_hit_latency, hit };
-        }
+    if (inflight_.find(word)) {
+        nvm_.poke(addr, bytes, &value);
+        ++coalesced_;
+        return { s.ready + params_.write_hit_latency, s.hit };
     }
 
     // Back-pressure: if the persist queue is full, the store stalls
     // until the oldest persist drains.
-    if (inflight_.size() >= replay_.persist_queue_depth) {
-        const Cycle wait_until = inflight_.front().ready;
-        if (wait_until > t) {
-            stats_.stall_cycles += wait_until - t;
-            t = wait_until;
-        }
-        tick(t);
-    }
+    const Cycle t = inflight_.waitForSlot(replay_.persist_queue_depth,
+                                          s.ready, stats_.stall_cycles);
 
     // Issue the asynchronous persist; the core does not wait for it.
-    const auto res = nvm_.write(addr, bytes, &value, t);
-    inflight_.push_back({ word, res.ready });
-    return { t + params_.write_hit_latency, hit };
+    inflight_.push(word, nvm_.write(addr, bytes, &value, t).ready);
+    return { t + params_.write_hit_latency, s.hit };
 }
 
 Cycle
@@ -147,10 +95,7 @@ ReplayCacheModel::ioState(StateIo &io)
 {
     BaseTagCache::ioState(io);
     io.section("RPLY");
-    io.seq(inflight_, [&io](Persist &p) {
-        io.u64(p.word_addr);
-        io.u64(p.ready);
-    });
+    inflight_.ioState(io);
     io.u64(coalesced_);
     io.u32(region_counter_);
     io.u64(pending_drain_);

@@ -17,8 +17,6 @@
 #ifndef WLCACHE_CACHE_REPLAY_CACHE_HH
 #define WLCACHE_CACHE_REPLAY_CACHE_HH
 
-#include <deque>
-
 #include "cache/base_tag_cache.hh"
 
 namespace wlcache {
@@ -50,7 +48,8 @@ class ReplayCacheModel : public BaseTagCache
                              std::uint64_t value, std::uint64_t *load_out,
                              Cycle now) override;
 
-    void tick(Cycle now) override;
+    /** Retire the persists that completed by @p now. */
+    void tick(Cycle now) { inflight_.popCompleted(now); }
 
     /**
      * Region commit: wait until every outstanding persist completed.
@@ -78,16 +77,9 @@ class ReplayCacheModel : public BaseTagCache
     void ioState(StateIo &io) override;
 
   private:
-    /** One outstanding word persist. */
-    struct Persist
-    {
-        Addr word_addr;
-        Cycle ready;
-    };
-
     ReplayParams replay_;
-    /** Outstanding persists, oldest first. */
-    std::deque<Persist> inflight_;
+    /** Outstanding word persists, oldest first. */
+    PersistQueue inflight_;
     std::uint64_t coalesced_ = 0;
     std::uint32_t region_counter_ = 0;
     Cycle pending_drain_ = 0;  //!< Drain deadline of the previous region.

@@ -189,20 +189,6 @@ TagArray::data(LineRef ref) const
     return const_cast<TagArray *>(this)->data(ref);
 }
 
-bool
-TagArray::probe(Addr addr, unsigned bytes, void *out) const
-{
-    wlc_assert(out != nullptr);
-    const auto ref = lookup(addr);
-    if (!ref)
-        return false;
-    const unsigned off = lineOffset(addr);
-    wlc_assert(off + bytes <= line_bytes_,
-               "probe crosses a line boundary");
-    std::memcpy(out, data(*ref) + off, bytes);
-    return true;
-}
-
 void
 TagArray::forEachValidLine(
     const std::function<void(LineRef, Addr, bool)> &fn) const

@@ -121,12 +121,6 @@ class TagArray
 
     // --- Functional helpers -------------------------------------------------
 
-    /**
-     * Functional probe: if the line containing @p addr is valid, copy
-     * @p bytes from it into @p out and return true.
-     */
-    bool probe(Addr addr, unsigned bytes, void *out) const;
-
     /** Invoke @p fn for every valid line. */
     void forEachValidLine(
         const std::function<void(LineRef, Addr, bool dirty)> &fn) const;

@@ -13,44 +13,13 @@ CacheAccessResult
 VCacheWT::access(MemOp op, Addr addr, unsigned bytes, std::uint64_t value,
                  std::uint64_t *load_out, Cycle now)
 {
-    auto ref = tags_.lookup(addr);
-
-    if (op == MemOp::Load) {
-        ++stats_.loads;
-        if (ref) {
-            ++stats_.load_hits;
-            tags_.touch(*ref);
-            chargeArrayRead();
-            chargeReplUpdate();
-            if (load_out)
-                *load_out = readLineData(*ref, addr, bytes);
-            return { now + params_.hit_latency, true };
-        }
-        // Miss: fill and read from the installed line.
-        const auto [line, ready] =
-            fillLine(addr, now + params_.miss_lookup_latency);
-        chargeArrayRead();
-        chargeReplUpdate();
-        if (load_out)
-            *load_out = readLineData(line, addr, bytes);
-        return { ready + params_.hit_latency, false };
-    }
-
+    if (op == MemOp::Load)
+        return load(addr, bytes, load_out, now);
     // Store: synchronous NVM update; cache updated only on a hit
     // (no-write-allocate keeps the design simple, as a classic WT).
-    ++stats_.stores;
-    bool hit = false;
-    if (ref) {
-        hit = true;
-        ++stats_.store_hits;
-        tags_.touch(*ref);
-        writeLineData(*ref, addr, bytes, value);
-        chargeArrayWrite();
-        chargeReplUpdate();
-        // WT lines are never dirty: NVM gets the same data below.
-    }
-    const auto res = nvm_.write(addr, bytes, &value, now);
-    return { res.ready, hit };
+    // WT lines are never dirty: NVM gets the same data.
+    const bool hit = storeNoAllocate(addr, bytes, value);
+    return { nvm_.write(addr, bytes, &value, now).ready, hit };
 }
 
 } // namespace cache

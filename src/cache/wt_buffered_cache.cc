@@ -25,90 +25,36 @@ WtBufferedCache::chargeCamSearch()
                     wb_.cam_search_energy);
 }
 
-void
-WtBufferedCache::drainCompleted(Cycle now)
-{
-    while (!buffer_.empty() && buffer_.front().ready <= now)
-        buffer_.pop_front();
-}
-
-int
-WtBufferedCache::findBuffered(Addr word_addr)
-{
-    for (std::size_t i = 0; i < buffer_.size(); ++i)
-        if (buffer_[i].word_addr == word_addr)
-            return static_cast<int>(i);
-    return -1;
-}
-
 cache::CacheAccessResult
 WtBufferedCache::access(MemOp op, Addr addr, unsigned bytes,
                         std::uint64_t value, std::uint64_t *load_out,
                         Cycle now)
 {
-    drainCompleted(now);
-    auto ref = tags_.lookup(addr);
-    const Addr word = addr & ~static_cast<Addr>(7);
-
-    if (op == MemOp::Load) {
-        ++stats_.loads;
-        // §3.3's critical-path cost: every access must search the
-        // buffer before memory can be consulted, lengthening misses.
-        chargeCamSearch();
-        const Cycle t = now + wb_.cam_search_latency;
-        if (ref) {
-            ++stats_.load_hits;
-            tags_.touch(*ref);
-            chargeArrayRead();
-            chargeReplUpdate();
-            if (load_out)
-                *load_out = readLineData(*ref, addr, bytes);
-            return { t + params_.hit_latency, true };
-        }
-        const auto [line, ready] =
-            fillLine(addr, t + params_.miss_lookup_latency);
-        chargeArrayRead();
-        chargeReplUpdate();
-        if (load_out)
-            *load_out = readLineData(line, addr, bytes);
-        return { ready + params_.hit_latency, false };
-    }
+    buffer_.popCompleted(now);
+    // §3.3's critical-path cost: every access must search the buffer
+    // before memory can be consulted, lengthening misses.
+    chargeCamSearch();
+    Cycle t = now + wb_.cam_search_latency;
+    if (op == MemOp::Load)
+        return load(addr, bytes, load_out, t);
 
     // Store: update the cached copy on a hit (no-write-allocate, as
     // the underlying design is still write-through)...
-    ++stats_.stores;
-    chargeCamSearch();
-    Cycle t = now + wb_.cam_search_latency;
-    bool hit = false;
-    if (ref) {
-        hit = true;
-        ++stats_.store_hits;
-        tags_.touch(*ref);
-        writeLineData(*ref, addr, bytes, value);
-        chargeArrayWrite();
-        chargeReplUpdate();
-    }
+    const bool hit = storeNoAllocate(addr, bytes, value);
 
     // ...but the NVM write goes through the buffer asynchronously.
-    const int existing = findBuffered(word);
-    if (existing >= 0 &&
-        buffer_[static_cast<std::size_t>(existing)].ready > t) {
-        // Write combining within the buffer.
+    // Write combining only into an entry still pending after the
+    // search.
+    const Addr word = addr & ~static_cast<Addr>(7);
+    const PersistQueue::Entry *existing = buffer_.find(word);
+    if (existing && existing->ready > t) {
         nvm_.poke(addr, bytes, &value);
         ++coalesced_;
         return { t + params_.write_hit_latency, hit };
     }
 
-    if (buffer_.size() >= wb_.entries) {
-        const Cycle wait_until = buffer_.front().ready;
-        if (wait_until > t) {
-            stats_.stall_cycles += wait_until - t;
-            t = wait_until;
-        }
-        drainCompleted(t);
-    }
-    const auto res = nvm_.write(addr, bytes, &value, t);
-    buffer_.push_back({ word, res.ready });
+    t = buffer_.waitForSlot(wb_.entries, t, stats_.stall_cycles);
+    buffer_.push(word, nvm_.write(addr, bytes, &value, t).ready);
     return { t + params_.write_hit_latency, hit };
 }
 
@@ -159,10 +105,7 @@ WtBufferedCache::ioState(StateIo &io)
 {
     BaseTagCache::ioState(io);
     io.section("WTBF");
-    io.seq(buffer_, [&io](Pending &p) {
-        io.u64(p.word_addr);
-        io.u64(p.ready);
-    });
+    buffer_.ioState(io);
     io.u64(coalesced_);
 }
 

@@ -13,8 +13,6 @@
 #ifndef WLCACHE_CACHE_WT_BUFFERED_CACHE_HH
 #define WLCACHE_CACHE_WT_BUFFERED_CACHE_HH
 
-#include <deque>
-
 #include "cache/base_tag_cache.hh"
 
 namespace wlcache {
@@ -57,18 +55,10 @@ class WtBufferedCache : public BaseTagCache
     void ioState(StateIo &io) override;
 
   private:
-    struct Pending
-    {
-        Addr word_addr;
-        Cycle ready;
-    };
-
     void chargeCamSearch();
-    void drainCompleted(Cycle now);
-    int findBuffered(Addr word_addr);
 
     WtBufferParams wb_;
-    std::deque<Pending> buffer_;
+    PersistQueue buffer_;
     std::uint64_t coalesced_ = 0;
 };
 

@@ -153,34 +153,16 @@ WLCache::access(MemOp op, Addr addr, unsigned bytes, std::uint64_t value,
                 std::uint64_t *load_out, Cycle now)
 {
     tick(now);
-    auto ref = tags_.lookup(addr);
-
     if (op == MemOp::Load) {
         // The decoupled DirtyQueue is off the load path (§3.3): hits
         // and misses behave exactly like a conventional SRAM cache.
-        ++stats_.loads;
-        if (ref) {
-            ++stats_.load_hits;
-            tags_.touch(*ref);
-            chargeArrayRead();
-            chargeReplUpdate();
-            if (load_out)
-                *load_out = readLineData(*ref, addr, bytes);
-            if (probe_)
-                probe_(now + params_.hit_latency);
-            return { now + params_.hit_latency, true };
-        }
-        const auto [line, ready] =
-            fillLine(addr, now + params_.miss_lookup_latency);
-        chargeArrayRead();
-        chargeReplUpdate();
-        if (load_out)
-            *load_out = readLineData(line, addr, bytes);
+        const auto r = load(addr, bytes, load_out, now);
         if (probe_)
-            probe_(ready + params_.hit_latency);
-        return { ready + params_.hit_latency, false };
+            probe_(r.ready);
+        return r;
     }
 
+    auto ref = tags_.lookup(addr);
     ++stats_.stores;
     Cycle t = now;
     bool hit = false;
@@ -294,12 +276,7 @@ WLCache::drainAndFlush(Cycle now)
             t = std::max(t, e.wb_ready);
     }
     tick(t);
-    tags_.forEachValidLine([&](cache::LineRef ref, Addr, bool dirty) {
-        if (dirty) {
-            t = writeBackLine(ref, t);
-            tags_.setDirty(ref, false);
-        }
-    });
+    t = flushDirty(t);
     dq_.clear();
     return t;
 }

@@ -108,7 +108,8 @@ class WLCache : public cache::BaseTagCache
                                     std::uint64_t *load_out,
                                     Cycle now) override;
 
-    void tick(Cycle now) override;
+    /** Retire the DirtyQueue entries whose write-back ACK arrived. */
+    void tick(Cycle now);
     Cycle checkpoint(Cycle now) override;
     void powerLoss() override;
     Cycle drainAndFlush(Cycle now) override;

@@ -1,7 +1,5 @@
 #include "core/wl_log_cache.hh"
 
-#include <cstring>
-
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -86,22 +84,6 @@ WlLogCache::newestRecords() const
             it->second = r;
     }
     return newest;
-}
-
-bool
-WlLogCache::probePersistent(Addr addr, unsigned bytes, void *out) const
-{
-    const Addr laddr = tags_.lineAddrOf(addr);
-    const auto newest = newestRecords();
-    const auto it = newest.find(laddr);
-    if (it == newest.end())
-        return false;
-    std::uint8_t line[256];
-    journal_.peekPayload(it->second.slot, line);
-    const unsigned off = tags_.lineOffset(addr);
-    wlc_assert(off + bytes <= tags_.lineBytes());
-    std::memcpy(out, line + off, bytes);
-    return true;
 }
 
 void

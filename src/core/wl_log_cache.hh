@@ -39,8 +39,6 @@ class WlLogCache : public WLCache
      * The oracle's view re-derives the newest record per line from the
      * on-media headers (scan()), never from the volatile mapping.
      */
-    bool probePersistent(Addr addr, unsigned bytes,
-                         void *out) const override;
     void collectPersistentOverlay(
         std::unordered_map<Addr, std::uint8_t> &overlay) const override;
 

@@ -182,9 +182,9 @@ class NvmJournal
     /**
      * The functional core of bootReplay(): decode every checksum-
      * valid record in the region without timing or energy. Shared by
-     * the boot path, the consistency oracle's overlay collection, and
-     * probePersistent(), so what the oracle checks is exactly what a
-     * post-outage boot would reconstruct.
+     * the boot path and the consistency oracle's overlay collection,
+     * so what the oracle checks is exactly what a post-outage boot
+     * would reconstruct.
      */
     std::vector<NvmLogRecord> scan() const;
 

@@ -70,16 +70,6 @@ TEST(TagArray, InstallThenHit)
     EXPECT_EQ(t.data(*ref)[0], 0xaa);
 }
 
-TEST(TagArray, ProbeCopiesData)
-{
-    TagArray t(smallParams());
-    installMarked(t, 0x1000, 0x5c);
-    std::uint32_t out = 0;
-    ASSERT_TRUE(t.probe(0x1010, 4, &out));
-    EXPECT_EQ(out, 0x5c5c5c5cu);
-    EXPECT_FALSE(t.probe(0x2000, 4, &out));
-}
-
 TEST(TagArray, VictimPrefersInvalidWay)
 {
     TagArray t(smallParams());

@@ -36,8 +36,11 @@ struct SystemSnapshot
      * SYS2 carries the quantized backup level).
      * 4 = NVM row-buffer and log-journal counters in the RES section;
      * WL-Log designs append an NLOG journal section.
+     * 5 = SYS2 drops ReplayCache's region-dirty byte set (derived from
+     * the trace on demand) and NVSP drops the write-only background
+     * write-back queue.
      */
-    static constexpr std::uint32_t kFormatVersion = 4;
+    static constexpr std::uint32_t kFormatVersion = 5;
 
     /**
      * Resume-compatibility key: hash of every configuration and trace

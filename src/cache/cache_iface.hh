@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "cache/cache_params.hh"
 #include "sim/stats.hh"
@@ -22,6 +21,7 @@ namespace wlcache {
 
 class StateIo;
 
+namespace mem { class ByteImage; }
 namespace telemetry { class TimelineBuffer; }
 
 namespace cache {
@@ -126,15 +126,11 @@ class DataCache
 
     /**
      * Collect the design's persistent bytes that *override* NVM main
-     * memory (dirty NV-array lines, NVSRAM backup images) into
-     * @p overlay. Designs whose persistence lives entirely in NVM
+     * memory (dirty NV-array lines, NVSRAM backup images) into the
+     * given image. Designs whose persistence lives entirely in NVM
      * after a checkpoint contribute nothing.
      */
-    virtual void collectPersistentOverlay(
-        std::unordered_map<Addr, std::uint8_t> &overlay) const
-    {
-        (void)overlay;
-    }
+    virtual void collectPersistentOverlay(mem::ByteImage &) const {}
 
     /** Leakage power of the cache arrays while powered on, watts. */
     virtual double leakageWatts() const = 0;

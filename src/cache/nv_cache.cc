@@ -1,5 +1,7 @@
 #include "cache/nv_cache.hh"
 
+#include "mem/byte_image.hh"
+
 namespace wlcache {
 namespace cache {
 
@@ -19,16 +21,12 @@ NVCacheWB::access(MemOp op, Addr addr, unsigned bytes, std::uint64_t value,
 }
 
 void
-NVCacheWB::collectPersistentOverlay(
-    std::unordered_map<Addr, std::uint8_t> &overlay) const
+NVCacheWB::collectPersistentOverlay(mem::ByteImage &overlay) const
 {
     tags_.forEachValidLine([&](cache::LineRef ref, Addr laddr,
                                bool dirty) {
-        if (!dirty)
-            return;
-        const std::uint8_t *bytes = tags_.data(ref);
-        for (unsigned i = 0; i < tags_.lineBytes(); ++i)
-            overlay[laddr + i] = bytes[i];
+        if (dirty)
+            overlay.write(laddr, tags_.data(ref), tags_.lineBytes());
     });
 }
 

@@ -38,8 +38,7 @@ class NVCacheWB : public BaseTagCache
     double checkpointEnergyBound() const override { return 0.0; }
 
     /** Dirty NV lines shadow their NVM home locations. */
-    void collectPersistentOverlay(
-        std::unordered_map<Addr, std::uint8_t> &overlay) const override;
+    void collectPersistentOverlay(mem::ByteImage &overlay) const override;
 
     const char *designName() const override { return "NVCache-WB"; }
 };

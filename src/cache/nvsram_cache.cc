@@ -1,5 +1,6 @@
 #include "cache/nvsram_cache.hh"
 
+#include "mem/byte_image.hh"
 #include "sim/snapshot.hh"
 #include "telemetry/timeline.hh"
 
@@ -98,17 +99,13 @@ NvsramCacheWB::checkpointEnergyBound() const
 }
 
 void
-NvsramCacheWB::collectPersistentOverlay(
-    std::unordered_map<Addr, std::uint8_t> &overlay) const
+NvsramCacheWB::collectPersistentOverlay(mem::ByteImage &overlay) const
 {
     if (!has_backup_)
         return;
-    for (const auto &bl : backup_) {
-        if (!bl.dirty)
-            continue;
-        for (unsigned i = 0; i < tags_.lineBytes(); ++i)
-            overlay[bl.addr + i] = bl.data[i];
-    }
+    for (const auto &bl : backup_)
+        if (bl.dirty)
+            overlay.write(bl.addr, bl.data.data(), tags_.lineBytes());
 }
 
 void

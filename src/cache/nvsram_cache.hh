@@ -68,8 +68,7 @@ class NvsramCacheWB : public BaseTagCache
     double checkpointEnergyBound() const override;
 
     /** Backed-up dirty lines shadow their NVM home locations. */
-    void collectPersistentOverlay(
-        std::unordered_map<Addr, std::uint8_t> &overlay) const override;
+    void collectPersistentOverlay(mem::ByteImage &overlay) const override;
 
     const char *designName() const override { return "NVSRAM-WB"; }
 

@@ -1,5 +1,6 @@
 #include "core/wl_log_cache.hh"
 
+#include "mem/byte_image.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -87,14 +88,12 @@ WlLogCache::newestRecords() const
 }
 
 void
-WlLogCache::collectPersistentOverlay(
-    std::unordered_map<Addr, std::uint8_t> &overlay) const
+WlLogCache::collectPersistentOverlay(mem::ByteImage &overlay) const
 {
     std::uint8_t line[256];
     for (const auto &[laddr, rec] : newestRecords()) {
         journal_.peekPayload(rec.slot, line);
-        for (unsigned i = 0; i < tags_.lineBytes(); ++i)
-            overlay[laddr + i] = line[i];
+        overlay.write(laddr, line, tags_.lineBytes());
     }
 }
 

@@ -39,8 +39,7 @@ class WlLogCache : public WLCache
      * The oracle's view re-derives the newest record per line from the
      * on-media headers (scan()), never from the volatile mapping.
      */
-    void collectPersistentOverlay(
-        std::unordered_map<Addr, std::uint8_t> &overlay) const override;
+    void collectPersistentOverlay(mem::ByteImage &overlay) const override;
 
     /** WL-Cache state followed by the journal's "NLOG" section. */
     void ioState(StateIo &io) override;

@@ -104,11 +104,12 @@ double nodeProgressRate(const nvp::RunResult &r);
 
 /**
  * The JIT-checkpoint energy reserve a configuration sets aside
- * between Vbackup and Vmin (joules). For WL-Cache this follows the
- * maxline-indexed threshold schedule of §5.5; for every other design
- * it is the static platform Vbackup. The quantity WL-Cache's maxline
- * bound trades against write-back efficiency — the paper's central
- * axis.
+ * between Vbackup and Vmin (joules), exactly as SystemSim sizes it:
+ * WL-Cache follows the maxline-indexed threshold schedule of §5.5,
+ * the NVSRAM family scales Vbackup with its array, and every other
+ * design uses the static platform Vbackup. The quantity WL-Cache's
+ * maxline bound trades against write-back efficiency — the paper's
+ * central axis.
  */
 double checkpointReserveJ(const nvp::SystemConfig &cfg);
 

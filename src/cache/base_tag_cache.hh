@@ -163,7 +163,7 @@ class BaseTagCache : public DataCache
     virtual Cycle persistLine(Addr line_addr, const std::uint8_t *data,
                               unsigned bytes, Cycle now)
     {
-        return nvm_.writeLine(line_addr, data, bytes, now).ready;
+        return nvm_.write(line_addr, bytes, data, now).ready;
     }
 
     /**

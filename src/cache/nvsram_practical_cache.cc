@@ -58,8 +58,8 @@ Cycle
 NvsramPracticalCache::writeBackLine(TagArray &tags, LineRef ref,
                                     Cycle now)
 {
-    const auto res = nvm_.writeLine(tags.lineAddr(ref), tags.data(ref),
-                                    tags.lineBytes(), now);
+    const auto res = nvm_.write(tags.lineAddr(ref), tags.lineBytes(),
+                                tags.data(ref), now);
     ++stats_.writebacks;
     return res.ready;
 }

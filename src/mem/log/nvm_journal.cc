@@ -178,7 +178,7 @@ NvmJournal::compactSegment(unsigned seg, Cycle now)
         // any point leaves either the (still-valid) journal record or
         // the home copy carrying the bytes.
         t = readPayload(slot, buf, t);
-        const auto res = nvm_.writeLine(line, buf, line_bytes_, t);
+        const auto res = nvm_.write(line, line_bytes_, buf, t);
         t = res.ready;
         unmapLine(line);
         ++migrated;

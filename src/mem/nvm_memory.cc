@@ -251,13 +251,6 @@ NvmMemory::write(Addr addr, unsigned bytes, const void *data, Cycle now)
     return { t.start, t.ready };
 }
 
-NvmAccessResult
-NvmMemory::writeLine(Addr addr, const std::uint8_t *data, unsigned bytes,
-                     Cycle now)
-{
-    return write(addr, bytes, data, now);
-}
-
 void
 NvmMemory::peek(Addr addr, unsigned bytes, void *out) const
 {

@@ -81,13 +81,6 @@ class NvmMemory
     NvmAccessResult write(Addr addr, unsigned bytes, const void *data,
                           Cycle now);
 
-    /**
-     * Timed write used by JIT checkpointing and write-backs where the
-     * data comes from a cache line image.
-     */
-    NvmAccessResult writeLine(Addr addr, const std::uint8_t *data,
-                              unsigned bytes, Cycle now);
-
     /** Cycle at which the shared channel becomes free. */
     Cycle channelBusyUntil() const
     {

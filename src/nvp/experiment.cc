@@ -43,13 +43,7 @@ resolveConfig(const ExperimentSpec &spec)
 }
 
 RunResult
-runExperiment(const ExperimentSpec &spec)
-{
-    return runExperimentEx(spec, RunOptions{});
-}
-
-RunResult
-runExperimentEx(const ExperimentSpec &spec, const RunOptions &opts)
+runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
 {
     const SystemConfig cfg = resolveConfig(spec);
 

@@ -66,15 +66,12 @@ std::vector<std::string> powerShortNames();
  */
 SystemConfig resolveConfig(const ExperimentSpec &spec);
 
-/** Run one experiment to completion. */
-RunResult runExperiment(const ExperimentSpec &spec);
-
 /**
- * Run one experiment with snapshot/resume/budget controls (see
- * RunOptions). runExperiment(spec) == runExperimentEx(spec, {}).
+ * Run one experiment to completion, under the snapshot/resume/budget
+ * controls in @p opts (see RunOptions).
  */
-RunResult runExperimentEx(const ExperimentSpec &spec,
-                          const RunOptions &opts);
+RunResult runExperiment(const ExperimentSpec &spec,
+                        const RunOptions &opts = {});
 
 /** Execution-time speedup of @p x relative to @p baseline (>1 means
  *  @p x is faster). */

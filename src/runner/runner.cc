@@ -82,7 +82,7 @@ execute(const Job &job, const ResultCache &cache,
     }
     ro.cut = job.cut ? job.cut.get() : &drain_cut;
 
-    out = nvp::runExperimentEx(job.spec, ro);
+    out = nvp::runExperiment(job.spec, ro);
     if (interrupted() && !out.completed) {
         // Cut by the interrupt: an incomplete record must never be
         // cached. Keep the cut state for the next run instead.

@@ -183,7 +183,7 @@ runCampaign(const CampaignConfig &cfg)
             ro.snapshot_sink = [&ladder](nvp::SystemSnapshot s) {
                 ladder.snaps.push_back(std::move(s));
             };
-            rep.golden = nvp::runExperimentEx(gspec, ro);
+            rep.golden = nvp::runExperiment(gspec, ro);
             ++rep.runs;
             ++rep.executed;
             rep.simulated_cycles += rep.golden.on_cycles;

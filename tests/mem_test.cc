@@ -134,7 +134,7 @@ TEST(Nvm, LineWriteUpdatesAllBytes)
     std::uint8_t line[64];
     for (unsigned i = 0; i < 64; ++i)
         line[i] = static_cast<std::uint8_t>(i);
-    nvm.writeLine(0x1000, line, 64, 0);
+    nvm.write(0x1000, 64, line, 0);
     for (unsigned i = 0; i < 64; ++i)
         EXPECT_EQ(nvm.peekInt(0x1000 + i, 1), i);
 }

@@ -146,7 +146,7 @@ renderSpec(std::ostream &os, const NamedSpec &ns)
     nvp::SystemSnapshot cut;
     cut_opts.max_events = cold.trace_events / 2;
     cut_opts.cut = &cut;
-    nvp::runExperimentEx(ns.spec, cut_opts);
+    nvp::runExperiment(ns.spec, cut_opts);
     EXPECT_TRUE(cut.valid()) << ns.name;
 
     os << "=== " << ns.name << "\n--- spec_key_text\n"
@@ -167,7 +167,7 @@ renderSpec(std::ostream &os, const NamedSpec &ns)
 
     nvp::RunOptions resume_opts;
     resume_opts.resume = &cut;
-    EXPECT_EQ(runJson(nvp::runExperimentEx(ns.spec, resume_opts)), json)
+    EXPECT_EQ(runJson(nvp::runExperiment(ns.spec, resume_opts)), json)
         << ns.name << ": resumed run differs from the cold run";
 }
 
@@ -211,7 +211,7 @@ renderSnapshots(std::ostream &os)
         nvp::SystemSnapshot cut;
         cut_opts.max_events = cold.trace_events / 2;
         cut_opts.cut = &cut;
-        nvp::runExperimentEx(spec, cut_opts);
+        nvp::runExperiment(spec, cut_opts);
         EXPECT_TRUE(cut.valid()) << nvp::designKindName(spec.design);
 
         os << nvp::designKindName(spec.design) << " event "

@@ -314,7 +314,7 @@ TEST(SnapshotResume, FuzzObservationalIdentity)
             snaps.push_back(std::move(s));
         };
         const nvp::RunResult with_caps =
-            nvp::runExperimentEx(spec, ro);
+            nvp::runExperiment(spec, ro);
         EXPECT_EQ(resultJson(with_caps), cold_json);
         ASSERT_FALSE(snaps.empty());
 
@@ -331,7 +331,7 @@ TEST(SnapshotResume, FuzzObservationalIdentity)
             nvp::RunOptions rr;
             rr.resume = &snap;
             const nvp::RunResult resumed =
-                nvp::runExperimentEx(spec, rr);
+                nvp::runExperiment(spec, rr);
             EXPECT_EQ(resultJson(resumed), cold_json)
                 << "resume at cycle " << snap.cycle;
             EXPECT_EQ(resumed.final_state_digest,
@@ -365,7 +365,7 @@ TEST(SnapshotResume, ResaveIsByteIdentical)
         nvp::RunOptions ro;
         ro.max_events = cold.trace_events / 2;
         ro.cut = &cut;
-        nvp::runExperimentEx(spec, ro);
+        nvp::runExperiment(spec, ro);
         ASSERT_TRUE(cut.valid());
 
         energy::TraceGenConfig tg;
@@ -418,7 +418,7 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
             snaps.push_back(std::move(s));
         };
         const nvp::RunResult with_caps =
-            nvp::runExperimentEx(spec, ro);
+            nvp::runExperiment(spec, ro);
         EXPECT_EQ(resultJson(with_caps), cold_json);
         ASSERT_FALSE(snaps.empty());
 
@@ -441,7 +441,7 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
             nvp::RunOptions rr;
             rr.resume = &snap;
             const nvp::RunResult resumed =
-                nvp::runExperimentEx(spec, rr);
+                nvp::runExperiment(spec, rr);
             EXPECT_EQ(resultJson(resumed), cold_json)
                 << "resume at cycle " << snap.cycle;
             EXPECT_EQ(resumed.final_state_digest,
@@ -466,7 +466,7 @@ TEST(SnapshotResume, RoundTripsThroughDiskEncoding)
     ro.snapshot_sink = [&snaps](nvp::SystemSnapshot &&s) {
         snaps.push_back(std::move(s));
     };
-    nvp::runExperimentEx(spec, ro);
+    nvp::runExperiment(spec, ro);
     ASSERT_FALSE(snaps.empty());
 
     nvp::SystemSnapshot mid;
@@ -474,7 +474,7 @@ TEST(SnapshotResume, RoundTripsThroughDiskEncoding)
         nvp::encodeSnapshot(snaps[snaps.size() / 2]), mid));
     nvp::RunOptions rr;
     rr.resume = &mid;
-    const nvp::RunResult resumed = nvp::runExperimentEx(spec, rr);
+    const nvp::RunResult resumed = nvp::runExperiment(spec, rr);
     EXPECT_EQ(resultJson(resumed), resultJson(cold));
 }
 
@@ -491,14 +491,14 @@ TEST(SnapshotResume, BudgetCutThenExtendMatchesCold)
     budget.max_events = cold.trace_events / 3;
     budget.cut = &cut;
     const nvp::RunResult partial =
-        nvp::runExperimentEx(spec, budget);
+        nvp::runExperiment(spec, budget);
     EXPECT_FALSE(partial.completed);
     ASSERT_TRUE(cut.valid());
     EXPECT_EQ(cut.event_index, budget.max_events);
 
     nvp::RunOptions extend;
     extend.resume = &cut;
-    const nvp::RunResult full = nvp::runExperimentEx(spec, extend);
+    const nvp::RunResult full = nvp::runExperiment(spec, extend);
     EXPECT_EQ(resultJson(full), resultJson(cold));
 }
 
@@ -520,7 +520,7 @@ TEST(SnapshotResume, TimelineStampsSnapshotEvents)
     ro.snapshot_sink = [&snaps](nvp::SystemSnapshot &&s) {
         snaps.push_back(std::move(s));
     };
-    nvp::runExperimentEx(spec, ro);
+    nvp::runExperiment(spec, ro);
     std::size_t taken = 0;
     tl.forEach([&](const telemetry::TimelineEvent &e) {
         if (e.type == telemetry::EventType::SnapshotTaken)
@@ -531,7 +531,7 @@ TEST(SnapshotResume, TimelineStampsSnapshotEvents)
 
     nvp::RunOptions rr;
     rr.resume = &snaps.front();
-    nvp::runExperimentEx(spec, rr);
+    nvp::runExperiment(spec, rr);
     bool resumed_event = false;
     tl.forEach([&](const telemetry::TimelineEvent &e) {
         if (e.type == telemetry::EventType::SnapshotResume) {
@@ -590,7 +590,7 @@ TEST(SnapshotCrossMode, ResumeAcrossStepModesIsByteIdentical)
             snaps.push_back(std::move(s));
         };
         const nvp::RunResult ref_run =
-            nvp::runExperimentEx(ref_spec, ro);
+            nvp::runExperiment(ref_spec, ro);
         // ...which must itself be bit-identical to the cold record
         // (modes only differ in how they integrate, not in results).
         EXPECT_EQ(resultJson(ref_run), cold_json);
@@ -601,7 +601,7 @@ TEST(SnapshotCrossMode, ResumeAcrossStepModesIsByteIdentical)
             nvp::RunOptions rr;
             rr.resume = &snaps[k];
             const nvp::RunResult resumed =
-                nvp::runExperimentEx(skip_spec, rr);
+                nvp::runExperiment(skip_spec, rr);
             EXPECT_EQ(resultJson(resumed), cold_json)
                 << "percycle->skip_ahead at cycle "
                 << snaps[k].cycle;
@@ -610,12 +610,12 @@ TEST(SnapshotCrossMode, ResumeAcrossStepModesIsByteIdentical)
         // And the reverse direction: capture under skip_ahead,
         // resume under percycle.
         snaps.clear();
-        nvp::runExperimentEx(skip_spec, ro);
+        nvp::runExperiment(skip_spec, ro);
         ASSERT_FALSE(snaps.empty());
         nvp::RunOptions rr;
         rr.resume = &snaps[snaps.size() / 2];
         const nvp::RunResult resumed =
-            nvp::runExperimentEx(ref_spec, rr);
+            nvp::runExperiment(ref_spec, rr);
         EXPECT_EQ(resultJson(resumed), cold_json)
             << "skip_ahead->percycle at cycle "
             << snaps[snaps.size() / 2].cycle;

@@ -4,7 +4,6 @@
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
-#include "sim/trace_log.hh"
 #include "telemetry/timeline.hh"
 
 namespace wlcache {
@@ -53,9 +52,6 @@ WLCache::cleanOne(Cycle now)
     const auto ref = tags_.lookup(laddr);
     if (!ref || !tags_.dirty(*ref)) {
         // Stale entry (§5.4): the line was evicted or already cleaned.
-        WLC_DPRINTF(trace::kQueue, now, "wl_cache",
-                    "stale DQ entry 0x%llx dropped",
-                    static_cast<unsigned long long>(laddr));
         WLC_TIMELINE(tl_, DqStale, now, "wl_cache", laddr,
                      tags_.dirtyCount());
         dq_.remove(*slot);
@@ -71,11 +67,6 @@ WLCache::cleanOne(Cycle now)
                                     tags_.lineBytes(), now);
     ++stats_.writebacks;
     ++wl_stats_.cleanings;
-    WLC_DPRINTF(trace::kQueue, now, "wl_cache",
-                "clean 0x%llx (dirty=%u/%u, ack@%llu)",
-                static_cast<unsigned long long>(laddr),
-                tags_.dirtyCount(), wl_.maxline,
-                static_cast<unsigned long long>(ready));
     WLC_TIMELINE(tl_, DqClean, now, "wl_cache", laddr,
                  tags_.dirtyCount());
     // Steps 3-4 complete via tick()/completeInFlight at the ACK.
@@ -128,10 +119,6 @@ WLCache::ensureDirtyCapacity(Cycle now)
                 if (!stalled) {
                     stalled = true;
                     ++wl_stats_.store_stalls;
-                    WLC_DPRINTF(trace::kQueue, t, "wl_cache",
-                                "store stalls until %llu (§5.1)",
-                                static_cast<unsigned long long>(
-                                    *ready));
                 }
                 stats_.stall_cycles += *ready - t;
                 t = *ready;
@@ -245,9 +232,6 @@ WLCache::checkpoint(Cycle now)
         // NVM holds their data; re-writing would merely be redundant.
     }
     stats_.checkpoint_lines += persisted;
-    WLC_DPRINTF(trace::kPower, now, "wl_cache",
-                "JIT checkpoint persisted %u line(s), done@%llu",
-                persisted, static_cast<unsigned long long>(t));
     WLC_TIMELINE(tl_, Checkpoint, now, "wl_cache", persisted,
                  t - now);
     wlc_assert(persisted <= wl_.maxline,

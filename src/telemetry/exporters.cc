@@ -237,14 +237,20 @@ writeTimelineCsv(std::ostream &os, const TimelineBuffer &tl)
     os << "# schema_version=" << kTimelineSchemaVersion
        << " recorded=" << tl.totalRecorded()
        << " dropped=" << tl.droppedTotal() << "\n";
-    os << "seq,cycle,type,track,comp,a0,a1,v\n";
+    os << kTimelineCsvHeader << '\n';
     tl.forEach([&os](const TimelineEvent &ev) {
-        os << ev.seq << ',' << ev.cycle << ','
-           << eventTypeName(ev.type) << ','
-           << trackName(eventTrack(ev.type)) << ','
-           << ev.comp << ',' << ev.a0 << ',' << ev.a1 << ','
-           << num(ev.v) << '\n';
+        writeTimelineCsvRow(os, ev);
     });
+}
+
+void
+writeTimelineCsvRow(std::ostream &os, const TimelineEvent &ev)
+{
+    os << std::to_string(ev.seq) + ',' + std::to_string(ev.cycle) + ',' +
+            eventTypeName(ev.type) + ',' +
+            trackName(eventTrack(ev.type)) + ',' + ev.comp + ',' +
+            std::to_string(ev.a0) + ',' + std::to_string(ev.a1) + ',' +
+            num(ev.v) + '\n';
 }
 
 } // namespace telemetry

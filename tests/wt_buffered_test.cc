@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the §3.3 alternative design (WT + CAM write-back buffer)
- * and for the trace_log facility and system-level determinism.
+ * and for system-level determinism.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "mem/nvm_memory.hh"
 #include "nvp/experiment.hh"
 #include "nvp/run_json.hh"
-#include "sim/trace_log.hh"
 
 using namespace wlcache;
 using namespace wlcache::cache;
@@ -152,51 +151,6 @@ TEST_F(WtBufFixture, SystemLevelCrashConsistency)
     EXPECT_TRUE(r.final_state_correct);
     EXPECT_EQ(r.consistency_violations, 0u);
     EXPECT_EQ(r.load_value_mismatches, 0u);
-}
-
-// --- trace_log ---------------------------------------------------------------
-
-TEST(TraceLog, ParseCategories)
-{
-    using namespace wlcache::trace;
-    std::uint32_t mask = 0;
-    EXPECT_TRUE(parseCategories("cache", mask));
-    EXPECT_EQ(mask, kCache);
-    EXPECT_TRUE(parseCategories("cache,power", mask));
-    EXPECT_EQ(mask, kCache | kPower);
-    EXPECT_TRUE(parseCategories("all", mask));
-    EXPECT_EQ(mask, kAll);
-    EXPECT_TRUE(parseCategories("", mask));
-    EXPECT_EQ(mask, kNone);
-    // Case-insensitive, empty items skipped.
-    EXPECT_TRUE(parseCategories("QUEUE,,nvm", mask));
-    EXPECT_EQ(mask, kQueue | kNvm);
-}
-
-TEST(TraceLog, ParseCategoriesRejectsUnknown)
-{
-    using namespace wlcache::trace;
-    std::uint32_t mask = kAdapt;
-    std::string err;
-    EXPECT_FALSE(parseCategories("bogus,queue", mask, &err));
-    // The mask is untouched on failure and the diagnostic names the
-    // offending token plus every valid category.
-    EXPECT_EQ(mask, kAdapt);
-    EXPECT_NE(err.find("bogus"), std::string::npos);
-    EXPECT_NE(err.find(validCategoryNames()), std::string::npos);
-    EXPECT_FALSE(parseCategories("queue,bogus", mask, &err));
-    EXPECT_EQ(mask, kAdapt);
-}
-
-TEST(TraceLog, EnableDisable)
-{
-    using namespace wlcache::trace;
-    setEnabled(kQueue | kAdapt);
-    EXPECT_TRUE(isOn(kQueue));
-    EXPECT_TRUE(isOn(kAdapt));
-    EXPECT_FALSE(isOn(kCache));
-    setEnabled(kNone);
-    EXPECT_FALSE(isOn(kQueue));
 }
 
 // --- JSON run records ---------------------------------------------------------

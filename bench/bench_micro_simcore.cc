@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * tag-array lookups, WL-Cache store handling, DirtyQueue operations,
- * NVM timed accesses, and full trace replay throughput. These guard
- * the simulator's own performance (a full figure sweep replays
- * hundreds of millions of events).
+ * NVM timed accesses, system construction, and full trace replay
+ * throughput. These guard the simulator's own performance (a full
+ * figure sweep replays hundreds of millions of events, in thousands
+ * of short runs).
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "core/wl_cache.hh"
 #include "mem/nvm_memory.hh"
 #include "nvp/experiment.hh"
+#include "nvp/system.hh"
 #include "sim/rng.hh"
 #include "telemetry/timeline.hh"
 #include "workloads/workloads.hh"
@@ -193,6 +195,23 @@ BM_TraceReplayWithOutages(benchmark::State &state)
         static_cast<std::int64_t>(trace.events.size()));
 }
 BENCHMARK(BM_TraceReplayWithOutages)->Unit(benchmark::kMillisecond);
+
+void
+BM_SystemSimConstruct(benchmark::State &state)
+{
+    // The fixed cost every run pays before its first event: building
+    // (and tearing down) a WL system on sha under RF-home power.
+    const auto &trace = workloads::getTrace("sha");
+    const energy::PowerTrace power =
+        energy::makeTrace(energy::TraceKind::RfHome);
+    const nvp::SystemConfig cfg =
+        nvp::SystemConfig::forDesign(nvp::DesignKind::WL);
+    for (auto _ : state) {
+        nvp::SystemSim sim(cfg, trace, power);
+        benchmark::DoNotOptimize(sim.checkpointReserveJ());
+    }
+}
+BENCHMARK(BM_SystemSimConstruct)->Unit(benchmark::kMicrosecond);
 
 void
 BM_WorkloadTraceGeneration(benchmark::State &state)

@@ -20,9 +20,9 @@ ceilDiv(std::uint64_t a, std::uint64_t b)
 
 } // namespace
 
-Harvester::Harvester(PowerTrace trace, double efficiency, bool infinite)
-    : trace_(std::move(trace)), efficiency_(efficiency),
-      infinite_(infinite)
+Harvester::Harvester(const PowerTrace &trace, double efficiency,
+                     bool infinite)
+    : trace_(trace), efficiency_(efficiency), infinite_(infinite)
 {
     wlc_assert(efficiency_ > 0.0 && efficiency_ <= 1.0);
     // Snap the sample period to the cycle grid once; every later
@@ -31,11 +31,14 @@ Harvester::Harvester(PowerTrace trace, double efficiency, bool infinite)
     period_cycles_ = static_cast<Cycle>(
         std::llround(trace_.samplePeriod() * kCoreFreqHz));
     wlc_assert(period_cycles_ >= 1);
-    rate_aj_.reserve(trace_.numSamples());
-    for (const double watts : trace_.samples()) {
-        rate_aj_.push_back(
-            toAttojoules(watts * efficiency_ * kSecondsPerCycle));
-    }
+    refreshRate();
+}
+
+void
+Harvester::refreshRate()
+{
+    rate_aj_ = toAttojoules(currentPower() * efficiency_ *
+                            kSecondsPerCycle);
 }
 
 double
@@ -46,14 +49,6 @@ Harvester::currentPower() const
     return trace_.samples()[sample_idx_];
 }
 
-Attojoules
-Harvester::currentRateAj() const
-{
-    if (rate_aj_.empty())
-        return 0;
-    return rate_aj_[sample_idx_];
-}
-
 void
 Harvester::stepSample()
 {
@@ -61,6 +56,7 @@ Harvester::stepSample()
     if (trace_.numSamples() == 0)
         return;
     sample_idx_ = (sample_idx_ + 1) % trace_.numSamples();
+    refreshRate();
 }
 
 Attojoules
@@ -196,6 +192,7 @@ Harvester::reset()
     total_harvested_aj_ = 0;
     sample_idx_ = 0;
     pos_in_sample_cycles_ = 0;
+    refreshRate();
 }
 
 void
@@ -206,6 +203,8 @@ Harvester::ioState(StateIo &io)
     io.u64(total_harvested_aj_);
     io.u64(sample_idx_);
     io.u64(pos_in_sample_cycles_);
+    if (io.loading())
+        refreshRate();
 }
 
 } // namespace energy

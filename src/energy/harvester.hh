@@ -16,8 +16,6 @@
 #ifndef WLCACHE_ENERGY_HARVESTER_HH
 #define WLCACHE_ENERGY_HARVESTER_HH
 
-#include <vector>
-
 #include "energy/capacitor.hh"
 #include "energy/power_trace.hh"
 #include "sim/types.hh"
@@ -37,13 +35,17 @@ class Harvester
 {
   public:
     /**
-     * @param trace Ambient power waveform (copied).
+     * @param trace Ambient power waveform, read in place: it must
+     *        outlive the harvester.
      * @param efficiency Conversion efficiency in (0, 1].
      * @param infinite When true, models a bench-supply: advance() tops
      *        the capacitor up to Vmax every call (no-failure runs).
      */
-    Harvester(PowerTrace trace, double efficiency = 0.7,
+    Harvester(const PowerTrace &trace, double efficiency = 0.7,
               bool infinite = false);
+
+    /** A temporary trace would dangle. */
+    Harvester(PowerTrace &&, double = 0.7, bool = false) = delete;
 
     /**
      * Advance simulated time by @p cycles, harvesting into @p cap.
@@ -99,7 +101,7 @@ class Harvester
     double currentPower() const;
 
     /** Per-cycle deposit rate of the current sample, attojoules. */
-    Attojoules currentRateAj() const;
+    Attojoules currentRateAj() const { return rate_aj_; }
 
     /** Cycles covered by one trace sample. */
     Cycle periodCycles() const { return period_cycles_; }
@@ -111,6 +113,9 @@ class Harvester
     /** Move the cursor to the start of the next trace sample. */
     void stepSample();
 
+    /** Recompute rate_aj_ for the sample the cursor is in. */
+    void refreshRate();
+
     /**
      * Advance @p cycles (all within the current sample) in one step.
      * @return attojoules deposited.
@@ -120,11 +125,11 @@ class Harvester
     /** Top @p cap to Vmax (infinite-supply mode). */
     Attojoules topUp(Capacitor &cap);
 
-    PowerTrace trace_;
+    const PowerTrace &trace_;
     double efficiency_;
     bool infinite_;
     Cycle period_cycles_ = 1;
-    std::vector<Attojoules> rate_aj_;  //!< Per-cycle deposit, by sample.
+    Attojoules rate_aj_ = 0;  //!< Per-cycle deposit, current sample.
     Cycle now_cycles_ = 0;
     Attojoules total_harvested_aj_ = 0;
     std::size_t sample_idx_ = 0;

@@ -1,8 +1,11 @@
 #include "mem/nvm_memory.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
+
+#include <sys/mman.h>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -11,8 +14,23 @@
 namespace wlcache {
 namespace mem {
 
+NvmMemory::ZeroMapping::ZeroMapping(std::size_t bytes) : size_(bytes)
+{
+    wlc_assert(bytes > 0);
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    wlc_assert(p != MAP_FAILED, "cannot map %zu bytes of NVM: %s",
+               bytes, std::strerror(errno));
+    data_ = static_cast<std::uint8_t *>(p);
+}
+
+NvmMemory::ZeroMapping::~ZeroMapping()
+{
+    munmap(data_, size_);
+}
+
 NvmMemory::NvmMemory(const NvmParams &params, energy::EnergyMeter *meter)
-    : params_(params), meter_(meter), data_(params.size_bytes, 0),
+    : params_(params), meter_(meter), data_(params.size_bytes),
       model_(NvmTimingModel::create(params)),
       stat_group_("nvm"),
       stat_reads_(stat_group_.addScalar("reads", "NVM read accesses")),
@@ -46,7 +64,6 @@ NvmMemory::NvmMemory(const NvmParams &params, energy::EnergyMeter *meter)
       stat_write_latency_(stat_group_.addDistribution(
           "write_latency", "write request latency in cycles (log2)"))
 {
-    wlc_assert(params_.size_bytes > 0);
     wlc_assert(params_.banks > 0);
     wlc_assert(params_.wear_line_bytes > 0);
 
@@ -283,8 +300,7 @@ NvmMemory::snapshotRange(Addr addr, std::size_t bytes) const
     wlc_assert(addr + bytes <= data_.size(),
                "NVM snapshot out of range: addr=0x%llx size=%zu",
                static_cast<unsigned long long>(addr), bytes);
-    return { data_.begin() + static_cast<std::ptrdiff_t>(addr),
-             data_.begin() + static_cast<std::ptrdiff_t>(addr + bytes) };
+    return { data_.data() + addr, data_.data() + addr + bytes };
 }
 
 std::uint64_t

@@ -190,6 +190,27 @@ class NvmMemory
     void ioState(StateIo &io);
 
   private:
+    /**
+     * The byte array: an anonymous private mapping. The kernel
+     * zero-fills pages on first touch, so building a memory costs
+     * nothing per page and only pages a run touches become resident.
+     */
+    class ZeroMapping
+    {
+      public:
+        explicit ZeroMapping(std::size_t bytes);
+        ~ZeroMapping();
+        ZeroMapping(const ZeroMapping &) = delete;
+        ZeroMapping &operator=(const ZeroMapping &) = delete;
+
+        std::uint8_t *data() const { return data_; }
+        std::size_t size() const { return size_; }
+
+      private:
+        std::uint8_t *data_;
+        std::size_t size_;
+    };
+
     void checkRange(Addr addr, unsigned bytes) const;
 
     /** Timing/wear identity of @p addr (rotation remap applied). */
@@ -208,7 +229,7 @@ class NvmMemory
     NvmParams params_;
     energy::EnergyMeter *meter_;
     telemetry::TimelineBuffer *tl_ = nullptr;
-    std::vector<std::uint8_t> data_;
+    ZeroMapping data_;
     std::unique_ptr<NvmTimingModel> model_;
     std::unique_ptr<WearTracker> wear_;
     std::unique_ptr<WearRotator> rotator_;

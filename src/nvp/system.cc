@@ -100,9 +100,16 @@ SystemSim::SystemSim(const SystemConfig &cfg,
     tl_ = cfg_.timeline;
     attachTimeline();
     recomputeThresholds();
+}
 
-    // Resume-compatibility key: every configuration knob the captured
-    // state depends on, plus the trace and power identity.
+const std::string &
+SystemSim::snapshotKey() const
+{
+    if (!snapshot_key_.empty())
+        return snapshot_key_;
+    // Every configuration knob the captured state depends on, plus
+    // the trace and power identity.
+    const energy::PowerTrace &power = harvester_.trace();
     std::ostringstream ks;
     dumpConfigKey(ks, resumeNeutral(cfg_));
     ks << "trace=" << trace_.name << '\n'
@@ -117,6 +124,7 @@ SystemSim::SystemSim(const SystemConfig &cfg,
        << "snapshot_format=" << SystemSnapshot::kFormatVersion << '\n';
     const std::string key_text = ks.str();
     snapshot_key_ = util::fnv1a128Hex(key_text.data(), key_text.size());
+    return snapshot_key_;
 }
 
 void
@@ -703,7 +711,7 @@ SystemSim::takeSnapshot() const
     StateIo::save(*this, w, now_, idx_);
 
     SystemSnapshot snap;
-    snap.compat_key = snapshot_key_;
+    snap.compat_key = snapshotKey();
     snap.cycle = now_;
     snap.event_index = idx_;
     snap.state = w.take();
@@ -714,10 +722,10 @@ void
 SystemSim::restoreSnapshot(const SystemSnapshot &snap)
 {
     wlc_assert(snap.valid(), "cannot restore an empty snapshot");
-    wlc_assert(snap.compat_key == snapshot_key_,
+    wlc_assert(snap.compat_key == snapshotKey(),
                "snapshot resume-compatibility key mismatch "
                "(%s vs this system's %s)",
-               snap.compat_key.c_str(), snapshot_key_.c_str());
+               snap.compat_key.c_str(), snapshotKey().c_str());
     SnapshotReader r(snap.state);
     StateIo::load(*this, r, snap.cycle, snap.event_index);
     wlc_assert(r.atEnd(), "trailing bytes after snapshot restore");
@@ -728,7 +736,7 @@ SystemSim::run(const RunOptions &opts)
 {
     const SystemSnapshot *resume = opts.resume;
     if (resume && opts.resume_best_effort &&
-        resume->compat_key != snapshot_key_) {
+        resume->compat_key != snapshotKey()) {
         warn("ignoring incompatible resume snapshot (cold start)");
         resume = nullptr;
     }

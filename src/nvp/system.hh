@@ -217,14 +217,20 @@ class SystemSim
   public:
     /**
      * @param cfg Full system configuration.
-     * @param trace Recorded workload execution to replay.
-     * @param power Ambient power waveform.
+     * @param trace Recorded workload execution to replay; read in
+     *        place, so it must outlive the system.
+     * @param power Ambient power waveform; read in place, so it must
+     *        outlive the system too.
      * @param infinite_power No-failure mode (Figure 4).
      */
     SystemSim(const SystemConfig &cfg,
               const workloads::BuiltTrace &trace,
               const energy::PowerTrace &power,
               bool infinite_power = false);
+
+    /** A temporary power trace would dangle. */
+    SystemSim(const SystemConfig &, const workloads::BuiltTrace &,
+              energy::PowerTrace &&, bool = false) = delete;
 
     ~SystemSim();
 
@@ -249,8 +255,11 @@ class SystemSim
      */
     void restoreSnapshot(const SystemSnapshot &snap);
 
-    /** Resume-compatibility key of this configuration + trace. */
-    const std::string &snapshotKey() const { return snapshot_key_; }
+    /**
+     * Resume-compatibility key of this configuration + trace, built
+     * on first use (only snapshot capture, restore and resume read it).
+     */
+    const std::string &snapshotKey() const;
 
     /** Access the data cache (tests). */
     cache::DataCache &dcache() { return *dcache_; }
@@ -309,7 +318,9 @@ class SystemSim
 
     const SystemConfig cfg_;
     const workloads::BuiltTrace &trace_;
-    std::string snapshot_key_;
+    /** snapshotKey()'s cache; empty until first use. Unsynchronized:
+     *  a SystemSim is driven by one thread. */
+    mutable std::string snapshot_key_;
 
     energy::EnergyMeter meter_;
     std::unique_ptr<mem::NvmMemory> nvm_;

@@ -62,7 +62,8 @@ TEST(AdaptiveBoundary, MaxlineOneRunsToCompletion)
     cfg.adaptive.enabled = false;
     cfg.validate_consistency = true;
 
-    nvp::SystemSim sim(cfg, shaTrace(), rfHome(), false);
+    const energy::PowerTrace power = rfHome();
+    nvp::SystemSim sim(cfg, shaTrace(), power, false);
     ASSERT_NE(sim.wlCache(), nullptr);
     EXPECT_EQ(sim.wlCache()->waterline(), 0u);
 
@@ -85,7 +86,8 @@ TEST(AdaptiveBoundary, PinnedRangeNeverMoves)
     cfg.adaptive.maxline_max = 3;
     cfg.validate_consistency = true;
 
-    nvp::SystemSim sim(cfg, shaTrace(), rfHome(), false);
+    const energy::PowerTrace power = rfHome();
+    nvp::SystemSim sim(cfg, shaTrace(), power, false);
     const nvp::RunResult res = sim.run();
 
     EXPECT_TRUE(res.completed);

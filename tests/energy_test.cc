@@ -9,6 +9,7 @@
 #include "energy/energy_meter.hh"
 #include "energy/harvester.hh"
 #include "energy/power_trace.hh"
+#include "sim/snapshot.hh"
 
 using namespace wlcache;
 using namespace wlcache::energy;
@@ -322,6 +323,40 @@ TEST(Harvester, LongAdvanceMatchesMeanPower)
     const double dep = h.advance(t.duration(), c);
     EXPECT_NEAR(dep, t.meanPower() * t.duration(),
                 0.01 * t.meanPower() * t.duration());
+}
+
+TEST(Harvester, IoStateRestoresTheSampleRate)
+{
+    // The per-cycle rate is cached for the current sample only, so a
+    // restored cursor must refresh it: a fresh harvester starts on
+    // sample 0's rate, which differs from every later sample here.
+    PowerTrace t(20.0e-6, { 1.0e-3, 5.0e-3, 0.0, 9.0e-3, 3.0e-3 });
+    const Cycle period = 20000;
+    for (const Cycle cut : { period + period / 2, 2 * period }) {
+        SCOPED_TRACE(cut);
+        Harvester saved(t, 0.7);
+        Capacitor saved_cap(1.0, 0.0, 100.0);
+        saved.advanceCycles(cut, saved_cap);
+        SnapshotWriter w;
+        StateIo::save(saved, w);
+        const std::vector<std::uint8_t> bytes = w.take();
+
+        Harvester restored(t, 0.7);
+        SnapshotReader r(bytes);
+        StateIo::load(restored, r);
+        EXPECT_TRUE(r.atEnd());
+        // Both capacitors are far from the rail, so deposits never
+        // clamp and depend on the rate alone.
+        Capacitor restored_cap(1.0, 0.0, 100.0);
+
+        for (int step = 0; step < 12; ++step) {
+            SCOPED_TRACE(step);
+            EXPECT_EQ(restored.currentRateAj(), saved.currentRateAj());
+            EXPECT_EQ(restored.advanceCycles(period / 2, restored_cap),
+                      saved.advanceCycles(period / 2, saved_cap));
+        }
+        EXPECT_EQ(restored.totalHarvestedAj(), saved.totalHarvestedAj());
+    }
 }
 
 TEST(EnergyMeter, AccumulatesByCategory)

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -74,6 +75,29 @@ TEST(Nvm, PeekPokeBypassTiming)
     EXPECT_EQ(nvm.peekInt(0x40, 2), 0xabcdu);
     EXPECT_EQ(nvm.numReads(), 0u);
     EXPECT_EQ(nvm.numWrites(), 0u);
+}
+
+TEST(Nvm, UntouchedBytesReadZero)
+{
+    // The default 8 MiB array is mapped lazily: bytes nothing wrote
+    // read as zero, up to and including the last one.
+    NvmMemory nvm(NvmParams{});
+    const Addr top = nvm.sizeBytes() - 1;
+    EXPECT_EQ(nvm.peekInt(0, 8), 0u);
+    EXPECT_EQ(nvm.peekInt(nvm.sizeBytes() / 2, 8), 0u);
+    EXPECT_EQ(nvm.peekInt(top, 1), 0u);
+
+    const std::size_t tail = 3 * NvmMemory::kJournalPageBytes;
+    const std::vector<std::uint8_t> span =
+        nvm.snapshotRange(nvm.sizeBytes() - tail, tail);
+    ASSERT_EQ(span.size(), tail);
+    EXPECT_TRUE(std::all_of(span.begin(), span.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+
+    const std::uint8_t v = 0x5a;
+    nvm.poke(top, 1, &v);
+    EXPECT_EQ(nvm.peekInt(top, 1), 0x5au);
+    EXPECT_EQ(nvm.peekInt(top - 7, 8), 0x5aull << 56);
 }
 
 TEST(Nvm, ReadLatencyMatchesParams)

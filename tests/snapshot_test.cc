@@ -370,14 +370,43 @@ TEST(SnapshotResume, ResaveIsByteIdentical)
 
         energy::TraceGenConfig tg;
         tg.seed = spec.power_seed;
+        const energy::PowerTrace power = energy::makeTrace(spec.power, tg);
         nvp::SystemSim fresh(
             nvp::resolveConfig(spec),
             workloads::getTrace(spec.workload, spec.scale,
                                 spec.workload_seed),
-            energy::makeTrace(spec.power, tg), spec.no_failure);
+            power, spec.no_failure);
         fresh.restoreSnapshot(cut);
         EXPECT_EQ(fresh.takeSnapshot().state, cut.state);
     }
+}
+
+TEST(SnapshotKey, IndependentOfWhenItIsBuilt)
+{
+    // The compat key is built on first use: read before run() on one
+    // system, or first built by a mid-run cut on a twin, it is the
+    // same key.
+    const workloads::BuiltTrace &trace =
+        workloads::getTrace("sha", 1, 42);
+    energy::TraceGenConfig tg;
+    tg.seed = 7;
+    const energy::PowerTrace power =
+        energy::makeTrace(energy::TraceKind::RfHome, tg);
+    const nvp::SystemConfig cfg =
+        nvp::SystemConfig::forDesign(nvp::DesignKind::WL);
+
+    const nvp::SystemSim early(cfg, trace, power);
+    const std::string key = early.snapshotKey();
+
+    nvp::SystemSim late(cfg, trace, power);
+    nvp::SystemSnapshot cut;
+    nvp::RunOptions ro;
+    ro.max_events = trace.events.size() / 2;
+    ro.cut = &cut;
+    late.run(ro);
+    ASSERT_TRUE(cut.valid());
+    EXPECT_EQ(cut.compat_key, key);
+    EXPECT_EQ(late.snapshotKey(), key);
 }
 
 TEST(SnapshotResume, WearStateFuzzObservationalIdentity)

@@ -111,7 +111,7 @@ BM_NvmDevice_WearTrackedWrites(benchmark::State &state)
         a = (a + 4) & 0xffff;
     }
     state.counters["wear_max"] =
-        static_cast<double>(nvm.wearMax());
+        static_cast<double>(nvm.deviceStats().wear_max);
 }
 BENCHMARK(BM_NvmDevice_WearTrackedWrites);
 

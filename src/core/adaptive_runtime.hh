@@ -63,9 +63,6 @@ class AdaptiveRuntime
     unsigned maxline() const { return maxline_; }
     const AdaptiveConfig &config() const { return cfg_; }
 
-    /** Direction of the most recent onBoot() decision. */
-    AdaptDecision lastDecision() const { return last_decision_; }
-
     /** Quantize a duration the way the 2-byte watchdog NVFF would. */
     std::uint16_t quantize(double seconds) const;
 

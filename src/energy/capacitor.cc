@@ -52,12 +52,6 @@ Capacitor::energyAboveVmin() const
     return std::max(0.0, storedEnergy() - energyForVoltage(vmin_v_));
 }
 
-double
-Capacitor::energyAboveVoltage(double v) const
-{
-    return std::max(0.0, storedEnergy() - energyForVoltage(v));
-}
-
 Attojoules
 Capacitor::addAj(Attojoules aj)
 {

@@ -57,14 +57,8 @@ class Capacitor
     /** Quantized stored energy for voltage @p v (clamped to range). */
     Attojoules energyAjForVoltage(double v) const;
 
-    /** Stored energy at the Vmax rail, attojoules. */
-    Attojoules railAj() const { return rail_aj_; }
-
     /** Energy available above the brown-out level, joules. */
     double energyAboveVmin() const;
-
-    /** Energy stored above the given voltage level, joules. */
-    double energyAboveVoltage(double v) const;
 
     /**
      * Add harvested energy; the level clamps at Vmax (excess ambient

@@ -188,19 +188,19 @@ allObjectives()
           "the most-worn line's count; maximizing, so negated here; "
           "requires nvm.track_wear)",
           [](const R &r, const C &, const S &) {
-              return -static_cast<double>(r.nvm_lifetime_headroom);
+              return -static_cast<double>(r.nvm_device.lifetime_headroom);
           } },
         { "nvm_wear_max",
           "highest per-line NVM write count "
           "(requires nvm.track_wear)",
           [](const R &r, const C &, const S &) {
-              return static_cast<double>(r.nvm_wear_max);
+              return static_cast<double>(r.nvm_device.wear_max);
           } },
         { "nvm_write_p99_latency",
           "99th-percentile NVM write latency in cycles (log2 "
           "histogram upper bound)",
           [](const R &r, const C &, const S &) {
-              return r.nvm_write_p99_latency;
+              return r.nvm_device.write_p99_latency;
           } },
         { "fleet_p50_progress",
           "forward-progress rate met by half the fleet "
@@ -245,7 +245,7 @@ allObjectives()
           [](const N &nodes, const F &) {
               std::uint64_t worst = 0;
               for (const NodeResult &n : nodes)
-                  worst = std::max(worst, n.result.nvm_wear_max);
+                  worst = std::max(worst, n.result.nvm_device.wear_max);
               return static_cast<double>(worst);
           } },
         { "fleet_energy_total",

@@ -80,16 +80,6 @@ HybridRegion::resident(std::uint64_t line) const
     return false;
 }
 
-unsigned
-HybridRegion::residentCount() const
-{
-    unsigned n = 0;
-    for (const Slot &s : slots_)
-        if (s.line != kEmpty)
-            ++n;
-    return n;
-}
-
 void
 HybridRegion::reset()
 {

@@ -65,8 +65,6 @@ class HybridRegion
     /** Is @p line resident (no LRU side effect)? */
     bool resident(std::uint64_t line) const;
 
-    unsigned residentCount() const;
-
     /** Forget residency and heat (construction state). */
     void reset();
 

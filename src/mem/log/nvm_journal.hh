@@ -116,7 +116,6 @@ class NvmJournal
     unsigned slotStride() const { return slot_stride_; }
     unsigned totalSlots() const { return params_.region_lines; }
     unsigned slotsPerSegment() const { return slots_per_segment_; }
-    unsigned numSegments() const { return num_segments_; }
     /** First byte of the journal region (home space ends here). */
     Addr regionStart() const { return region_start_; }
     Addr regionEnd() const { return region_start_ + region_bytes_; }

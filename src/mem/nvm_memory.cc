@@ -322,23 +322,10 @@ NvmMemory::bytesWritten() const
 }
 
 std::uint64_t
-NvmMemory::bankConflicts() const
-{
-    return static_cast<std::uint64_t>(stat_bank_conflicts_.value());
-}
-
-std::uint64_t
 NvmMemory::queueStallCycles() const
 {
     return static_cast<std::uint64_t>(
         stat_queue_stall_cycles_.value());
-}
-
-std::uint64_t
-NvmMemory::turnaroundStallCycles() const
-{
-    return static_cast<std::uint64_t>(
-        stat_turnaround_stall_cycles_.value());
 }
 
 std::uint64_t
@@ -353,28 +340,13 @@ NvmMemory::rowMisses() const
     return static_cast<std::uint64_t>(stat_row_misses_.value());
 }
 
-std::uint64_t
-NvmMemory::wearMax() const
-{
-    return wear_ ? wear_->maxWear() : 0;
-}
+namespace {
 
-std::uint64_t
-NvmMemory::wearLinesTouched() const
-{
-    return wear_ ? wear_->linesTouched() : 0;
-}
-
-std::uint64_t
-NvmMemory::lifetimeHeadroom() const
-{
-    return wear_ ? wear_->minHeadroom() : params_.endurance_writes;
-}
-
+/** Upper edge of the first log2 bucket covering 99% of @p d's samples. */
 double
-NvmMemory::writeLatencyP99() const
+p99UpperEdge(const stats::Distribution &d)
 {
-    const std::uint64_t count = stat_write_latency_.count();
+    const std::uint64_t count = d.count();
     if (count == 0)
         return 0.0;
     // Ceil(0.99 * count) without floating-point drift.
@@ -382,11 +354,34 @@ NvmMemory::writeLatencyP99() const
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < stats::Distribution::kNumBuckets;
          ++i) {
-        cum += stat_write_latency_.bucket(i);
+        cum += d.bucket(i);
         if (cum >= need)
             return std::ldexp(1.0, static_cast<int>(i));
     }
-    return stat_write_latency_.max();
+    return d.max();
+}
+
+} // anonymous namespace
+
+NvmDeviceStats
+NvmMemory::deviceStats() const
+{
+    NvmDeviceStats s;
+    s.bank_conflicts =
+        static_cast<std::uint64_t>(stat_bank_conflicts_.value());
+    s.queue_stall_cycles = queueStallCycles();
+    s.turnaround_stall_cycles = static_cast<std::uint64_t>(
+        stat_turnaround_stall_cycles_.value());
+    s.lifetime_headroom = params_.endurance_writes;
+    if (wear_) {
+        s.wear_max = wear_->maxWear();
+        s.wear_lines_touched = wear_->linesTouched();
+        s.lifetime_headroom = wear_->minHeadroom();
+    }
+    s.write_p99_latency = p99UpperEdge(stat_write_latency_);
+    s.row_hits = rowHits();
+    s.row_misses = rowMisses();
+    return s;
 }
 
 void

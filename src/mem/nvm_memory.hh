@@ -50,6 +50,25 @@ struct NvmAccessResult
     Cycle ready;     //!< When data (read) or ack (write) is available.
 };
 
+/** Device counters a run reports (the run record's nvm_device group). */
+struct NvmDeviceStats
+{
+    std::uint64_t bank_conflicts = 0;  //!< Gated by pending bank work.
+    std::uint64_t queue_stall_cycles = 0;  //!< On a full bank queue.
+    std::uint64_t turnaround_stall_cycles = 0;  //!< Reads behind tWTR.
+    std::uint64_t wear_max = 0;  //!< Top per-line writes (track_wear).
+    std::uint64_t wear_lines_touched = 0;  //!< Lines written (track_wear).
+    /** Writes left on the most-worn line (all of them untracked). */
+    std::uint64_t lifetime_headroom = 0;
+    /**
+     * p99 write latency in cycles: the upper edge of the first log2
+     * histogram bucket covering 99% of writes (0 with no write).
+     */
+    double write_p99_latency = 0.0;
+    std::uint64_t row_hits = 0;    //!< Row-buffer hits (banked model).
+    std::uint64_t row_misses = 0;  //!< Row-buffer misses (banked model).
+};
+
 /**
  * Byte-addressable non-volatile main memory with one channel.
  * Functional state is a flat byte array; all accesses are bounds
@@ -119,35 +138,15 @@ class NvmMemory
     std::uint64_t numWrites() const;
     std::uint64_t bytesWritten() const;
 
-    /** Bank conflicts (pending bank work gated an access). */
-    std::uint64_t bankConflicts() const;
     /** Cycles accesses spent stalled on a full bank queue. */
     std::uint64_t queueStallCycles() const;
-    /** Cycles reads spent waiting out write-to-read turnaround. */
-    std::uint64_t turnaroundStallCycles() const;
-
     /** Row-buffer hits (banked model; 0 under the legacy model). */
     std::uint64_t rowHits() const;
     /** Row-buffer misses (banked model; 0 under the legacy model). */
     std::uint64_t rowMisses() const;
 
-    /** Highest per-line write count (0 when wear is untracked). */
-    std::uint64_t wearMax() const;
-    /** Distinct wear lines written (0 when wear is untracked). */
-    std::uint64_t wearLinesTouched() const;
-    /**
-     * Remaining write budget of the most-worn line. With wear
-     * tracking off this is the full endurance budget (nothing is
-     * known to be worn).
-     */
-    std::uint64_t lifetimeHeadroom() const;
-
-    /**
-     * p99 write latency in cycles from the log2 latency histogram:
-     * the upper edge of the first bucket whose cumulative count
-     * covers 99% of writes (0 when no write happened).
-     */
-    double writeLatencyP99() const;
+    /** The device counters of the run so far. */
+    NvmDeviceStats deviceStats() const;
 
     /** Wear tracker (null when track_wear is off); tests. */
     const WearTracker *wearTracker() const { return wear_.get(); }
@@ -175,9 +174,6 @@ class NvmMemory
      * constructed memory holding the same initial image).
      */
     void clearJournal();
-
-    /** Pages currently in the copy-on-write journal. */
-    std::size_t journalPages() const { return touched_pages_.size(); }
 
     /**
      * Serialize timing-model cursors, statistics, wear/rotation/

@@ -135,11 +135,23 @@ row(std::string key, std::string help = {}, double min = 0.0,
     return f;
 }
 
+/** A row's key: @p key when given, else the member name. */
+const char *
+partKey(const char *member, const char *key = nullptr)
+{
+    return key ? key : member;
+}
+
 // Rows keyed by member name: R::M as "M", SystemConfig::G::M as "G.M".
 #define WLC_ROW(R, M, ...) row<&R::M>(#M __VA_OPT__(, ) __VA_ARGS__)
 #define WLC_KNOB(G, M, ...)                                             \
     row<&SystemConfig::G, &decltype(SystemConfig::G)::M>(             \
         #G "." #M __VA_OPT__(, ) __VA_ARGS__)
+// A counter of the component stats struct RunResult::P, keyed "M"
+// unless a key is given.
+#define WLC_PART(P, M, ...)                                             \
+    row<&RunResult::P, &decltype(RunResult::P)::M>(                   \
+        partKey(#M __VA_OPT__(, ) __VA_ARGS__))
 
 /**
  * The CacheParams sub-table, shared by "dcache.*" and "icache.*".
@@ -361,25 +373,25 @@ resultFields()
             WLC_ROW(R, nvm_reads),
         });
         group("nvm_device", {
-            row<&R::nvm_bank_conflicts>("bank_conflicts"),
-            row<&R::nvm_queue_stall_cycles>("queue_stall_cycles"),
-            row<&R::nvm_turnaround_stall_cycles>("turnaround_stall_cycles"),
-            row<&R::nvm_wear_max>("wear_max"),
-            row<&R::nvm_wear_lines_touched>("wear_lines_touched"),
-            row<&R::nvm_lifetime_headroom>("lifetime_headroom"),
-            row<&R::nvm_write_p99_latency>("write_p99_latency"),
-            row<&R::nvm_row_hits>("row_hits"),
-            row<&R::nvm_row_misses>("row_misses"),
+            WLC_PART(nvm_device, bank_conflicts),
+            WLC_PART(nvm_device, queue_stall_cycles),
+            WLC_PART(nvm_device, turnaround_stall_cycles),
+            WLC_PART(nvm_device, wear_max),
+            WLC_PART(nvm_device, wear_lines_touched),
+            WLC_PART(nvm_device, lifetime_headroom),
+            WLC_PART(nvm_device, write_p99_latency),
+            WLC_PART(nvm_device, row_hits),
+            WLC_PART(nvm_device, row_misses),
         });
         group("nvm_log", {
-            row<&R::log_appended_records>("appended_records"),
-            row<&R::log_appended_bytes>("appended_bytes"),
-            row<&R::log_replays>("replays"),
-            row<&R::log_replayed_records>("replayed_records"),
-            row<&R::log_replayed_bytes>("replayed_bytes"),
-            row<&R::log_compactions>("compactions"),
-            row<&R::log_compacted_lines>("compacted_lines"),
-            row<&R::log_compacted_bytes>("compacted_bytes"),
+            WLC_PART(nvm_log, appends, "appended_records"),
+            WLC_PART(nvm_log, append_bytes, "appended_bytes"),
+            WLC_PART(nvm_log, replays),
+            WLC_PART(nvm_log, replay_records, "replayed_records"),
+            WLC_PART(nvm_log, replay_bytes, "replayed_bytes"),
+            WLC_PART(nvm_log, compactions),
+            WLC_PART(nvm_log, compacted_lines),
+            WLC_PART(nvm_log, compacted_bytes),
             row<&R::log_live_lines>("live_lines"),
         });
         group("", {

@@ -1,7 +1,6 @@
 #include "nvp/system.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "cache/no_cache.hh"
@@ -884,44 +883,20 @@ SystemSim::run(const RunOptions &opts)
     res_.nvm_writes = nvm_->numWrites();
     res_.nvm_reads = nvm_->numReads();
     res_.nvm_bytes_written = nvm_->bytesWritten();
-    res_.nvm_bank_conflicts = nvm_->bankConflicts();
-    res_.nvm_queue_stall_cycles = nvm_->queueStallCycles();
-    res_.nvm_turnaround_stall_cycles =
-        nvm_->turnaroundStallCycles();
-    res_.nvm_wear_max = nvm_->wearMax();
-    res_.nvm_wear_lines_touched = nvm_->wearLinesTouched();
-    res_.nvm_lifetime_headroom = nvm_->lifetimeHeadroom();
-    res_.nvm_write_p99_latency = nvm_->writeLatencyP99();
-    res_.nvm_row_hits = nvm_->rowHits();
-    res_.nvm_row_misses = nvm_->rowMisses();
+    res_.nvm_device = nvm_->deviceStats();
     if (wllog_) {
-        const mem::NvmJournalStats &js = wllog_->journal().stats();
-        res_.log_appended_records = js.appends;
-        res_.log_appended_bytes = js.append_bytes;
-        res_.log_replays = js.replays;
-        res_.log_replayed_records = js.replay_records;
-        res_.log_replayed_bytes = js.replay_bytes;
-        res_.log_compactions = js.compactions;
-        res_.log_compacted_lines = js.compacted_lines;
-        res_.log_compacted_bytes = js.compacted_bytes;
+        res_.nvm_log = wllog_->journal().stats();
         res_.log_live_lines = wllog_->journal().liveLines();
     }
     collectStatsJson();
 
-    // Derived ratios must stay finite: a dead trace or a zero-outage
-    // run can hand back 0/0 or x/0 here, and a NaN/Inf would poison
-    // the run's JSON record (and through it the result cache).
-    const auto finite_or = [](double v, double fallback) {
-        return std::isfinite(v) ? v : fallback;
-    };
-
+    // Every ratio below guards its zero denominator, and run_json
+    // clamps any non-finite value it writes.
     const auto &cs = dcache_->stats();
     const double loads = std::max(1.0, cs.loads.value());
     const double stores = std::max(1.0, cs.stores.value());
-    res_.dcache_load_hit_rate =
-        finite_or(cs.load_hits.value() / loads, 0.0);
-    res_.dcache_store_hit_rate =
-        finite_or(cs.store_hits.value() / stores, 0.0);
+    res_.dcache_load_hit_rate = cs.load_hits.value() / loads;
+    res_.dcache_store_hit_rate = cs.store_hits.value() / stores;
     res_.store_stall_cycles =
         static_cast<std::uint64_t>(cs.stall_cycles.value());
 
@@ -929,17 +904,14 @@ SystemSim::run(const RunOptions &opts)
         res_.reconfigurations = runtime_->reconfigurations();
         res_.maxline_min_seen = runtime_->observedMaxlineMin();
         res_.maxline_max_seen = runtime_->observedMaxlineMax();
-        res_.prediction_accuracy =
-            finite_or(runtime_->predictionAccuracy(), 1.0);
-        res_.avg_dirty_at_ckpt =
-            finite_or(wl_->wlStats().dirty_at_ckpt.mean(), 0.0);
+        res_.prediction_accuracy = runtime_->predictionAccuracy();
+        res_.avg_dirty_at_ckpt = wl_->wlStats().dirty_at_ckpt.mean();
         res_.dyn_maxline_raises = static_cast<std::uint64_t>(
             wl_->wlStats().dyn_maxline_raises.value());
         if (res_.outages > 0)
-            res_.writebacks_per_on_period = finite_or(
+            res_.writebacks_per_on_period =
                 wl_->wlStats().cleanings.value() /
-                    static_cast<double>(res_.outages),
-                0.0);
+                static_cast<double>(res_.outages);
     }
     return res_;
 }

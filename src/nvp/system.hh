@@ -28,6 +28,7 @@
 #include "energy/energy_meter.hh"
 #include "energy/harvester.hh"
 #include "mem/byte_image.hh"
+#include "mem/log/nvm_journal.hh"
 #include "mem/nvm_memory.hh"
 #include "nvp/nvff.hh"
 #include "nvp/snapshot.hh"
@@ -72,34 +73,10 @@ struct RunResult
     std::uint64_t nvm_reads = 0;
 
     // --- NVM device model (mem/device/) ---
-    /** Accesses gated by pending bank work. */
-    std::uint64_t nvm_bank_conflicts = 0;
-    /** Cycles stalled on a full bank queue (back-pressure). */
-    std::uint64_t nvm_queue_stall_cycles = 0;
-    /** Cycles reads waited out write-to-read turnaround (tWTR). */
-    std::uint64_t nvm_turnaround_stall_cycles = 0;
-    /** Highest per-line write count (0 unless nvm.track_wear). */
-    std::uint64_t nvm_wear_max = 0;
-    /** Distinct wear lines written (0 unless nvm.track_wear). */
-    std::uint64_t nvm_wear_lines_touched = 0;
-    /** Write budget left on the most-worn line (min-line headroom). */
-    std::uint64_t nvm_lifetime_headroom = 0;
-    /** p99 write latency in cycles from the log2 histogram. */
-    double nvm_write_p99_latency = 0.0;
-    /** Row-buffer hits (banked model; 0 under the legacy model). */
-    std::uint64_t nvm_row_hits = 0;
-    /** Row-buffer misses (activations) under the banked model. */
-    std::uint64_t nvm_row_misses = 0;
+    mem::NvmDeviceStats nvm_device;
 
     // --- NVM journal (mem/log/, WL-Log only; all 0 otherwise) ---
-    std::uint64_t log_appended_records = 0;
-    std::uint64_t log_appended_bytes = 0;
-    std::uint64_t log_replays = 0;          //!< Boot replay scans.
-    std::uint64_t log_replayed_records = 0;
-    std::uint64_t log_replayed_bytes = 0;
-    std::uint64_t log_compactions = 0;      //!< Segments reclaimed.
-    std::uint64_t log_compacted_lines = 0;
-    std::uint64_t log_compacted_bytes = 0;
+    mem::NvmJournalStats nvm_log;
     /** Lines still journal-resident at end of run. */
     std::uint64_t log_live_lines = 0;
 

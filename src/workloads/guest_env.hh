@@ -168,7 +168,6 @@ class GArray
         env_->init<T>(base_ + i * sizeof(T), v);
     }
 
-    Addr addrOf(std::size_t i) const { return base_ + i * sizeof(T); }
     std::size_t size() const { return n_; }
 
   private:

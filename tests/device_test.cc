@@ -133,7 +133,7 @@ TEST(BankedQueue, ReadAfterWritePaysTurnaround)
     const Cycle write_burst_end = w.start + p.t_burst;
     const auto r = nvm.read(0x8, 4, write_burst_end, nullptr);
     EXPECT_EQ(r.start, write_burst_end + p.t_wtr);
-    EXPECT_EQ(nvm.turnaroundStallCycles(),
+    EXPECT_EQ(nvm.deviceStats().turnaround_stall_cycles,
               static_cast<std::uint64_t>(p.t_wtr));
 }
 
@@ -142,7 +142,7 @@ TEST(BankedQueue, ReadWithNoPriorWritePaysNoTurnaround)
     NvmMemory nvm(bankedParams());
     const auto r = nvm.read(0x0, 4, 0, nullptr);
     EXPECT_EQ(r.start, 0u);
-    EXPECT_EQ(nvm.turnaroundStallCycles(), 0u);
+    EXPECT_EQ(nvm.deviceStats().turnaround_stall_cycles, 0u);
 }
 
 TEST(BankedQueue, TurnaroundClearsOnPowerCycle)
@@ -180,7 +180,7 @@ TEST(BankedQueue, FullBankQueueStallsTheIssuer)
     EXPECT_EQ(w3.start, done1);  // Queue slot frees with write 1.
     EXPECT_EQ(nvm.queueStallCycles(),
               static_cast<std::uint64_t>(done1));
-    EXPECT_GE(nvm.bankConflicts(), 1u);
+    EXPECT_GE(nvm.deviceStats().bank_conflicts, 1u);
 }
 
 TEST(BankedQueue, DeepQueueAbsorbsTheSameBurst)
@@ -291,9 +291,9 @@ TEST(Wear, TracksPerLineCountsAndHeadroom)
     EXPECT_EQ(w->lineWear(0), 5u);
     EXPECT_EQ(w->lineWear(0x100 / p.wear_line_bytes), 1u);
     EXPECT_EQ(w->lineWear(7), 0u);
-    EXPECT_EQ(nvm.wearMax(), 5u);
-    EXPECT_EQ(nvm.wearLinesTouched(), 2u);
-    EXPECT_EQ(nvm.lifetimeHeadroom(), 995u);
+    EXPECT_EQ(nvm.deviceStats().wear_max, 5u);
+    EXPECT_EQ(nvm.deviceStats().wear_lines_touched, 2u);
+    EXPECT_EQ(nvm.deviceStats().lifetime_headroom, 995u);
 }
 
 TEST(Wear, LineStraddlingWriteWearsBothLines)
@@ -312,8 +312,8 @@ TEST(Wear, UntrackedMemoryReportsFullHeadroom)
     NvmMemory nvm(legacyParams());
     const std::uint32_t v = 1;
     nvm.write(0x0, 4, &v, 0);
-    EXPECT_EQ(nvm.wearMax(), 0u);
-    EXPECT_EQ(nvm.lifetimeHeadroom(),
+    EXPECT_EQ(nvm.deviceStats().wear_max, 0u);
+    EXPECT_EQ(nvm.deviceStats().lifetime_headroom,
               nvm.params().endurance_writes);
 }
 
@@ -325,7 +325,7 @@ TEST(Wear, SurvivesPowerCycleUnlikeTimingState)
     const std::uint32_t v = 1;
     nvm.write(0x0, 4, &v, 0);
     nvm.resetChannel();  // Outage: cursors clear, wear must not.
-    EXPECT_EQ(nvm.wearMax(), 1u);
+    EXPECT_EQ(nvm.deviceStats().wear_max, 1u);
 }
 
 TEST(Wear, TrackerSnapshotRoundTripsBitExactly)
@@ -373,8 +373,8 @@ TEST(WearRotate, RotationSpreadsAHotLine)
     for (int i = 0; i < 64; ++i)
         nvm.write(0x0, 4, &v, 0);
     EXPECT_EQ(nvm.wearRotator()->rotations(), 8u);
-    EXPECT_GT(nvm.wearLinesTouched(), 1u);
-    EXPECT_LT(nvm.wearMax(), 64u);
+    EXPECT_GT(nvm.deviceStats().wear_lines_touched, 1u);
+    EXPECT_LT(nvm.deviceStats().wear_max, 64u);
 
     // Functional contents stay at the logical address regardless.
     EXPECT_EQ(nvm.peekInt(0x0, 4), 1u);
@@ -388,8 +388,8 @@ TEST(WearRotate, WithoutRotationTheHotLineTakesEverything)
     const std::uint32_t v = 1;
     for (int i = 0; i < 64; ++i)
         nvm.write(0x0, 4, &v, 0);
-    EXPECT_EQ(nvm.wearLinesTouched(), 1u);
-    EXPECT_EQ(nvm.wearMax(), 64u);
+    EXPECT_EQ(nvm.deviceStats().wear_lines_touched, 1u);
+    EXPECT_EQ(nvm.deviceStats().wear_max, 64u);
 }
 
 TEST(WearRotate, RotatorSnapshotRoundTrips)
@@ -512,7 +512,7 @@ TEST(WriteLatency, P99IsALog2UpperBoundOnObservedLatency)
         worst = std::max(worst, w.ready - t);
         t = w.ready;
     }
-    const double p99 = nvm.writeLatencyP99();
+    const double p99 = nvm.deviceStats().write_p99_latency;
     EXPECT_GT(p99, 0.0);
     EXPECT_GE(p99, static_cast<double>(worst));
     EXPECT_LE(p99, 2.0 * static_cast<double>(worst));
@@ -521,7 +521,7 @@ TEST(WriteLatency, P99IsALog2UpperBoundOnObservedLatency)
 TEST(WriteLatency, NoWritesMeansZero)
 {
     NvmMemory nvm(bankedParams());
-    EXPECT_EQ(nvm.writeLatencyP99(), 0.0);
+    EXPECT_EQ(nvm.deviceStats().write_p99_latency, 0.0);
 }
 
 // --- Full-device snapshot round-trip ---------------------------------------
@@ -559,9 +559,10 @@ TEST(DeviceSnapshot, QueuedWearRotateHybridStateRoundTrips)
 
     // Observable state agrees...
     EXPECT_EQ(b.numWrites(), a.numWrites());
-    EXPECT_EQ(b.wearMax(), a.wearMax());
-    EXPECT_EQ(b.wearLinesTouched(), a.wearLinesTouched());
-    EXPECT_EQ(b.writeLatencyP99(), a.writeLatencyP99());
+    const NvmDeviceStats sa = a.deviceStats(), sb = b.deviceStats();
+    EXPECT_EQ(sb.wear_max, sa.wear_max);
+    EXPECT_EQ(sb.wear_lines_touched, sa.wear_lines_touched);
+    EXPECT_EQ(sb.write_p99_latency, sa.write_p99_latency);
     EXPECT_EQ(b.channelBusyUntil(), a.channelBusyUntil());
     EXPECT_EQ(b.peekInt(0x0, 4), a.peekInt(0x0, 4));
 

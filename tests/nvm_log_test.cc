@@ -430,10 +430,10 @@ TEST(WlLogSystem, CompletesCleanAndDrainsJournal)
     const nvp::RunResult res = nvp::runExperiment(spec);
     EXPECT_TRUE(res.completed);
     EXPECT_TRUE(res.final_state_correct);
-    EXPECT_GT(res.log_appended_records, 0u);
+    EXPECT_GT(res.nvm_log.appends, 0u);
     // Graceful completion drains every journal-resident line home.
     EXPECT_EQ(res.log_live_lines, 0u);
-    EXPECT_EQ(res.log_replays, 0u);
+    EXPECT_EQ(res.nvm_log.replays, 0u);
 }
 
 TEST(WlLogSystem, EveryOutageReplaysTheJournalOnce)
@@ -449,8 +449,8 @@ TEST(WlLogSystem, EveryOutageReplaysTheJournalOnce)
     EXPECT_TRUE(res.completed);
     EXPECT_TRUE(res.final_state_correct);
     EXPECT_GT(res.outages, 0u);
-    EXPECT_EQ(res.log_replays, res.outages);
-    EXPECT_GT(res.log_replayed_bytes, 0u);
+    EXPECT_EQ(res.nvm_log.replays, res.outages);
+    EXPECT_GT(res.nvm_log.replay_bytes, 0u);
 }
 
 TEST(WlLogSystem, BeatsInPlaceWlOnBankedDeviceRowHitsAndWear)
@@ -476,10 +476,11 @@ TEST(WlLogSystem, BeatsInPlaceWlOnBankedDeviceRowHitsAndWear)
     ASSERT_TRUE(wllog.completed);
 
     const auto hit_rate = [](const nvp::RunResult &r) {
-        return static_cast<double>(r.nvm_row_hits) /
-            static_cast<double>(r.nvm_row_hits + r.nvm_row_misses);
+        const mem::NvmDeviceStats &d = r.nvm_device;
+        return static_cast<double>(d.row_hits) /
+            static_cast<double>(d.row_hits + d.row_misses);
     };
     EXPECT_GT(hit_rate(wllog), hit_rate(wl));
-    EXPECT_LT(wllog.nvm_wear_max, wl.nvm_wear_max);
-    EXPECT_GT(wllog.log_appended_records, 0u);
+    EXPECT_LT(wllog.nvm_device.wear_max, wl.nvm_device.wear_max);
+    EXPECT_GT(wllog.nvm_log.appends, 0u);
 }

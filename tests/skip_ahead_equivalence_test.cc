@@ -269,7 +269,7 @@ TEST(SkipAheadDevice, BankedModelBitIdentical)
     const nvp::RunResult r = expectModesIdentical(
         bankedDeviceConfig(nvp::DesignKind::WL), trace, squareWave(),
         false);
-    EXPECT_GT(r.nvm_wear_lines_touched, 0u);
+    EXPECT_GT(r.nvm_device.wear_lines_touched, 0u);
 }
 
 TEST(SkipAheadDevice, DeepBankQueuesBitIdentical)
@@ -297,7 +297,7 @@ TEST(SkipAheadDevice, WearRotationBitIdentical)
     cfg.nvm.rotate_period_writes = 64;
     const nvp::RunResult r =
         expectModesIdentical(cfg, trace, squareWave(), false);
-    EXPECT_GT(r.nvm_wear_lines_touched, 0u);
+    EXPECT_GT(r.nvm_device.wear_lines_touched, 0u);
 }
 
 TEST(SkipAheadDevice, HybridFastRegionBitIdentical)

@@ -434,8 +434,8 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
         const nvp::RunResult cold = nvp::runExperiment(spec);
         const std::string cold_json = resultJson(cold);
         ASSERT_GT(cold.on_cycles, 0u);
-        EXPECT_GT(cold.nvm_wear_lines_touched, 0u);
-        EXPECT_LT(cold.nvm_lifetime_headroom,
+        EXPECT_GT(cold.nvm_device.wear_lines_touched, 0u);
+        EXPECT_LT(cold.nvm_device.lifetime_headroom,
                   nvp::SystemConfig::forDesign(c.design)
                       .nvm.endurance_writes);
 
@@ -475,7 +475,7 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
                 << "resume at cycle " << snap.cycle;
             EXPECT_EQ(resumed.final_state_digest,
                       cold.final_state_digest);
-            EXPECT_EQ(resumed.nvm_wear_max, cold.nvm_wear_max);
+            EXPECT_EQ(resumed.nvm_device.wear_max, cold.nvm_device.wear_max);
             ++total_points;
         }
     }

@@ -361,11 +361,11 @@ main(int argc, char **argv)
               << r.nvm_bytes_written << " bytes)"
               << (cfg.nvm.track_wear
                       ? "\nnvm wear:          max " +
-                            std::to_string(r.nvm_wear_max) +
+                            std::to_string(r.nvm_device.wear_max) +
                             " writes/line, headroom " +
-                            std::to_string(r.nvm_lifetime_headroom) +
+                            std::to_string(r.nvm_device.lifetime_headroom) +
                             ", write p99 " +
-                            util::fmtDouble(r.nvm_write_p99_latency,
+                            util::fmtDouble(r.nvm_device.write_p99_latency,
                                             0) +
                             " cycles"
                       : "")
@@ -374,7 +374,7 @@ main(int argc, char **argv)
               << "%"
               << "\nstore stalls:      " << r.store_stall_cycles
               << " cycles\n";
-    if (design == nvp::DesignKind::WL) {
+    if (nvp::isWlFamily(design)) {
         std::cout << "wl reconfigs:      " << r.reconfigurations
                   << " (maxline " << r.maxline_min_seen << ".."
                   << r.maxline_max_seen << ", pred-acc "

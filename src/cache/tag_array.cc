@@ -31,47 +31,6 @@ TagArray::TagArray(const CacheParams &params)
     mru_way_.resize(num_sets_, 0);
 }
 
-std::size_t
-TagArray::index(LineRef ref) const
-{
-    wlc_assert(ref.set < num_sets_ && ref.way < assoc_);
-    return static_cast<std::size_t>(ref.set) * assoc_ + ref.way;
-}
-
-std::uint32_t
-TagArray::setIndex(Addr addr) const
-{
-    return static_cast<std::uint32_t>(
-        (addr >> line_shift_) & set_mask_);
-}
-
-std::optional<LineRef>
-TagArray::lookup(Addr addr) const
-{
-    const Addr laddr = lineAddrOf(addr);
-    const std::uint32_t set = setIndex(addr);
-    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-    // MRU-way hint: fetch loops re-touch the same line, so this hits
-    // far more often than the scan. The hint is fully validated, so
-    // the function's result is identical with or without it.
-    const std::uint32_t hint = mru_way_[set];
-    if (hint < assoc_ && valid_[base + hint] &&
-        addrs_[base + hint] == laddr)
-        return LineRef{ set, hint };
-    for (std::uint32_t way = 0; way < assoc_; ++way) {
-        if (valid_[base + way] && addrs_[base + way] == laddr)
-            return LineRef{ set, way };
-    }
-    return std::nullopt;
-}
-
-void
-TagArray::touch(LineRef ref)
-{
-    touch_seq_[index(ref)] = ++seq_;
-    mru_way_[ref.set] = ref.way;
-}
-
 void
 TagArray::touchRepeated(const LineRef *refs, unsigned n,
                         std::uint64_t rounds)
@@ -175,18 +134,6 @@ TagArray::invalidateAll()
     std::fill(valid_.begin(), valid_.end(), 0);
     std::fill(dirty_.begin(), dirty_.end(), 0);
     dirty_count_ = 0;
-}
-
-std::uint8_t *
-TagArray::data(LineRef ref)
-{
-    return bytes_.data() + index(ref) * line_bytes_;
-}
-
-const std::uint8_t *
-TagArray::data(LineRef ref) const
-{
-    return const_cast<TagArray *>(this)->data(ref);
 }
 
 void

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cache/cache_params.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace wlcache {
@@ -71,10 +72,31 @@ class TagArray
     // --- Lookup / replacement ----------------------------------------------
 
     /** Find the line holding @p addr; no replacement-state update. */
-    std::optional<LineRef> lookup(Addr addr) const;
+    std::optional<LineRef> lookup(Addr addr) const
+    {
+        const Addr laddr = lineAddrOf(addr);
+        const std::uint32_t set = setIndex(addr);
+        const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+        // MRU-way hint: fetch loops re-touch the same line, so this
+        // hits far more often than the scan. The hint is fully
+        // validated, so the result is identical with or without it.
+        const std::uint32_t hint = mru_way_[set];
+        if (hint < assoc_ && valid_[base + hint] &&
+            addrs_[base + hint] == laddr)
+            return LineRef{ set, hint };
+        for (std::uint32_t way = 0; way < assoc_; ++way) {
+            if (valid_[base + way] && addrs_[base + way] == laddr)
+                return LineRef{ set, way };
+        }
+        return std::nullopt;
+    }
 
     /** Record an access for LRU bookkeeping. */
-    void touch(LineRef ref);
+    void touch(LineRef ref)
+    {
+        touch_seq_[index(ref)] = ++seq_;
+        mru_way_[ref.set] = ref.way;
+    }
 
     /**
      * Leave the replacement state exactly as @p rounds passes of
@@ -107,8 +129,14 @@ class TagArray
     void invalidateAll();
 
     /** Mutable access to the line's data bytes. */
-    std::uint8_t *data(LineRef ref);
-    const std::uint8_t *data(LineRef ref) const;
+    std::uint8_t *data(LineRef ref)
+    {
+        return bytes_.data() + index(ref) * line_bytes_;
+    }
+    const std::uint8_t *data(LineRef ref) const
+    {
+        return bytes_.data() + index(ref) * line_bytes_;
+    }
 
     /** Number of currently dirty lines (O(1)). */
     unsigned dirtyCount() const { return dirty_count_; }
@@ -134,8 +162,17 @@ class TagArray
 
   private:
     /** Flat metadata index of a line: set * assoc + way. */
-    std::size_t index(LineRef ref) const;
-    std::uint32_t setIndex(Addr addr) const;
+    std::size_t index(LineRef ref) const
+    {
+        wlc_assert(ref.set < num_sets_ && ref.way < assoc_);
+        return static_cast<std::size_t>(ref.set) * assoc_ + ref.way;
+    }
+
+    std::uint32_t setIndex(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(
+            (addr >> line_shift_) & set_mask_);
+    }
 
     unsigned num_sets_;
     unsigned assoc_;

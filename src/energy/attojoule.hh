@@ -18,7 +18,6 @@
 #ifndef WLCACHE_ENERGY_ATTOJOULE_HH
 #define WLCACHE_ENERGY_ATTOJOULE_HH
 
-#include <cmath>
 #include <cstdint>
 
 namespace wlcache {
@@ -31,15 +30,23 @@ using Attojoules = std::uint64_t;
 constexpr double kAttojoulesPerJoule = 1.0e18;
 
 /**
- * Saturation ceiling for toAttojoules(): the largest value that stays
- * comfortably inside llround()'s defined int64 range (~9.2e18). ~9 J.
+ * Saturation ceiling for toAttojoules(), ~9 J. It stays below 2^63
+ * (~9.2e18), so a quantized amount also fits an int64 and the
+ * double-to-integer conversion in toAttojoules() is always defined.
  */
 constexpr Attojoules kMaxAttojoules = 9'000'000'000'000'000'000ull;
 
 /**
  * Quantize a non-negative joule amount to whole attojoules (round to
- * nearest). This is the single quantizer every component shares: two
- * call sites quantizing the same double always agree.
+ * nearest, halves away from zero). This is the single quantizer every
+ * component shares: two call sites quantizing the same double always
+ * agree.
+ *
+ * Equal to std::llround(joules * 1e18) wherever that is defined, but
+ * with no libm call: truncate, then round the fraction. `aj - whole`
+ * is exact for every double in range (the fraction is a multiple of
+ * aj's ulp below 1; from 2^53 up it is 0), so the half compare sees
+ * the true fraction.
  */
 inline Attojoules
 toAttojoules(double joules)
@@ -49,7 +56,8 @@ toAttojoules(double joules)
     const double aj = joules * kAttojoulesPerJoule;
     if (aj >= static_cast<double>(kMaxAttojoules))
         return kMaxAttojoules;
-    return static_cast<Attojoules>(std::llround(aj));
+    const Attojoules whole = static_cast<Attojoules>(aj);
+    return whole + (aj - static_cast<double>(whole) >= 0.5 ? 1 : 0);
 }
 
 /**

@@ -52,31 +52,6 @@ Capacitor::energyAboveVmin() const
     return std::max(0.0, storedEnergy() - energyForVoltage(vmin_v_));
 }
 
-Attojoules
-Capacitor::addAj(Attojoules aj)
-{
-    if (aj >= rail_aj_ - std::min(rail_aj_, energy_aj_)) {
-        const Attojoules absorbed =
-            rail_aj_ - std::min(rail_aj_, energy_aj_);
-        energy_aj_ = rail_aj_;  // Snap exactly to the rail.
-        return absorbed;
-    }
-    energy_aj_ += aj;
-    return aj;
-}
-
-Attojoules
-Capacitor::drawAj(Attojoules aj)
-{
-    if (aj >= energy_aj_) {
-        const Attojoules drawn = energy_aj_;
-        energy_aj_ = 0;  // Bottomed out at the 0 V rail.
-        return drawn;
-    }
-    energy_aj_ -= aj;
-    return aj;
-}
-
 double
 Capacitor::addEnergy(double joules)
 {

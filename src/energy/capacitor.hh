@@ -16,6 +16,8 @@
 #ifndef WLCACHE_ENERGY_CAPACITOR_HH
 #define WLCACHE_ENERGY_CAPACITOR_HH
 
+#include <algorithm>
+
 #include "energy/attojoule.hh"
 
 namespace wlcache {
@@ -66,7 +68,16 @@ class Capacitor
      * @return attojoules actually absorbed — exactly the change in
      * storedAj().
      */
-    Attojoules addAj(Attojoules aj);
+    Attojoules addAj(Attojoules aj)
+    {
+        const Attojoules room = rail_aj_ - std::min(rail_aj_, energy_aj_);
+        if (aj >= room) {
+            energy_aj_ = rail_aj_;  // Snap exactly to the rail.
+            return room;
+        }
+        energy_aj_ += aj;
+        return aj;
+    }
 
     /**
      * Draw energy; the level clamps at 0 when the demand exceeds the
@@ -74,7 +85,16 @@ class Capacitor
      * @return attojoules actually drawn — exactly the change in
      * storedAj().
      */
-    Attojoules drawAj(Attojoules aj);
+    Attojoules drawAj(Attojoules aj)
+    {
+        if (aj >= energy_aj_) {
+            const Attojoules drawn = energy_aj_;
+            energy_aj_ = 0;  // Bottomed out at the 0 V rail.
+            return drawn;
+        }
+        energy_aj_ -= aj;
+        return aj;
+    }
 
     /**
      * Joule-typed addAj(): the deposit is quantized to whole aJ.

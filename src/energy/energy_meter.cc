@@ -23,21 +23,6 @@ energyCategoryName(EnergyCategory cat)
     panic("unknown EnergyCategory %d", static_cast<int>(cat));
 }
 
-void
-EnergyMeter::add(EnergyCategory cat, double joules)
-{
-    wlc_assert(cat != EnergyCategory::NumCategories);
-    wlc_assert(joules >= 0.0);
-    addAj(cat, toAttojoules(joules));
-}
-
-void
-EnergyMeter::addAj(EnergyCategory cat, Attojoules aj)
-{
-    wlc_assert(cat != EnergyCategory::NumCategories);
-    aj_[static_cast<std::size_t>(cat)] += aj;
-}
-
 double
 EnergyMeter::get(EnergyCategory cat) const
 {
@@ -57,19 +42,11 @@ EnergyMeter::total() const
     return toJoules(totalAj());
 }
 
-Attojoules
-EnergyMeter::totalAj() const
-{
-    Attojoules sum = 0;
-    for (const Attojoules a : aj_)
-        sum += a;
-    return sum;
-}
-
 void
 EnergyMeter::reset()
 {
     aj_.fill(0);
+    total_ = 0;
 }
 
 void
@@ -78,6 +55,11 @@ EnergyMeter::ioState(StateIo &io)
     io.section("METR");
     for (Attojoules &a : aj_)
         io.u64(a);
+    if (io.loading()) {
+        total_ = 0;
+        for (const Attojoules a : aj_)
+            total_ += a;
+    }
 }
 
 } // namespace energy

@@ -18,6 +18,7 @@
 #include <cstddef>
 
 #include "energy/attojoule.hh"
+#include "sim/logging.hh"
 
 namespace wlcache {
 
@@ -50,10 +51,19 @@ class EnergyMeter
         static_cast<std::size_t>(EnergyCategory::NumCategories);
 
     /** Add @p joules (quantized to whole aJ) to category @p cat. */
-    void add(EnergyCategory cat, double joules);
+    void add(EnergyCategory cat, double joules)
+    {
+        wlc_assert(joules >= 0.0);
+        addAj(cat, toAttojoules(joules));
+    }
 
     /** Add an exact attojoule amount to category @p cat. */
-    void addAj(EnergyCategory cat, Attojoules aj);
+    void addAj(EnergyCategory cat, Attojoules aj)
+    {
+        wlc_assert(cat != EnergyCategory::NumCategories);
+        aj_[static_cast<std::size_t>(cat)] += aj;
+        total_ += aj;
+    }
 
     /** Consumption of a single category, joules. */
     double get(EnergyCategory cat) const;
@@ -64,8 +74,8 @@ class EnergyMeter
     /** Total across all categories, joules. */
     double total() const;
 
-    /** Total across all categories, attojoules (exact). */
-    Attojoules totalAj() const;
+    /** Total across all categories, attojoules (exact, O(1)). */
+    Attojoules totalAj() const { return total_; }
 
     /** Zero every category. */
     void reset();
@@ -75,6 +85,11 @@ class EnergyMeter
 
   private:
     std::array<Attojoules, kNumCategories> aj_{};
+    /**
+     * Running sum of aj_, so the run loop reads the total per event
+     * without the category sum. Derived state: not serialized.
+     */
+    Attojoules total_ = 0;
 };
 
 } // namespace energy

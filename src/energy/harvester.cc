@@ -70,25 +70,7 @@ Harvester::topUp(Capacitor &cap)
 }
 
 Attojoules
-Harvester::advanceWithinSample(Cycle cycles, Capacitor &cap)
-{
-    wlc_assert(cycles <= period_cycles_ - pos_in_sample_cycles_);
-    const Attojoules deposited =
-        cap.addAj(scaleAttojoules(currentRateAj(), cycles));
-    total_harvested_aj_ += deposited;
-    now_cycles_ += cycles;
-    pos_in_sample_cycles_ += cycles;
-    // The cursor steps *when* the boundary is reached (rebasing the
-    // phase to exactly 0), so a call that ends on a boundary leaves
-    // currentPower() reading the next sample rather than the stale
-    // one until the next advance.
-    if (pos_in_sample_cycles_ == period_cycles_)
-        stepSample();
-    return deposited;
-}
-
-Attojoules
-Harvester::advanceCycles(Cycle cycles, Capacitor &cap)
+Harvester::walkCycles(Cycle cycles, Capacitor &cap)
 {
     if (infinite_) {
         now_cycles_ += cycles;

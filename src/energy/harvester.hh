@@ -18,6 +18,7 @@
 
 #include "energy/capacitor.hh"
 #include "energy/power_trace.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace wlcache {
@@ -53,7 +54,18 @@ class Harvester
      * called N times reaches exactly the same state (integer adds).
      * @return attojoules deposited.
      */
-    Attojoules advanceCycles(Cycle cycles, Capacitor &cap);
+    Attojoules advanceCycles(Cycle cycles, Capacitor &cap)
+    {
+        // Fast path for the run loop's common span: non-empty and
+        // ending strictly inside the current sample, so the cursor
+        // does not step. The walk never hands a zero span to the
+        // capacitor, and a span ending on the sample edge steps the
+        // sample: those, and the infinite supply, take the walk.
+        if (!infinite_ && cycles != 0 &&
+            cycles < period_cycles_ - pos_in_sample_cycles_)
+            return advanceWithinSample(cycles, cap);
+        return walkCycles(cycles, cap);
+    }
 
     /**
      * Seconds-typed advanceCycles() (rounds @p dt_s to whole cycles).
@@ -110,6 +122,9 @@ class Harvester
     void ioState(StateIo &io);
 
   private:
+    /** advanceCycles() for any span: walks sample by sample. */
+    Attojoules walkCycles(Cycle cycles, Capacitor &cap);
+
     /** Move the cursor to the start of the next trace sample. */
     void stepSample();
 
@@ -120,7 +135,22 @@ class Harvester
      * Advance @p cycles (all within the current sample) in one step.
      * @return attojoules deposited.
      */
-    Attojoules advanceWithinSample(Cycle cycles, Capacitor &cap);
+    Attojoules advanceWithinSample(Cycle cycles, Capacitor &cap)
+    {
+        wlc_assert(cycles <= period_cycles_ - pos_in_sample_cycles_);
+        const Attojoules deposited =
+            cap.addAj(scaleAttojoules(rate_aj_, cycles));
+        total_harvested_aj_ += deposited;
+        now_cycles_ += cycles;
+        pos_in_sample_cycles_ += cycles;
+        // The cursor steps *when* the boundary is reached (rebasing
+        // the phase to exactly 0), so a call that ends on a boundary
+        // leaves currentPower() reading the next sample rather than
+        // the stale one until the next advance.
+        if (pos_in_sample_cycles_ == period_cycles_)
+            stepSample();
+        return deposited;
+    }
 
     /** Top @p cap to Vmax (infinite-supply mode). */
     Attojoules topUp(Capacitor &cap);

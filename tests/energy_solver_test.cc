@@ -11,11 +11,13 @@
  * Covered corners: partition invariance across arbitrary split points
  * (including sample edges), the Vmax rail clamp mid-span, zero-power
  * samples, threshold targets that land exactly on a cycle vs. between
- * cycles, the charge-until timeout, and saturating leakage math.
+ * cycles, the charge-until timeout, saturating leakage math, and the
+ * libm-free quantizer against std::llround.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "energy/harvester.hh"
 #include "energy/power_trace.hh"
 #include "sim/rng.hh"
+#include "sim/snapshot.hh"
 #include "sim/types.hh"
 
 using namespace wlcache;
@@ -132,6 +135,89 @@ TEST(SolverProperty, ClosedFormEqualsPerCycleScan)
             ds += scan.harv.advanceCycles(1, scan.cap);
         EXPECT_EQ(dc, ds) << "iter " << iter;
         EXPECT_TRUE(closed.sameStateAs(scan)) << "iter " << iter;
+    }
+}
+
+TEST(SolverProperty, ChunkedAdvanceEqualsSingleCycleSteps)
+{
+    // advanceCycles() takes an inline path for a span ending inside
+    // the current sample and a walk for the rest. Any chunking of a
+    // run must land where one-cycle steps do: capacitor level,
+    // harvest total, and the clock, sample index and phase (compared
+    // as the serialized HARV state). Spans include zero, ones ending
+    // exactly on a sample edge, multi-sample ones, and ones taken
+    // right after the harvester is reloaded from a snapshot.
+    const auto state = [](const Harvester &h) {
+        SnapshotWriter w;
+        StateIo::save(h, w);
+        return w.take();
+    };
+    Rng rng(0xf00du);
+    for (unsigned iter = 0; iter < 60; ++iter) {
+        SCOPED_TRACE(iter);
+        const PowerTrace trace = randomTrace(rng);
+        const double eff = rng.nextDouble(0.4, 1.0);
+        const bool infinite = iter % 6 == 5;
+        // Small capacitor so the rail clamp engages.
+        const double cap_f = rng.nextDouble(0.05e-6, 0.5e-6);
+        const double v0 = rng.nextDouble(2.8, 3.5);
+        Capacitor chunk_cap(cap_f, 2.8, 3.5);
+        Capacitor step_cap(cap_f, 2.8, 3.5);
+        chunk_cap.setVoltage(v0);
+        step_cap.setVoltage(v0);
+        std::optional<Harvester> chunk(std::in_place, trace, eff,
+                                       infinite);
+        Harvester step(trace, eff, infinite);
+
+        const Cycle period = step.periodCycles();
+        const Cycle total = period * (2 + rng.nextBelow(3)) +
+                            rng.nextBelow(1000);
+        Attojoules chunk_sum = 0;
+        Attojoules step_sum = 0;
+        for (Cycle done = 0; done < total;) {
+            Cycle span = 0;
+            switch (rng.nextBelow(5)) {
+              case 0:  // zero-cycle span
+                break;
+              case 1:  // up to the next sample edge exactly
+                span = period - done % period;
+                break;
+              case 2:  // across one or more sample edges
+                span = period + rng.nextBelow(2 * period);
+                break;
+              default:  // inside the current sample, usually
+                span = 1 + rng.nextBelow(period / 4);
+                break;
+            }
+            span = std::min(span, total - done);
+            chunk_sum += chunk->advanceCycles(span, chunk_cap);
+            for (Cycle i = 0; i < span; ++i)
+                step_sum += step.advanceCycles(1, step_cap);
+            // The infinite supply tops up on every call, zero spans
+            // included.
+            if (span == 0 && infinite)
+                step_sum += step.advanceCycles(0, step_cap);
+            done += span;
+
+            ASSERT_EQ(chunk_cap.storedAj(), step_cap.storedAj())
+                << "at cycle " << done;
+            ASSERT_EQ(chunk_sum, step_sum) << "at cycle " << done;
+            ASSERT_EQ(chunk->totalHarvestedAj(), step.totalHarvestedAj());
+            ASSERT_EQ(state(*chunk), state(step)) << "at cycle " << done;
+
+            // Drain a little so later deposits are not all clamped.
+            const Attojoules draw = rng.nextBelow(step_cap.storedAj() / 8 + 1);
+            chunk_cap.drawAj(draw);
+            step_cap.drawAj(draw);
+
+            if (rng.nextBelow(6) == 0) {
+                const std::vector<std::uint8_t> bytes = state(*chunk);
+                chunk.emplace(trace, eff, infinite);
+                SnapshotReader r(bytes);
+                StateIo::load(*chunk, r);
+                ASSERT_TRUE(r.atEnd());
+            }
+        }
     }
 }
 
@@ -294,4 +380,80 @@ TEST(SolverProperty, QuantizerEdges)
     // exactly-representable double).
     EXPECT_EQ(toJoules(0), 0.0);
     EXPECT_DOUBLE_EQ(toJoules(kMaxAttojoules), 9.0);
+}
+
+TEST(SolverProperty, QuantizerMatchesLlround)
+{
+    // toAttojoules() rounds without libm; it must agree with
+    // std::llround(x * 1e18) on every input llround is defined for.
+    unsigned checked = 0;
+    unsigned exact_halves = 0;
+    const auto check = [&](double joules) {
+        const double aj = joules * kAttojoulesPerJoule;
+        if (!(aj > 0.0) || aj >= static_cast<double>(kMaxAttojoules))
+            return;
+        ++checked;
+        if (aj - std::trunc(aj) == 0.5)
+            ++exact_halves;
+        ASSERT_EQ(toAttojoules(joules),
+                  static_cast<Attojoules>(std::llround(aj)))
+            << std::hexfloat << "joules " << joules << " aj " << aj;
+    };
+    // The joule doubles nearest to an attojoule value, so the
+    // product lands on it (or on a neighbour) exactly.
+    const auto checkAj = [&](double aj) {
+        double x = aj / kAttojoulesPerJoule;
+        for (int i = 0; i < 3; ++i)
+            x = std::nextafter(x, 0.0);
+        for (int i = 0; i < 7; ++i) {
+            check(x);
+            x = std::nextafter(x, HUGE_VAL);
+        }
+    };
+    // Every k + 0.5 aJ and its two neighbours, small k.
+    for (std::uint64_t k = 0; k < 4096; ++k) {
+        const double half = static_cast<double>(k) + 0.5;
+        checkAj(std::nextafter(half, 0.0));
+        checkAj(half);
+        checkAj(std::nextafter(half, HUGE_VAL));
+    }
+    // Near 2^52 (the last binade with a .5), 2^53 (the first with
+    // none) and the saturation ceiling: walk every double nearby.
+    for (const double edge : { 0x1p52, 0x1p53,
+                               static_cast<double>(kMaxAttojoules) }) {
+        double lo = edge;
+        double hi = edge;
+        for (int i = 0; i < 256; ++i) {
+            lo = std::nextafter(lo, 0.0);
+            hi = std::nextafter(hi, HUGE_VAL);
+            checkAj(lo);
+            checkAj(hi);
+        }
+        checkAj(edge);
+    }
+    EXPECT_GT(exact_halves, 1000u);
+
+    // Seeded doubles spanning 1e-20 .. 9 J, log-uniform.
+    Rng rng(0x5eedu);
+    for (unsigned i = 0; i < 1'000'000; ++i)
+        check(1.0e-20 * std::pow(9.0e20, rng.nextDouble()));
+    EXPECT_GT(checked, 1'000'000u);
+
+    // Outside llround's use: zero, negatives, NaN and saturation.
+    EXPECT_EQ(toAttojoules(0.0), 0u);
+    EXPECT_EQ(toAttojoules(-0.0), 0u);
+    EXPECT_EQ(toAttojoules(-0.5e-18), 0u);
+    EXPECT_EQ(toAttojoules(-HUGE_VAL), 0u);
+    EXPECT_EQ(toAttojoules(std::nan("")), 0u);
+    EXPECT_EQ(toAttojoules(static_cast<double>(kMaxAttojoules) /
+                           kAttojoulesPerJoule),
+              kMaxAttojoules);
+    EXPECT_EQ(toAttojoules(9.5), kMaxAttojoules);
+    EXPECT_EQ(toAttojoules(HUGE_VAL), kMaxAttojoules);
+    // Just below the ceiling the quantizer still rounds.
+    const double below = std::nextafter(
+        static_cast<double>(kMaxAttojoules), 0.0);
+    EXPECT_EQ(toAttojoules(below / kAttojoulesPerJoule),
+              static_cast<Attojoules>(std::llround(
+                  below / kAttojoulesPerJoule * kAttojoulesPerJoule)));
 }

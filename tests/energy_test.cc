@@ -9,6 +9,7 @@
 #include "energy/energy_meter.hh"
 #include "energy/harvester.hh"
 #include "energy/power_trace.hh"
+#include "sim/rng.hh"
 #include "sim/snapshot.hh"
 
 using namespace wlcache;
@@ -375,6 +376,69 @@ TEST(EnergyMeter, ResetZeroes)
     m.add(EnergyCategory::Leakage, 1.0);
     m.reset();
     EXPECT_DOUBLE_EQ(m.total(), 0.0);
+}
+
+TEST(EnergyMeter, RunningTotalIsTheCategorySum)
+{
+    // totalAj() is a running sum kept beside the categories; it must
+    // equal their sum after adds, reset() and a snapshot load, and
+    // it must not reach the METR bytes.
+    constexpr std::size_t n = EnergyMeter::kNumCategories;
+    const auto sum = [](const EnergyMeter &m) {
+        Attojoules s = 0;
+        for (std::size_t c = 0; c < n; ++c)
+            s += m.getAj(static_cast<EnergyCategory>(c));
+        return s;
+    };
+    const auto bytes = [](const EnergyMeter &m) {
+        SnapshotWriter w;
+        StateIo::save(m, w);
+        return w.take();
+    };
+    // The same random adds, applied to @p m.
+    const auto addRandom = [](EnergyMeter &m, std::uint64_t seed) {
+        Rng rng(seed);
+        for (int i = 0; i < 500; ++i) {
+            const auto cat = static_cast<EnergyCategory>(rng.nextBelow(n));
+            if (rng.nextBool())
+                m.addAj(cat, rng.nextBelow(1'000'000'000));
+            else
+                m.add(cat, rng.nextDouble(0.0, 1.0e-6));
+        }
+    };
+
+    EnergyMeter a;
+    addRandom(a, 1);
+    EXPECT_EQ(a.totalAj(), sum(a));
+    EXPECT_GT(a.totalAj(), 0u);
+
+    EnergyMeter same;
+    addRandom(same, 1);
+    EXPECT_EQ(bytes(same), bytes(a));
+
+    EnergyMeter cleared;
+    addRandom(cleared, 2);
+    cleared.reset();
+    EXPECT_EQ(cleared.totalAj(), 0u);
+    EXPECT_EQ(cleared.totalAj(), sum(cleared));
+    addRandom(cleared, 1);
+    EXPECT_EQ(cleared.totalAj(), a.totalAj());
+    EXPECT_EQ(bytes(cleared), bytes(a));
+
+    EnergyMeter loaded;
+    addRandom(loaded, 3);
+    const std::vector<std::uint8_t> saved = bytes(a);
+    SnapshotReader r(saved);
+    StateIo::load(loaded, r);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(loaded.totalAj(), sum(loaded));
+    EXPECT_EQ(loaded.totalAj(), a.totalAj());
+    EXPECT_EQ(bytes(loaded), saved);
+    // Adds after the load keep the total in step.
+    loaded.addAj(EnergyCategory::Restore, 12345);
+    a.addAj(EnergyCategory::Restore, 12345);
+    EXPECT_EQ(loaded.totalAj(), sum(loaded));
+    EXPECT_EQ(bytes(loaded), bytes(a));
 }
 
 TEST(EnergyMeter, CategoryNames)

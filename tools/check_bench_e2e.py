@@ -2,7 +2,8 @@
 """Gate the tracked end-to-end benchmarks (bench/bench_end_to_end.cc).
 
 Reads a Google-Benchmark JSON file from a fresh run and checks the
-skip_ahead / percycle speedup RATIO of every BM_EndToEnd pair. Ratios
+skip_ahead / percycle speedup RATIO of every BM_EndToEnd pair (each
+pair's absolute sim_cycles_per_sec is printed beside it, ungated). Ratios
 are what the tentpole promises and — unlike absolute rates — survive a
 change of CI hardware, so the gates are:
 
@@ -32,7 +33,7 @@ MAX_RATIO_REGRESSION = 0.10
 
 
 def load_rates(path):
-    """Map config name -> {mode: sim_cycles_per_sec}.
+    """Map config name -> (SkipAhead, Percycle) sim_cycles_per_sec.
 
     Prefers the `median` aggregate when the run used repetitions;
     falls back to the plain (single-run) entry.
@@ -55,11 +56,16 @@ def load_rates(path):
         if agg == "median" or m.group("mode") not in slot:
             slot[m.group("mode")] = float(rate)
     return {
-        cfg: modes["SkipAhead"] / modes["Percycle"]
+        cfg: (modes["SkipAhead"], modes["Percycle"])
         for cfg, modes in rates.items()
         if "SkipAhead" in modes and "Percycle" in modes
         and modes["Percycle"] > 0.0
     }
+
+
+def ratio(rates):
+    """The skip_ahead / percycle speedup of one pair."""
+    return rates[0] / rates[1]
 
 
 def main(argv):
@@ -74,20 +80,24 @@ def main(argv):
               file=sys.stderr)
         return 2
 
+    # The absolute rates (simulated cycles per host second) are shown
+    # for reference only; the gates read the ratios.
     failed = False
-    print(f"{'pair':<18} {'ratio':>7} {'baseline':>9}  verdict")
+    print(f"{'pair':<18} {'skip_ahead':>10} {'percycle':>10} "
+          f"{'ratio':>7} {'baseline':>9}  verdict")
     for cfg in sorted(current):
-        ratio = current[cfg]
-        base = baseline.get(cfg)
+        skip, percycle = current[cfg]
+        r = ratio(current[cfg])
+        base = ratio(baseline[cfg]) if cfg in baseline else None
         verdicts = []
-        if cfg == "GapHeavy" and ratio < GAP_HEAVY_MIN_RATIO:
+        if cfg == "GapHeavy" and r < GAP_HEAVY_MIN_RATIO:
             verdicts.append(f"BELOW {GAP_HEAVY_MIN_RATIO}x bar")
-        if base is not None and ratio < base * (1 - MAX_RATIO_REGRESSION):
+        if base is not None and r < base * (1 - MAX_RATIO_REGRESSION):
             verdicts.append(f">{MAX_RATIO_REGRESSION:.0%} regression")
         failed = failed or bool(verdicts)
         base_str = f"{base:8.2f}x" if base is not None else "        -"
-        print(f"{cfg:<18} {ratio:6.2f}x {base_str}  "
-              f"{'; '.join(verdicts) or 'ok'}")
+        print(f"{cfg:<18} {skip:10.3e} {percycle:10.3e} {r:6.2f}x "
+              f"{base_str}  {'; '.join(verdicts) or 'ok'}")
 
     for cfg in sorted(set(baseline) - set(current)):
         print(f"{cfg:<18} missing from current run  FAIL")

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 
 #include "explore/objectives.hh"
 #include "explore/pareto.hh"
-#include "nvp/snapshot.hh"
 #include "runner/runner.hh"
 #include "sim/logging.hh"
-#include "workloads/workloads.hh"
 
 namespace wlcache {
 namespace explore {
@@ -26,7 +23,6 @@ runJobs(const ExploreConfig &cfg, const runner::JobSet &set,
     runner::RunnerConfig rc;
     rc.jobs = cfg.jobs;
     rc.cache_dir = cfg.cache_dir;
-    rc.snapshot_dir = cfg.snapshot_dir;
     rc.progress = cfg.progress;
     rc.progress_out = cfg.progress_out;
     runner::Runner runner(rc);
@@ -42,81 +38,34 @@ runJobs(const ExploreConfig &cfg, const runner::JobSet &set,
  * The jobs that evaluate @p points: one per point, at @p scale (0
  * keeps each point's own), or under a @p fleet block one per node,
  * node fastest — power_node = n, the block's jitter and the node's
- * mix workload. A point may carry a resume snapshot (snapshot_extend's
- * final rung) — a pure accelerator that never changes results or
- * cache keys.
+ * mix workload.
  */
 runner::JobSet
 pointJobs(const std::vector<const DesignPoint *> &points, unsigned scale,
-          const std::optional<FleetBlock> &fleet,
-          const std::vector<std::shared_ptr<nvp::SystemSnapshot>>
-              *resumes = nullptr)
+          const std::optional<FleetBlock> &fleet)
 {
     runner::JobSet set;
     const std::vector<std::string> pattern =
         fleet ? fleet->workloadPattern() : std::vector<std::string>{};
-    for (std::size_t k = 0; k < points.size(); ++k) {
-        const DesignPoint &p = *points[k];
+    for (const DesignPoint *p : points) {
         if (fleet) {
             for (unsigned n = 0; n < fleet->nodes; ++n) {
-                nvp::ExperimentSpec spec = p.spec;
+                nvp::ExperimentSpec spec = p->spec;
                 spec.power_node = n;
                 spec.power_jitter = fleet->jitter;
                 if (!pattern.empty())
                     spec.workload = pattern[n % pattern.size()];
-                set.add(std::move(spec), p.id + "#n" + std::to_string(n));
+                set.add(std::move(spec), p->id + "#n" + std::to_string(n));
             }
             continue;
         }
-        nvp::ExperimentSpec spec = p.spec;
+        nvp::ExperimentSpec spec = p->spec;
         if (scale != 0)
             spec.scale = scale;
-        const std::string label = p.id + "@x" + std::to_string(spec.scale);
-        const std::size_t j = set.add(std::move(spec), label);
-        if (resumes && (*resumes)[k] && (*resumes)[k]->valid())
-            set.setResume(j, (*resumes)[k]);
+        const std::string label = p->id + "@x" + std::to_string(spec.scale);
+        set.add(std::move(spec), label);
     }
     return set;
-}
-
-/**
- * One snapshot_extend triage rung: every entrant runs the
- * *full-scale* trace truncated at an event budget proportional to
- * @p scale, resuming from its previous rung's cut snapshot and
- * cutting a new one at the budget. @p cuts is parallel to
- * @p entrants: consumed as resume points, overwritten with the new
- * cuts. @p max_budget reports the rung's largest budget.
- */
-std::vector<nvp::RunResult>
-runExtendRung(const ExploreConfig &cfg,
-              const std::vector<const DesignPoint *> &entrants,
-              unsigned scale, unsigned full_scale,
-              std::vector<std::shared_ptr<nvp::SystemSnapshot>> &cuts,
-              std::uint64_t &max_budget, ExploreReport &report)
-{
-    runner::JobSet set;
-    std::vector<std::shared_ptr<nvp::SystemSnapshot>> next(
-        entrants.size());
-    max_budget = 0;
-    for (std::size_t k = 0; k < entrants.size(); ++k) {
-        nvp::ExperimentSpec spec = entrants[k]->spec;
-        const std::uint64_t total =
-            workloads::getTrace(spec.workload, spec.scale,
-                                spec.workload_seed)
-                .events.size();
-        std::uint64_t budget = total * scale / full_scale;
-        if (budget == 0)
-            budget = 1;
-        max_budget = std::max(max_budget, budget);
-        next[k] = std::make_shared<nvp::SystemSnapshot>();
-        const std::size_t j =
-            set.add(std::move(spec), entrants[k]->id + "@e" +
-                                         std::to_string(budget));
-        set.setBudget(j, budget, cuts[k], next[k]);
-    }
-    auto results = runJobs(cfg, set, report.triage_runs, report);
-    cuts = std::move(next);
-    return results;
 }
 
 /** Objective vectors for @p points at the scale they just ran. */
@@ -223,13 +172,6 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
     std::vector<std::size_t> alive(points.size());
     std::iota(alive.begin(), alive.end(), 0);
 
-    // snapshot_extend: per-point cut snapshots, carried rung to rung
-    // (indexed like `points`; null until the point's first rung).
-    const bool extend = cfg.sweep.mode == SearchMode::Halving &&
-                        cfg.sweep.snapshot_extend;
-    std::vector<std::shared_ptr<nvp::SystemSnapshot>> cuts(
-        extend ? points.size() : 0);
-
     if (cfg.sweep.mode == SearchMode::Halving &&
         cfg.sweep.min_scale < full_scale && points.size() > 1) {
         // Triage rungs: min_scale, x eta, ... strictly below full.
@@ -239,30 +181,11 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
             std::vector<const DesignPoint *> entrants;
             for (const std::size_t i : alive)
                 entrants.push_back(&points[i]);
-            std::vector<nvp::RunResult> results;
-            std::vector<std::vector<double>> objs;
-            std::uint64_t budget = 0;
-            if (extend) {
-                std::vector<std::shared_ptr<nvp::SystemSnapshot>>
-                    rung_cuts;
-                rung_cuts.reserve(alive.size());
-                for (const std::size_t i : alive)
-                    rung_cuts.push_back(cuts[i]);
-                results = runExtendRung(cfg, entrants, scale,
-                                        full_scale, rung_cuts,
-                                        budget, report);
-                for (std::size_t k = 0; k < alive.size(); ++k)
-                    cuts[alive[k]] = rung_cuts[k];
-                // Budgeted rungs run the full-scale trace, so the
-                // objectives resolve at full scale.
-                objs = evalAll(objectives, entrants, results,
-                               full_scale);
-            } else {
-                results = runJobs(cfg,
-                                  pointJobs(entrants, scale, std::nullopt),
-                                  report.triage_runs, report);
-                objs = evalAll(objectives, entrants, results, scale);
-            }
+            const std::vector<nvp::RunResult> results =
+                runJobs(cfg, pointJobs(entrants, scale, std::nullopt),
+                        report.triage_runs, report);
+            const std::vector<std::vector<double>> objs =
+                evalAll(objectives, entrants, results, scale);
 
             // Promote ceil(n/eta) by non-dominated rank, then
             // objective vector, then id — whole Pareto fronts
@@ -286,24 +209,17 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
             std::sort(promoted.begin(), promoted.end());
 
             report.rungs.push_back(
-                { scale, alive.size(), promoted.size(), budget });
+                { scale, alive.size(), promoted.size() });
             alive = std::move(promoted);
         }
     }
 
     // Final rung: the survivors at full scale, once per node under a
-    // fleet block. Under snapshot_extend the survivors fast-forward
-    // from their last cut; the cache key stays the plain full-run
-    // key, so the result is interchangeable with a cold full-scale run.
+    // fleet block.
     std::vector<const DesignPoint *> entrants;
-    std::vector<std::shared_ptr<nvp::SystemSnapshot>> resumes;
-    for (const std::size_t i : alive) {
+    for (const std::size_t i : alive)
         entrants.push_back(&points[i]);
-        if (extend)
-            resumes.push_back(cuts[i]);
-    }
-    const runner::JobSet set =
-        pointJobs(entrants, 0, fleet, extend ? &resumes : nullptr);
+    const runner::JobSet set = pointJobs(entrants, 0, fleet);
     const std::vector<nvp::RunResult> results =
         runJobs(cfg, set, report.full_runs, report);
     if (cfg.sweep.mode == SearchMode::Halving)

@@ -46,13 +46,6 @@ struct ExploreConfig
 
     unsigned jobs = 0;          //!< Worker threads (0 = default).
     std::string cache_dir;      //!< Result cache; empty disables.
-    /**
-     * Snapshot-store directory for snapshot_extend halving: rung cut
-     * snapshots persist here (keyed like the result cache) so a warm
-     * re-exploration can still extend cached rungs. Empty keeps cuts
-     * in memory for this exploration only.
-     */
-    std::string snapshot_dir;
     bool progress = false;      //!< Per-job progress lines.
     /** Progress sink; null falls back to std::cerr. */
     std::ostream *progress_out = nullptr;
@@ -97,12 +90,6 @@ struct RungStats
     unsigned scale = 1;          //!< Workload scale of this rung.
     std::size_t entrants = 0;    //!< Points evaluated.
     std::size_t promoted = 0;    //!< Points advanced to the next rung.
-    /**
-     * Largest per-point event budget of a snapshot_extend rung (the
-     * full-scale trace truncated proportionally); 0 on scale-based
-     * rungs and the final full rung.
-     */
-    std::uint64_t budget_events = 0;
 };
 
 /** Everything an exploration learned. */

@@ -599,8 +599,7 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
         } else if (key == "search") {
             if (!jv.isObject())
                 return fail(err, path + ": expected an object "
-                                 "{mode, eta?, min_scale?, "
-                                 "snapshot_extend?}");
+                                 "{mode, eta?, min_scale?}");
             for (const auto &[skey, sv] : jv.members()) {
                 if (skey == "mode") {
                     if (!sv.isString() ||
@@ -620,11 +619,6 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                         return false;
                     (skey == "eta" ? spec.eta : spec.min_scale) =
                         static_cast<unsigned>(v);
-                } else if (skey == "snapshot_extend") {
-                    if (!sv.isBool())
-                        return fail(err, path + ".snapshot_extend: "
-                                         "expected a boolean");
-                    spec.snapshot_extend = sv.asBool();
                 } else {
                     return fail(err, path + "." + skey +
                                      ": unknown search key");

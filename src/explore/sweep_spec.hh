@@ -155,16 +155,6 @@ struct SweepSpec
     unsigned eta = 2;
     /** Workload scale of the cheapest triage rung. */
     unsigned min_scale = 1;
-    /**
-     * Halving rungs as event budgets instead of reduced scales: every
-     * rung runs the full-scale trace truncated at a proportional
-     * event budget, each run cuts a snapshot at its budget, and a
-     * promoted point *extends* its snapshot on the next rung instead
-     * of re-simulating from cycle 0. The final rung resumes from the
-     * last cut and produces the exact full-scale result (resume is
-     * observationally identical to cold execution).
-     */
-    bool snapshot_extend = false;
 };
 
 /** One fully-resolved point of the expanded space. */

@@ -8,10 +8,9 @@
  * RunResult, same final-image digest, same post-resume timeline.
  *
  * Fault-injection campaigns use interval snapshots of the golden run
- * to fast-forward each injection point past its (identical) prefix;
- * the explorer's successive-halving extends triage rungs instead of
- * re-simulating them; the runner stores snapshots content-addressed
- * next to its result cache.
+ * to fast-forward each injection point past its (identical) prefix,
+ * and keep that ladder content-addressed on disk
+ * (runner::SnapshotStore) next to the result cache.
  */
 
 #ifndef WLCACHE_NVP_SNAPSHOT_HH

@@ -733,14 +733,8 @@ SystemSim::restoreSnapshot(const SystemSnapshot &snap)
 RunResult
 SystemSim::run(const RunOptions &opts)
 {
-    const SystemSnapshot *resume = opts.resume;
-    if (resume && opts.resume_best_effort &&
-        resume->compat_key != snapshotKey()) {
-        warn("ignoring incompatible resume snapshot (cold start)");
-        resume = nullptr;
-    }
-    if (resume) {
-        restoreSnapshot(*resume);
+    if (opts.resume) {
+        restoreSnapshot(*opts.resume);
         WLC_TIMELINE(tl_, SnapshotResume, now_, "system", idx_,
                      res_.outages);
     } else {

@@ -145,19 +145,9 @@ struct RunOptions
 {
     /**
      * Resume from this snapshot instead of booting cold (null runs
-     * cold). The snapshot's compat_key must match this system's,
-     * unless resume_best_effort is set.
+     * cold). The snapshot's compat_key must match this system's.
      */
     const SystemSnapshot *resume = nullptr;
-
-    /**
-     * Treat an incompatible resume snapshot as absent (cold start)
-     * instead of a fatal error. A resume is purely an accelerator, so
-     * falling back is always observationally safe; the runner uses
-     * this when resuming drain checkpoints that may have been written
-     * by an older binary.
-     */
-    bool resume_best_effort = false;
 
     /**
      * Stop once this many trace events have been consumed since run
@@ -174,7 +164,7 @@ struct RunOptions
      * event boundary; once it reads true the run stops exactly as if
      * max_events had been reached there, capturing *cut when set.
      * Signal handlers can flip it — this is how an interrupted runner
-     * checkpoints its in-flight jobs mid-run (runner::interruptFlag()).
+     * stops its in-flight jobs mid-run (runner::interruptFlag()).
      */
     const std::atomic<bool> *cut_request = nullptr;
 

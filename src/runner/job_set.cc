@@ -30,19 +30,6 @@ JobSet::add(nvp::ExperimentSpec spec, std::string label)
 }
 
 void
-JobSet::setBudget(std::size_t i, std::uint64_t max_events,
-                  std::shared_ptr<const nvp::SystemSnapshot> resume,
-                  std::shared_ptr<nvp::SystemSnapshot> cut)
-{
-    Job &job = jobs_.at(i);
-    job.max_events = max_events;
-    job.resume = std::move(resume);
-    job.cut = std::move(cut);
-    job.key = max_events ? partialKey(job.spec, max_events)
-                         : specKey(job.spec);
-}
-
-void
 JobSet::setResume(std::size_t i,
                   std::shared_ptr<const nvp::SystemSnapshot> resume)
 {

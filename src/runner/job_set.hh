@@ -11,7 +11,6 @@
 #define WLCACHE_RUNNER_JOB_SET_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,18 +27,13 @@ struct Job
     std::string id;           //!< Stable human-readable identifier.
     std::string key;          //!< Content-addressed cache key.
     nvp::ExperimentSpec spec;
-
-    // --- Snapshot/budget controls (explorer rungs, campaigns) ---
-    /** Stop after this many trace events (0 = run to completion). */
-    std::uint64_t max_events = 0;
     /**
-     * Resume point (may be null). Purely an accelerator: a resumed
-     * run is observationally identical to a cold one, so attaching a
-     * resume snapshot never changes the cache key.
+     * Resume point (may be null; verification campaigns). Purely an
+     * accelerator: a resumed run is observationally identical to a
+     * cold one, so attaching a resume snapshot never changes the
+     * cache key.
      */
     std::shared_ptr<const nvp::SystemSnapshot> resume;
-    /** Receives the cut state when max_events stops the run early. */
-    std::shared_ptr<nvp::SystemSnapshot> cut;
 };
 
 class JobSet
@@ -53,16 +47,6 @@ class JobSet
      * @return the job's submission index.
      */
     std::size_t add(nvp::ExperimentSpec spec, std::string label = "");
-
-    /**
-     * Attach an event budget (and optional resume/cut snapshot
-     * holders) to job @p i. Rewrites the job's cache key to the
-     * partial-run key when @p max_events is non-zero — a truncated
-     * run's record must never alias the full run's.
-     */
-    void setBudget(std::size_t i, std::uint64_t max_events,
-                   std::shared_ptr<const nvp::SystemSnapshot> resume,
-                   std::shared_ptr<nvp::SystemSnapshot> cut);
 
     /** Attach only a resume snapshot (key unchanged; see Job). */
     void setResume(std::size_t i,

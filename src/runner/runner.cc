@@ -12,7 +12,6 @@
 #include "nvp/run_json.hh"
 #include "runner/progress.hh"
 #include "runner/result_cache.hh"
-#include "runner/snapshot_store.hh"
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
 #include "util/fs.hh"
@@ -33,66 +32,22 @@ onInterrupt(int)
 }
 
 /**
- * Whether a drain checkpoint (stored under the resume key) may stand
- * in for @p job's prefix. The resume key neutralizes forced outages,
- * fault injection, the outage cap and the timeline, so a job changing
- * any of them from the default shares its key with runs whose prefix
- * differs; a caller-supplied resume point always wins.
- */
-bool
-drainable(const Job &job)
-{
-    if (job.resume)
-        return false;
-    const nvp::SystemConfig cfg = nvp::resolveConfig(job.spec);
-    return cfg.forced_outage_cycles.empty() &&
-        !cfg.inject_checkpoint_skip && !cfg.inject_register_skip &&
-        cfg.max_outages == nvp::SystemConfig{}.max_outages &&
-        cfg.timeline == nullptr;
-}
-
-/**
  * Simulate one cache-miss job into @p out, publishing it unless the
  * interrupt cut it. @return on-cycles actually simulated (excluding a
- * fast-forwarded prefix).
+ * resumed prefix).
  */
 std::uint64_t
-execute(const Job &job, const ResultCache &cache,
-        const SnapshotStore &snaps, nvp::RunResult &out)
+execute(const Job &job, const ResultCache &cache, nvp::RunResult &out)
 {
     nvp::RunOptions ro;
-    ro.max_events = job.max_events;
     ro.cut_request = &g_interrupt;
     if (job.resume && job.resume->valid())
         ro.resume = job.resume.get();
 
-    // A drain checkpoint left by an interrupted run of this
-    // experiment fast-forwards it. Best effort: the snapshot may come
-    // from an older binary (then the run starts cold), and it must
-    // not lie past this job's event budget.
-    std::string dkey;
-    nvp::SystemSnapshot drained, drain_cut;
-    if (snaps.enabled() && drainable(job)) {
-        dkey = drainKey(resumeKey(job.spec));
-        if (snaps.load(dkey, drained) &&
-            (!job.max_events || drained.event_index <= job.max_events)) {
-            ro.resume = &drained;
-            ro.resume_best_effort = true;
-        }
-    }
-    ro.cut = job.cut ? job.cut.get() : &drain_cut;
-
     out = nvp::runExperiment(job.spec, ro);
-    if (interrupted() && !out.completed) {
-        // Cut by the interrupt: an incomplete record must never be
-        // cached. Keep the cut state for the next run instead.
-        if (!dkey.empty() && ro.cut->valid())
-            snaps.store(dkey, *ro.cut);
-    } else {
+    // A run cut by the interrupt is incomplete: never cache it.
+    if (out.completed || !interrupted())
         cache.store(job.key, out);
-        if (job.max_events && job.cut && job.cut->valid())
-            snaps.store(job.key, *job.cut);
-    }
     const std::uint64_t skipped = ro.resume ? ro.resume->cycle : 0;
     return out.on_cycles > skipped ? out.on_cycles - skipped : 0;
 }
@@ -156,7 +111,6 @@ Runner::runAll(const JobSet &set)
         return results;
 
     const ResultCache cache(cfg_.cache_dir);
-    const SnapshotStore snaps(cfg_.snapshot_dir);
     std::ostream *pout = nullptr;
     if (cfg_.progress)
         pout = cfg_.progress_out ? cfg_.progress_out : &std::cerr;
@@ -197,15 +151,9 @@ Runner::runAll(const JobSet &set)
                         .string());
                 rec.cached = cache.load(job.key, results[i]);
             }
-            if (rec.cached) {
-                // A warm partial job still needs its cut snapshot so
-                // a later rung can resume from it.
-                if (job.max_events && job.cut && !job.cut->valid())
-                    snaps.load(job.key, *job.cut);
-            } else {
-                sim_cycles.fetch_add(
-                    execute(job, cache, snaps, results[i]),
-                    std::memory_order_relaxed);
+            if (!rec.cached) {
+                sim_cycles.fetch_add(execute(job, cache, results[i]),
+                                     std::memory_order_relaxed);
                 executed.fetch_add(1, std::memory_order_relaxed);
             }
             lock.unlock();

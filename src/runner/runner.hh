@@ -14,9 +14,9 @@
  * an exclusive lock on `<cache_dir>/<key>.lock` and re-checks the
  * cache once it holds it, so each key executes once. An interrupt
  * (SIGINT/SIGTERM once installInterruptHandlers() ran) cuts in-flight
- * jobs at their next event boundary; a cut job is never cached, and
- * with a snapshot directory its state is kept as a drain checkpoint
- * that the next run of the same experiment resumes from.
+ * jobs at their next event boundary; a cut job is never cached, so
+ * a re-run on the same cache executes exactly the jobs that did not
+ * finish.
  */
 
 #ifndef WLCACHE_RUNNER_RUNNER_HH
@@ -63,16 +63,6 @@ struct RunnerConfig
 
     /** Result-cache directory; empty disables caching. */
     std::string cache_dir;
-
-    /**
-     * Snapshot-store directory; empty disables it. When set, a job
-     * that cuts at an event budget has its cut snapshot stored under
-     * the job's (partial) key, and a cache-hit partial job gets its
-     * cut snapshot loaded back — so a warm explorer rung can still be
-     * resumed instead of re-simulated. Interrupted jobs leave their
-     * drain checkpoints here (spec_key.hh drainKey()).
-     */
-    std::string snapshot_dir;
 
     /** Emit per-job progress lines to @c progress_out (stderr). */
     bool progress = false;

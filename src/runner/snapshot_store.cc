@@ -20,57 +20,14 @@ namespace {
 constexpr std::uint32_t kSetMagic = 0x53534c57u;
 constexpr std::uint32_t kSetVersion = 1;
 
-void
-writeAtomic(const std::string &dir, const std::string &final_path,
-            const std::vector<std::uint8_t> &bytes)
-{
-    std::string err;
-    if (!util::writeFileAtomic(dir, final_path, bytes, &err))
-        warn("snapshot store: %s", err.c_str());
-}
-
 } // namespace
 
 SnapshotStore::SnapshotStore(std::string dir) : dir_(std::move(dir)) {}
 
 std::string
-SnapshotStore::entryPath(const std::string &key) const
-{
-    return (fs::path(dir_) / (key + ".snap")).string();
-}
-
-std::string
 SnapshotStore::setPath(const std::string &key) const
 {
     return (fs::path(dir_) / (key + ".snapset")).string();
-}
-
-bool
-SnapshotStore::load(const std::string &key,
-                    nvp::SystemSnapshot &out) const
-{
-    if (!enabled())
-        return false;
-    std::vector<std::uint8_t> blob;
-    if (!util::readFileBytes(entryPath(key), blob))
-        return false;
-    if (!nvp::decodeSnapshot(blob, out)) {
-        warn("snapshot store: discarding corrupted entry %s",
-             entryPath(key).c_str());
-        std::error_code ec;
-        fs::remove(entryPath(key), ec);
-        return false;
-    }
-    return true;
-}
-
-void
-SnapshotStore::store(const std::string &key,
-                     const nvp::SystemSnapshot &snap) const
-{
-    if (!enabled())
-        return;
-    writeAtomic(dir_, entryPath(key), nvp::encodeSnapshot(snap));
 }
 
 bool
@@ -156,7 +113,9 @@ SnapshotStore::storeSet(const std::string &key,
     w.u64(set.snaps.size());
     for (const nvp::SystemSnapshot &snap : set.snaps)
         w.vecU8(nvp::encodeSnapshot(snap));
-    writeAtomic(dir_, setPath(key), w.data());
+    std::string err;
+    if (!util::writeFileAtomic(dir_, setPath(key), w.data(), &err))
+        warn("snapshot store: %s", err.c_str());
 }
 
 } // namespace runner

@@ -1,12 +1,12 @@
 /**
  * @file
  * Content-addressed on-disk snapshot store, the result cache's
- * sibling. Single snapshots (explorer rung cuts) are stored as
- * `<dir>/<key>.snap`; whole interval-snapshot sets (a golden run's
- * fast-forward ladder) as `<dir>/<key>.snapset`. Entries are binary
- * encodeSnapshot() blobs written atomically (temp file + rename);
- * unreadable or corrupted entries read as misses, never errors — the
- * store is an accelerator, not a dependency.
+ * sibling. It holds interval-snapshot sets (a verification campaign's
+ * golden-run fast-forward ladder) as `<dir>/<key>.snapset`: a framed
+ * list of encodeSnapshot() blobs written atomically (temp file +
+ * rename). Unreadable or corrupted entries read as misses and are
+ * removed, never errors — the store is an accelerator, not a
+ * dependency.
  */
 
 #ifndef WLCACHE_RUNNER_SNAPSHOT_STORE_HH
@@ -29,24 +29,14 @@ class SnapshotStore
     explicit SnapshotStore(std::string dir);
 
     bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
-
-    /** Load the single snapshot stored under @p key. */
-    bool load(const std::string &key, nvp::SystemSnapshot &out) const;
-
-    /** Store one snapshot under @p key (atomic; last writer wins). */
-    void store(const std::string &key,
-               const nvp::SystemSnapshot &snap) const;
 
     /** Load the snapshot set stored under @p key. */
     bool loadSet(const std::string &key, nvp::SnapshotSet &out) const;
 
-    /** Store an interval-snapshot set under @p key. */
+    /** Store an interval-snapshot set under @p key (atomic; last
+        writer wins). */
     void storeSet(const std::string &key,
                   const nvp::SnapshotSet &set) const;
-
-    /** Path of the single-snapshot entry for @p key. */
-    std::string entryPath(const std::string &key) const;
 
     /** Path of the snapshot-set entry for @p key. */
     std::string setPath(const std::string &key) const;

@@ -54,19 +54,5 @@ resumeKey(const nvp::ExperimentSpec &spec)
     return hashKeyText(os.str());
 }
 
-std::string
-partialKey(const nvp::ExperimentSpec &spec, std::uint64_t max_events)
-{
-    std::ostringstream os;
-    os << specKeyText(spec) << "partial_events=" << max_events << '\n';
-    return hashKeyText(os.str());
-}
-
-std::string
-drainKey(const std::string &resume_key)
-{
-    return "drain-" + resume_key;
-}
-
 } // namespace runner
 } // namespace wlcache

@@ -12,7 +12,6 @@
 #ifndef WLCACHE_RUNNER_SPEC_KEY_HH
 #define WLCACHE_RUNNER_SPEC_KEY_HH
 
-#include <cstdint>
 #include <string>
 
 #include "nvp/experiment.hh"
@@ -65,21 +64,6 @@ std::string specKey(const nvp::ExperimentSpec &spec);
  * run's interval snapshots across every injection point.
  */
 std::string resumeKey(const nvp::ExperimentSpec &spec);
-
-/**
- * Cache key for a budget-truncated run of @p spec that stops after
- * @p max_events trace events. A partial run's record must never alias
- * the full run's, so the event budget is folded into the key.
- */
-std::string partialKey(const nvp::ExperimentSpec &spec,
-                       std::uint64_t max_events);
-
-/**
- * Snapshot-store key of the drain checkpoint an interrupted run of a
- * spec with resume key @p resume_key leaves behind: "drain-" +
- * resume_key.
- */
-std::string drainKey(const std::string &resume_key);
 
 } // namespace runner
 } // namespace wlcache

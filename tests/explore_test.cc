@@ -18,13 +18,13 @@
 #include <vector>
 
 #include "explore/explorer.hh"
-#include "nvp/run_json.hh"
 #include "explore/objectives.hh"
 #include "explore/pareto.hh"
 #include "explore/report.hh"
 #include "explore/sweep_spec.hh"
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
+#include "util/fs.hh"
 #include "workloads/workloads.hh"
 
 using namespace wlcache;
@@ -271,6 +271,12 @@ TEST(SweepSpec, RejectsBadSearch)
     expectDiagnostic(
         parseErr(R"({"search": {"budget": 10}})"),
         "$.search.budget", "unknown search key");
+    // Halving has one rung policy, reduced-scale runs; the old
+    // event-budget policy's key is gone.
+    expectDiagnostic(
+        parseErr(R"({"search": {"mode": "halving",
+                                "snapshot_extend": true}})"),
+        "$.search.snapshot_extend", "unknown search key");
     expectDiagnostic(
         parseErr(R"({"search": {"mode": "halving", "eta": 1e30}})"),
         "$.search.eta", "integer <= 4294967295");
@@ -279,6 +285,22 @@ TEST(SweepSpec, RejectsBadSearch)
         parseErr(R"({"search": {"mode": "halving"},
                      "fleet": {"nodes": 2}})"),
         "$.search.mode", "cannot use halving search");
+}
+
+TEST(SweepSpec, EveryCommittedExampleParsesAndExpands)
+{
+    std::size_t specs = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(WLCACHE_SWEEPS_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        SCOPED_TRACE(entry.path().filename().string());
+        std::string text;
+        ASSERT_TRUE(util::readFileText(entry.path().string(), text));
+        EXPECT_FALSE(expandOk(parseOk(text)).empty());
+        ++specs;
+    }
+    EXPECT_GE(specs, 6u);
 }
 
 // ---------------------------------------------------------------------
@@ -846,41 +868,4 @@ TEST(Explorer, HalvingReachesExhaustiveFrontierWithFewerFullRuns)
     EXPECT_EQ(halving.rungs[0].entrants, 8u);
     EXPECT_EQ(halving.rungs[0].promoted, 4u);
     EXPECT_EQ(halving.rungs[1].scale, 2u);
-}
-
-TEST(Explorer, SnapshotExtendFinalsMatchColdFullRuns)
-{
-    // snapshot_extend parses in the search block...
-    const auto parsed = parseOk(R"({
-        "name": "x", "base": {"workload": "sha"},
-        "search": {"mode": "halving", "snapshot_extend": true}
-    })");
-    EXPECT_TRUE(parsed.snapshot_extend);
-    expectDiagnostic(
-        parseErr(R"({"search": {"snapshot_extend": 1}})"),
-        "$.search.snapshot_extend", "boolean");
-
-    // ...and turns triage rungs into event-budget runs of the
-    // full-scale trace whose cuts the final rung extends.
-    SweepSpec sweep = referenceSweep(SearchMode::Halving);
-    sweep.snapshot_extend = true;
-    ExploreReport rep;
-    ASSERT_TRUE(runSweep(sweep, rep));
-
-    ASSERT_EQ(rep.rungs.size(), 2u);
-    EXPECT_GT(rep.rungs[0].budget_events, 0u);   // budgeted triage
-    EXPECT_EQ(rep.rungs[1].budget_events, 0u);   // full final rung
-
-    // Every survivor's result must be the exact full-scale record a
-    // cold run produces: extending a cut snapshot is observationally
-    // identical to simulating from cycle 0.
-    ASSERT_FALSE(rep.outcomes.empty());
-    for (const auto &o : rep.outcomes) {
-        const nvp::RunResult cold = nvp::runExperiment(o.point.spec);
-        std::ostringstream a, b;
-        nvp::writeRunResultJson(a, o.result);
-        nvp::writeRunResultJson(b, cold);
-        EXPECT_EQ(a.str(), b.str()) << o.point.id;
-        EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
-    }
 }

@@ -9,7 +9,7 @@
  *     mid-run (which include the "RES " result section), and
  *   - the full run-record JSON,
  * plus one mid-run snapshot digest per design, and compares the rendering with tests/golden/schema.txt. Existing
- * result caches, drain checkpoints and snapshots stay valid exactly
+ * result caches and snapshot ladders stay valid exactly
  * when these bytes do not move, so a diff here is a compatibility
  * break, not a cosmetic change.
  *

@@ -19,6 +19,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include "runner/snapshot_store.hh"
 #include "sim/snapshot.hh"
 #include "telemetry/timeline.hh"
+#include "util/fs.hh"
 #include "verify/campaign.hh"
 #include "workloads/workloads.hh"
 
@@ -209,30 +211,45 @@ TEST(SnapshotStore, RoundTripAndCorruptionAsMiss)
     s.cycle = 10;
     s.event_index = 1;
     s.state = { 5, 6 };
-    store.store("aa", s);
-    nvp::SystemSnapshot got;
-    ASSERT_TRUE(store.load("aa", got));
-    EXPECT_EQ(got.cycle, 10u);
-    EXPECT_FALSE(store.load("missing", got));
-
     nvp::SnapshotSet set;
     set.interval = 64;
     set.snaps = { s, s };
+    nvp::SnapshotSet got;
+    EXPECT_FALSE(store.loadSet("bb", got));
     store.storeSet("bb", set);
-    nvp::SnapshotSet gotset;
-    ASSERT_TRUE(store.loadSet("bb", gotset));
-    EXPECT_EQ(gotset.interval, 64u);
-    ASSERT_EQ(gotset.snaps.size(), 2u);
-    EXPECT_EQ(gotset.snaps[1].state, s.state);
+    ASSERT_TRUE(store.loadSet("bb", got));
+    EXPECT_EQ(got.interval, 64u);
+    ASSERT_EQ(got.snaps.size(), 2u);
+    EXPECT_EQ(got.snaps[1].cycle, 10u);
+    EXPECT_EQ(got.snaps[1].state, s.state);
 
-    // A corrupted entry reads as a miss and is removed.
-    {
-        std::ofstream trash(store.entryPath("aa"),
-                            std::ios::binary | std::ios::trunc);
-        trash << "not a snapshot";
+    // Every corruption of a valid entry reads as a miss and removes
+    // the file.
+    std::vector<std::uint8_t> good;
+    ASSERT_TRUE(util::readFileBytes(store.setPath("bb"), good));
+    std::vector<std::uint8_t> bad_magic = good;
+    bad_magic[0] ^= 0xff;
+    const std::vector<std::uint8_t> truncated(good.begin(),
+                                              good.end() - 1);
+    std::vector<std::uint8_t> trailing = good;
+    trailing.push_back(0);
+    const std::pair<const char *, std::vector<std::uint8_t>> cases[] = {
+        { "bad magic", bad_magic },
+        { "truncated entry", truncated },
+        { "trailing bytes", trailing },
+    };
+    for (const auto &[what, bytes] : cases) {
+        {
+            std::ofstream out(store.setPath("bb"),
+                              std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(bytes.data()),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        nvp::SnapshotSet miss;
+        EXPECT_FALSE(store.loadSet("bb", miss)) << what;
+        EXPECT_FALSE(std::filesystem::exists(store.setPath("bb")))
+            << what;
     }
-    EXPECT_FALSE(store.load("aa", got));
-    EXPECT_FALSE(std::filesystem::exists(store.entryPath("aa")));
 
     std::filesystem::remove_all(dir);
 }

@@ -75,9 +75,6 @@ main(int argc, char **argv)
                 "worker threads; 0 = WLCACHE_JOBS env or all cores")
         .option("cache-dir", "",
                 "result-cache directory (empty = no cache)")
-        .option("snapshot-dir", "",
-                "snapshot-store directory for snapshot_extend "
-                "halving rung cuts (empty = in-memory only)")
         .option("csv", "", "write all evaluated points as CSV here")
         .option("report", "",
                 "write the Markdown frontier report here")
@@ -129,7 +126,6 @@ main(int argc, char **argv)
     cfg.objectives = args.getList("objective");
     cfg.jobs = static_cast<unsigned>(args.getInt("jobs"));
     cfg.cache_dir = args.get("cache-dir");
-    cfg.snapshot_dir = args.get("snapshot-dir");
     cfg.progress = args.getFlag("progress");
 
     runner::installInterruptHandlers();

@@ -294,11 +294,21 @@ main(int argc, char **argv)
     std::string err;
     if (!telemetry::parseTracks(args.get("debug"), debug_tracks, &err))
         fatal("--debug: %s", err.c_str());
-    if (debug && args.getFlag("batch"))
-        fatal("--debug streams one run's timeline, not a --batch sweep");
-
-    if (args.getFlag("batch"))
+    if (args.getFlag("batch")) {
+        if (debug)
+            fatal("--debug streams one run's timeline, not a --batch "
+                  "sweep");
+        // Single-run outputs: a batch has no one run to write.
+        for (const char *opt : { "json", "timeline" })
+            if (!args.get(opt).empty())
+                fatal("--%s writes one run's output, not a --batch "
+                      "sweep (use --cache-dir for per-run records)",
+                      opt);
+        if (args.getFlag("stats"))
+            fatal("--stats dumps one run's statistics, not a --batch "
+                  "sweep (use --cache-dir for per-run records)");
         return runBatch(args);
+    }
 
     const nvp::DesignKind design = designOption(args.get("design"));
     bool no_failure = false;

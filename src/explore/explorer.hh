@@ -4,11 +4,8 @@
  * points, evaluate them through the parallel runner (every run lands
  * in the content-addressed result cache, so explorations are
  * resumable and warm re-runs execute nothing), and extract the
- * Pareto frontier over the chosen objectives. Two search modes:
- * exhaustive evaluation of every point at full scale, and budgeted
- * successive halving that triages the whole space on short-scale
- * runs and promotes only the most promising configurations (by
- * non-dominated rank) to the full-scale rung. Under a fleet block
+ * Pareto frontier over the chosen objectives. Every point is
+ * evaluated at its own scale (exhaustive search). Under a fleet block
  * every point runs once per node and the fleet objectives reduce the
  * node results before the frontier is taken.
  */
@@ -51,7 +48,7 @@ struct ExploreConfig
     std::ostream *progress_out = nullptr;
 };
 
-/** One fully-evaluated point (at full scale). */
+/** One fully-evaluated point. */
 struct PointOutcome
 {
     DesignPoint point;
@@ -59,7 +56,7 @@ struct PointOutcome
     /** Objective values, in report objective order (all minimize). */
     std::vector<double> objectives;
     /**
-     * Content-addressed key of the full-scale run — the name of the
+     * Content-addressed key of the point's run — the name of the
      * run-record JSON in the result cache, which carries the full
      * stats tree and per-interval rollups for this point.
      */
@@ -84,27 +81,15 @@ struct PointOutcome
 void aggregatePoint(PointOutcome &out, const FleetBlock &fleet,
                     const std::vector<std::string> &objective_names);
 
-/** One successive-halving rung. */
-struct RungStats
-{
-    unsigned scale = 1;          //!< Workload scale of this rung.
-    std::size_t entrants = 0;    //!< Points evaluated.
-    std::size_t promoted = 0;    //!< Points advanced to the next rung.
-};
-
 /** Everything an exploration learned. */
 struct ExploreReport
 {
     std::string name;
-    SearchMode mode = SearchMode::Exhaustive;
     /** The sweep's fleet block, when it has one. */
     std::optional<FleetBlock> fleet;
     std::vector<std::string> objective_names;
 
-    /**
-     * Full-scale-evaluated points in expansion order (every point
-     * for exhaustive search; the final-rung survivors for halving).
-     */
+    /** Every point of the sweep, in expansion order. */
     std::vector<PointOutcome> outcomes;
     /**
      * Frontier as indices into @c outcomes, ordered by objective
@@ -113,23 +98,18 @@ struct ExploreReport
     std::vector<std::size_t> frontier;
 
     std::size_t expanded_points = 0;  //!< Points in the sweep.
-    unsigned full_scale = 1;          //!< Scale of the final rung.
+    unsigned full_scale = 1;          //!< Scale of the first point.
 
-    // --- Run economics (all rungs) ---
-    std::size_t full_runs = 0;    //!< Jobs at full scale.
-    std::size_t triage_runs = 0;  //!< Jobs at reduced scale.
+    // --- Run economics ---
+    std::size_t full_runs = 0;    //!< Jobs run (one per point or node).
     std::size_t cache_hits = 0;   //!< Served from the result cache.
     std::size_t executed = 0;     //!< Actual simulator executions.
-
-    std::vector<RungStats> rungs; //!< Halving schedule (empty when
-                                  //!< exhaustive).
 };
 
 /**
  * Run one exploration.
  * @return true on success; false fills @p err (an objective that is
- *         unknown or of the wrong kind, halving over a swept "scale"
- *         parameter or a fleet block, expansion failure).
+ *         unknown or of the wrong kind, expansion failure).
  */
 bool runExploration(const ExploreConfig &cfg, ExploreReport &out,
                     std::string *err = nullptr);

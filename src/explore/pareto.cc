@@ -47,34 +47,5 @@ paretoFrontier(const std::vector<std::vector<double>> &objectives,
     return frontier;
 }
 
-std::vector<std::size_t>
-paretoRanks(const std::vector<std::vector<double>> &objectives)
-{
-    const std::size_t n = objectives.size();
-    std::vector<std::size_t> rank(n, 0);
-    std::vector<bool> assigned(n, false);
-    std::size_t remaining = n;
-    for (std::size_t level = 0; remaining > 0; ++level) {
-        std::vector<std::size_t> front;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (assigned[i])
-                continue;
-            bool dominated = false;
-            for (std::size_t j = 0; j < n && !dominated; ++j)
-                dominated = !assigned[j] && j != i &&
-                            dominates(objectives[j], objectives[i]);
-            if (!dominated)
-                front.push_back(i);
-        }
-        wlc_assert(!front.empty(), "empty Pareto front level");
-        for (const std::size_t i : front) {
-            rank[i] = level;
-            assigned[i] = true;
-        }
-        remaining -= front.size();
-    }
-    return rank;
-}
-
 } // namespace explore
 } // namespace wlcache

@@ -38,14 +38,6 @@ std::vector<std::size_t>
 paretoFrontier(const std::vector<std::vector<double>> &objectives,
                const std::vector<std::string> &ids);
 
-/**
- * Non-dominated sorting rank per point: rank 0 is the frontier,
- * rank 1 the frontier once rank 0 is removed, and so on. The
- * successive-halving promoter keeps whole ranks while they fit.
- */
-std::vector<std::size_t>
-paretoRanks(const std::vector<std::vector<double>> &objectives);
-
 } // namespace explore
 } // namespace wlcache
 

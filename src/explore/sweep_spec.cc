@@ -71,16 +71,6 @@ FleetBlock::workloadPattern() const
     return pattern;
 }
 
-const char *
-searchModeName(SearchMode m)
-{
-    switch (m) {
-      case SearchMode::Exhaustive: return "exhaustive";
-      case SearchMode::Halving:    return "halving";
-    }
-    panic("unknown SearchMode %d", static_cast<int>(m));
-}
-
 namespace {
 
 /** Largest value an `unsigned` destination holds. */
@@ -596,34 +586,6 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                                      "]: expected a string");
                 spec.objectives.push_back(jv.items()[i].asString());
             }
-        } else if (key == "search") {
-            if (!jv.isObject())
-                return fail(err, path + ": expected an object "
-                                 "{mode, eta?, min_scale?}");
-            for (const auto &[skey, sv] : jv.members()) {
-                if (skey == "mode") {
-                    if (!sv.isString() ||
-                        (sv.asString() != "exhaustive" &&
-                         sv.asString() != "halving"))
-                        return fail(err, path + ".mode: expected "
-                                         "\"exhaustive\" or "
-                                         "\"halving\"");
-                    spec.mode = sv.asString() == "halving"
-                                    ? SearchMode::Halving
-                                    : SearchMode::Exhaustive;
-                } else if (skey == "eta" || skey == "min_scale") {
-                    std::uint64_t v = 0;
-                    if (!wantInteger(sv, skey == "eta" ? 2.0 : 1.0,
-                                     kMaxUnsigned, path + "." + skey, v,
-                                     err))
-                        return false;
-                    (skey == "eta" ? spec.eta : spec.min_scale) =
-                        static_cast<unsigned>(v);
-                } else {
-                    return fail(err, path + "." + skey +
-                                     ": unknown search key");
-                }
-            }
         } else if (key == "fleet") {
             spec.fleet.emplace();
             if (!parseFleet(jv, *spec.fleet, path, err))
@@ -641,9 +603,6 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
             return fail(err, "$.objectives[" + std::to_string(i) +
                              "]: " + why);
     }
-    if (spec.fleet && spec.mode == SearchMode::Halving)
-        return fail(err, "$.search.mode: a \"fleet\" block cannot use "
-                         "halving search");
     for (std::size_t i = 0; i < spec.derived.size(); ++i) {
         const auto &d = spec.derived[i];
         const std::string dpath = "$.derived[" + std::to_string(i) +
@@ -751,6 +710,12 @@ finishPoint(const SweepSpec &spec,
                 applyParam(*findParam(name), &cfg, value);
         };
     }
+
+    // A WL geometry the simulator cannot run fails here, naming the
+    // point, rather than as a panic mid-run.
+    std::string why;
+    if (!nvp::checkWlGeometry(nvp::resolveConfig(es), why))
+        return fail(err, "point '" + id + "': " + why);
 
     out.id = std::move(id);
     out.params = std::move(bindings);

@@ -82,15 +82,6 @@ struct DerivedParam
     double add = 0.0;
 };
 
-/** How the exploration searches the expanded space. */
-enum class SearchMode
-{
-    Exhaustive,  //!< Evaluate every point at full scale.
-    Halving,     //!< Successive halving: triage short, promote.
-};
-
-const char *searchModeName(SearchMode m);
-
 /** One fleet workload-mix entry: @c weight nodes out of every cycle
  *  of the mix run @c workload. */
 struct MixEntry
@@ -148,13 +139,6 @@ struct SweepSpec
 
     /** Evaluate every point across a fleet of nodes. */
     std::optional<FleetBlock> fleet;
-
-    // --- "search" block ---
-    SearchMode mode = SearchMode::Exhaustive;
-    /** Halving promotion factor (keep ceil(n/eta) per rung). */
-    unsigned eta = 2;
-    /** Workload scale of the cheapest triage rung. */
-    unsigned min_scale = 1;
 };
 
 /** One fully-resolved point of the expanded space. */
@@ -194,8 +178,9 @@ bool parseSweepSpec(const std::string &json_text, SweepSpec &out,
  * An empty axes list with no explicit points yields the single base
  * point.
  *
- * @return true on success; false fills @p err (a derived source
- *         missing from a point is the only post-parse failure).
+ * @return true on success; false fills @p err, naming the point:
+ *         a derived value out of range, or a WL geometry the
+ *         simulator cannot run (nvp::checkWlGeometry).
  */
 bool expandPoints(const SweepSpec &spec,
                   std::vector<DesignPoint> &out,

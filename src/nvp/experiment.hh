@@ -67,7 +67,7 @@ std::vector<std::string> powerShortNames();
 SystemConfig resolveConfig(const ExperimentSpec &spec);
 
 /**
- * Run one experiment to completion, under the snapshot/resume/budget
+ * Run one experiment to completion, under the snapshot/resume/cut
  * controls in @p opts (see RunOptions).
  */
 RunResult runExperiment(const ExperimentSpec &spec,

@@ -769,25 +769,17 @@ SystemSim::run(const RunOptions &opts)
 
     const std::size_t n = trace_.events.size();
     const bool failures_possible = !harvester_.infinite();
-    const std::uint64_t stop_idx =
-        opts.max_events ? opts.max_events : ~std::uint64_t{0};
     Cycle next_snap = 0;
     if (opts.snapshot_interval)
         next_snap = (now_ / opts.snapshot_interval + 1) *
             opts.snapshot_interval;
 
     while (idx_ < n) {
-        if (idx_ >= stop_idx ||
-            (opts.cut_request &&
-             opts.cut_request->load(std::memory_order_relaxed))) {
-            // Event budget exhausted (or an external cut requested):
-            // capture the cut state so a later run can resume exactly
-            // here, then finalize as an interrupted run (completed
-            // stays false).
-            if (opts.cut)
-                *opts.cut = takeSnapshot();
+        // An external cut finalizes the run as interrupted
+        // (completed stays false).
+        if (opts.cut_request &&
+            opts.cut_request->load(std::memory_order_relaxed))
             break;
-        }
         if (opts.snapshot_interval && now_ >= next_snap) {
             SystemSnapshot s = takeSnapshot();
             WLC_TIMELINE(tl_, SnapshotTaken, now_, "system", idx_,

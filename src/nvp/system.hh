@@ -140,7 +140,7 @@ struct RunResult
     std::uint64_t intervals_dropped = 0;
 };
 
-/** Optional run-loop controls: snapshot capture, resume, budgets. */
+/** Optional run-loop controls: snapshot capture, resume, early cut. */
 struct RunOptions
 {
     /**
@@ -150,21 +150,11 @@ struct RunOptions
     const SystemSnapshot *resume = nullptr;
 
     /**
-     * Stop once this many trace events have been consumed since run
-     * start (0 = run to completion). The budget is an absolute event
-     * index, so resumed runs count their fast-forwarded prefix.
-     */
-    std::uint64_t max_events = 0;
-
-    /** Receives the cut state when max_events stops the run early. */
-    SystemSnapshot *cut = nullptr;
-
-    /**
      * Cooperative early-cut request (may be null). Checked at every
-     * event boundary; once it reads true the run stops exactly as if
-     * max_events had been reached there, capturing *cut when set.
-     * Signal handlers can flip it — this is how an interrupted runner
-     * stops its in-flight jobs mid-run (runner::interruptFlag()).
+     * event boundary; once it reads true the run stops there as an
+     * incomplete run. Signal handlers can flip it — this is how an
+     * interrupted runner stops its in-flight jobs mid-run
+     * (runner::interruptFlag()).
      */
     const std::atomic<bool> *cut_request = nullptr;
 
@@ -203,7 +193,7 @@ class SystemSim
 
     /**
      * Run the workload to completion (or until max_outages), under
-     * the snapshot/resume/budget controls in @p opts.
+     * the snapshot/resume/cut controls in @p opts.
      */
     RunResult run(const RunOptions &opts = {});
 

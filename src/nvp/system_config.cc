@@ -165,5 +165,29 @@ resumeNeutral(SystemConfig cfg)
     return cfg;
 }
 
+bool
+checkWlGeometry(const SystemConfig &cfg, std::string &why)
+{
+    if (!isWlFamily(cfg.design))
+        return true;
+    auto exceeds = [&why](const char *a, unsigned av, const char *b,
+                          unsigned bv) {
+        why = std::string(a) + " " + std::to_string(av) + " exceeds " +
+            b + " " + std::to_string(bv);
+        return false;
+    };
+    const unsigned dq = cfg.wl.dq_size;
+    if (cfg.wl.maxline > dq)
+        return exceeds("wl.maxline", cfg.wl.maxline, "wl.dq_size", dq);
+    const core::AdaptiveConfig &ad = cfg.adaptive;
+    if (ad.maxline_min > ad.maxline_max)
+        return exceeds("adaptive.maxline_min", ad.maxline_min,
+                       "adaptive.maxline_max", ad.maxline_max);
+    if (ad.enabled && ad.maxline_max > dq)
+        return exceeds("adaptive.maxline_max", ad.maxline_max,
+                       "wl.dq_size", dq);
+    return true;
+}
+
 } // namespace nvp
 } // namespace wlcache

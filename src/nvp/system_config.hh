@@ -239,6 +239,16 @@ void dumpConfigKey(std::ostream &os, const SystemConfig &cfg);
  */
 SystemConfig resumeNeutral(SystemConfig cfg);
 
+/**
+ * Whether @p cfg gives a WL-family design a DirtyQueue it can run
+ * with: wl.maxline <= wl.dq_size, adaptive.maxline_min <=
+ * adaptive.maxline_max (the adaptive runtime is built for every
+ * WL-family run) and, with adaptation on, adaptive.maxline_max <=
+ * wl.dq_size. Other designs always pass. Only reads @p cfg.
+ * @return true when runnable; false fills @p why (schema key names).
+ */
+bool checkWlGeometry(const SystemConfig &cfg, std::string &why);
+
 } // namespace nvp
 } // namespace wlcache
 

@@ -98,8 +98,9 @@ TEST_P(DirtyBoundProperty, HoldsAtEveryStep)
         // The probe must have actually observed dirty lines, else the
         // property holds vacuously.
         EXPECT_GT(max_dirty_seen, 0u);
-        if (max_dirty_seen >= wl->waterline())
+        if (max_dirty_seen >= wl->waterline()) {
             EXPECT_GT(wl->wlStats().cleanings.value(), 0.0);
+        }
     } else {
         // waterline == 0 (maxline == gap): every store cleans before
         // the access completes, so a dirty line is never observable —

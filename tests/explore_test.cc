@@ -4,9 +4,8 @@
  * parsing (every rejection names the offending axis/key with its
  * JSON path), axis expansion order and derived parameters, the
  * objective registry, the Pareto machinery, deterministic report
- * writers, and end-to-end explorations — exhaustive determinism,
- * warm-cache resumption, and successive halving reaching the
- * exhaustive frontier with fewer full-scale runs.
+ * writers, and end-to-end explorations — determinism, per-point
+ * scale, and warm-cache resumption.
  */
 
 #include <gtest/gtest.h>
@@ -88,8 +87,7 @@ TEST(SweepSpec, ParsesFullSpec)
         "points": [{"design": "replay", "wl.maxline": 4}],
         "derived": [{"param": "wl.waterline_gap",
                      "source": "wl.maxline", "mul": 0, "add": 1}],
-        "objectives": ["time", "nvm_writes"],
-        "search": {"mode": "halving", "eta": 2, "min_scale": 1}
+        "objectives": ["time", "nvm_writes"]
     })");
     EXPECT_EQ(spec.name, "demo");
     ASSERT_EQ(spec.base.size(), 3u);
@@ -104,9 +102,6 @@ TEST(SweepSpec, ParsesFullSpec)
     EXPECT_DOUBLE_EQ(spec.derived[0].mul, 0.0);
     EXPECT_DOUBLE_EQ(spec.derived[0].add, 1.0);
     ASSERT_EQ(spec.objectives.size(), 2u);
-    EXPECT_EQ(spec.mode, SearchMode::Halving);
-    EXPECT_EQ(spec.eta, 2u);
-    EXPECT_EQ(spec.min_scale, 1u);
 }
 
 TEST(SweepSpec, RejectsInvalidJson)
@@ -256,35 +251,16 @@ TEST(SweepSpec, RejectsBadPoints)
         "$.points[0]", "not bound for this point");
 }
 
-TEST(SweepSpec, RejectsBadSearch)
+TEST(SweepSpec, RejectsSearchBlock)
 {
+    // Every point is evaluated; there is no search to configure.
     expectDiagnostic(
-        parseErr(R"({"search": {"mode": "random"}})"),
-        "$.search.mode", "\"exhaustive\" or \"halving\"");
+        parseErr(R"({"search": {"mode": "halving", "eta": 2,
+                                "min_scale": 1}})"),
+        "$.search", "unknown sweep-spec key");
     expectDiagnostic(
-        parseErr(R"({"search": {"mode": "halving", "eta": 1}})"),
-        "$.search.eta", "integer >= 2");
-    expectDiagnostic(
-        parseErr(R"({"search": {"mode": "halving",
-                                "min_scale": 0.5}})"),
-        "$.search.min_scale", "integer >= 1");
-    expectDiagnostic(
-        parseErr(R"({"search": {"budget": 10}})"),
-        "$.search.budget", "unknown search key");
-    // Halving has one rung policy, reduced-scale runs; the old
-    // event-budget policy's key is gone.
-    expectDiagnostic(
-        parseErr(R"({"search": {"mode": "halving",
-                                "snapshot_extend": true}})"),
-        "$.search.snapshot_extend", "unknown search key");
-    expectDiagnostic(
-        parseErr(R"({"search": {"mode": "halving", "eta": 1e30}})"),
-        "$.search.eta", "integer <= 4294967295");
-    // Fleets have no halving search.
-    expectDiagnostic(
-        parseErr(R"({"search": {"mode": "halving"},
-                     "fleet": {"nodes": 2}})"),
-        "$.search.mode", "cannot use halving search");
+        parseErr(R"({"search": {"mode": "exhaustive"}})"),
+        "$.search", "unknown sweep-spec key");
 }
 
 TEST(SweepSpec, EveryCommittedExampleParsesAndExpands)
@@ -588,24 +564,6 @@ TEST(Pareto, FrontierKeepsTiesAndOrdersDeterministically)
     EXPECT_EQ(front[3], 0u);
 }
 
-TEST(Pareto, RanksPeelLayers)
-{
-    const std::vector<std::vector<double>> objs = {
-        { 1.0, 4.0 }, // rank 0
-        { 2.0, 3.0 }, // rank 0
-        { 3.0, 3.0 }, // rank 1 (dominated by {2,3})
-        { 4.0, 4.0 }, // rank 2 (dominated by {3,3} too)
-        { 4.0, 1.0 }, // rank 0
-    };
-    const auto ranks = paretoRanks(objs);
-    ASSERT_EQ(ranks.size(), 5u);
-    EXPECT_EQ(ranks[0], 0u);
-    EXPECT_EQ(ranks[1], 0u);
-    EXPECT_EQ(ranks[2], 1u);
-    EXPECT_EQ(ranks[3], 2u);
-    EXPECT_EQ(ranks[4], 0u);
-}
-
 // ---------------------------------------------------------------------
 // Report writers (synthetic report: no simulation involved).
 // ---------------------------------------------------------------------
@@ -617,7 +575,6 @@ syntheticReport()
 {
     ExploreReport r;
     r.name = "synthetic";
-    r.mode = SearchMode::Exhaustive;
     r.objective_names = { "time", "nvm_writes" };
     r.expanded_points = 2;
     r.full_scale = 1;
@@ -688,25 +645,6 @@ TEST(Report, MarkdownPointsAtRunRecords)
 
 namespace {
 
-/** The reference sweep for halving-vs-exhaustive equivalence. */
-SweepSpec
-referenceSweep(SearchMode mode)
-{
-    auto spec = parseOk(R"({
-        "name": "reference",
-        "base": {"workload": "sha", "power": "trace1", "scale": 2},
-        "axes": [
-            {"param": "design",
-             "values": ["wl", "nvsram", "replay", "wt"]},
-            {"param": "wl.maxline", "values": [2, 6]}
-        ],
-        "objectives": ["time", "nvm_writes"],
-        "search": {"mode": "halving", "eta": 2, "min_scale": 1}
-    })");
-    spec.mode = mode;
-    return spec;
-}
-
 bool
 runSweep(const SweepSpec &sweep, ExploreReport &out,
         const std::string &cache_dir = "")
@@ -750,19 +688,8 @@ TEST(Explorer, RejectsBadInputsWithClearErrors)
     EXPECT_NE(err.find("unknown objective 'bogus'"),
               std::string::npos);
 
-    // Halving owns the scale dimension.
-    ExploreConfig halving;
-    halving.sweep = parseOk(R"({
-        "base": {"workload": "sha"},
-        "axes": [{"param": "scale", "values": [1, 2]}],
-        "search": {"mode": "halving"}
-    })");
-    EXPECT_FALSE(runExploration(halving, report, &err));
-    EXPECT_NE(err.find("halving cannot sweep 'scale'"),
-              std::string::npos);
-
     // An override must match the sweep's kind: fleet objectives need
-    // a fleet block, which takes no per-run objectives or halving.
+    // a fleet block, which takes no per-run objectives.
     cfg.objectives = { "fleet_p99_progress" };
     EXPECT_FALSE(runExploration(cfg, report, &err));
     EXPECT_NE(err.find("needs a \"fleet\" block"), std::string::npos);
@@ -772,10 +699,16 @@ TEST(Explorer, RejectsBadInputsWithClearErrors)
     fleet.objectives = { "time" };
     EXPECT_FALSE(runExploration(fleet, report, &err));
     EXPECT_NE(err.find("objective 'time' is per-run"), std::string::npos);
-    fleet.objectives.clear();
-    fleet.sweep.mode = SearchMode::Halving;
-    EXPECT_FALSE(runExploration(fleet, report, &err));
-    EXPECT_NE(err.find("cannot use halving search"), std::string::npos);
+    // A DirtyQueue too small for the WL preset's adaptive range fails
+    // before any run, naming the point, instead of panicking mid-run.
+    ExploreConfig small_dq;
+    small_dq.sweep = parseOk(R"({"name": "x",
+        "base": {"design": "wl", "wl.maxline": 2, "wl.dq_size": 4,
+                 "power": "trace1", "workload": "qsort"},
+        "objectives": ["time"]})");
+    EXPECT_FALSE(runExploration(small_dq, report, &err));
+    expectDiagnostic(err, "point 'base'",
+                     "adaptive.maxline_max 6 exceeds wl.dq_size 4");
 }
 
 TEST(Explorer, ExhaustiveIsDeterministic)
@@ -840,32 +773,4 @@ TEST(Explorer, WarmCacheExecutesNothing)
     // Cache-served results reproduce the reports byte for byte.
     EXPECT_EQ(renderCsv(cold), renderCsv(warm));
     EXPECT_EQ(renderMd(cold), renderMd(warm));
-}
-
-TEST(Explorer, HalvingReachesExhaustiveFrontierWithFewerFullRuns)
-{
-    ExploreReport exhaustive, halving;
-    ASSERT_TRUE(
-        runSweep(referenceSweep(SearchMode::Exhaustive), exhaustive));
-    ASSERT_TRUE(runSweep(referenceSweep(SearchMode::Halving), halving));
-
-    // Same frontier, point for point, in the same order.
-    ASSERT_EQ(halving.frontier.size(), exhaustive.frontier.size());
-    for (std::size_t i = 0; i < halving.frontier.size(); ++i) {
-        const auto &h = halving.outcomes[halving.frontier[i]];
-        const auto &e = exhaustive.outcomes[exhaustive.frontier[i]];
-        EXPECT_EQ(h.point.id, e.point.id);
-        EXPECT_EQ(h.objectives, e.objectives);
-        EXPECT_EQ(h.run_key, e.run_key);
-    }
-
-    // ...found with measurably fewer full-scale simulations.
-    EXPECT_EQ(exhaustive.full_runs, 8u);
-    EXPECT_LT(halving.full_runs, exhaustive.full_runs);
-    EXPECT_GT(halving.triage_runs, 0u);
-    ASSERT_EQ(halving.rungs.size(), 2u);
-    EXPECT_EQ(halving.rungs[0].scale, 1u);
-    EXPECT_EQ(halving.rungs[0].entrants, 8u);
-    EXPECT_EQ(halving.rungs[0].promoted, 4u);
-    EXPECT_EQ(halving.rungs[1].scale, 2u);
 }

@@ -406,8 +406,9 @@ TEST_F(JournalFixture, SnapshotRoundTripsStateByteExactly)
         const unsigned *a = j->lookup(line);
         const unsigned *b = k->lookup(line);
         ASSERT_EQ(a == nullptr, b == nullptr);
-        if (a != nullptr)
+        if (a != nullptr) {
             EXPECT_EQ(*a, *b);
+        }
     }
 
     // The restored journal re-serializes to the same byte stream.

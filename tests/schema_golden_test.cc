@@ -5,7 +5,7 @@
  * and every design name, this test renders
  *   - the spec-key text (schema prefix + dumpConfigKey),
  *   - the resume key,
- *   - the snapshot compat key and a digest of the snapshot bytes cut
+ *   - the snapshot compat key and a digest of the snapshot bytes taken
  *     mid-run (which include the "RES " result section), and
  *   - the full run-record JSON,
  * plus one mid-run snapshot digest per design, and compares the rendering with tests/golden/schema.txt. Existing
@@ -18,6 +18,8 @@
  *   ./schema_golden_test --update-golden
  */
 
+#include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -127,6 +129,38 @@ hex(const std::vector<std::uint8_t> &bytes)
     return util::fnv1a128Hex(bytes.data(), bytes.size());
 }
 
+/**
+ * The snapshot @p spec's run takes at the boundary before trace event
+ * @p event (a run of @p on_cycles cycles). Interval captures land on
+ * cycle multiples, so narrow in: each pass resumes from the latest
+ * capture at or before @p event with a 64x finer interval and stops
+ * once past it; an interval of 1 captures every boundary.
+ */
+nvp::SystemSnapshot
+snapshotAtEvent(const nvp::ExperimentSpec &spec, Cycle on_cycles,
+                std::uint64_t event)
+{
+    nvp::SystemSnapshot best;
+    for (Cycle interval = std::max<Cycle>(1, on_cycles / 64);;
+         interval = std::max<Cycle>(1, interval / 64)) {
+        const nvp::SystemSnapshot from = best;
+        std::atomic<bool> past{ false };
+        nvp::RunOptions ro;
+        ro.resume = from.valid() ? &from : nullptr;
+        ro.cut_request = &past;
+        ro.snapshot_interval = interval;
+        ro.snapshot_sink = [&](nvp::SystemSnapshot &&s) {
+            if (s.event_index <= event)
+                best = std::move(s);
+            else
+                past = true;
+        };
+        nvp::runExperiment(spec, ro);
+        if ((best.valid() && best.event_index == event) || interval == 1)
+            return best;
+    }
+}
+
 std::string
 runJson(const nvp::RunResult &r)
 {
@@ -142,12 +176,10 @@ renderSpec(std::ostream &os, const NamedSpec &ns)
     const nvp::RunResult cold = nvp::runExperiment(ns.spec);
     const std::string json = runJson(cold);
 
-    nvp::RunOptions cut_opts;
-    nvp::SystemSnapshot cut;
-    cut_opts.max_events = cold.trace_events / 2;
-    cut_opts.cut = &cut;
-    nvp::runExperiment(ns.spec, cut_opts);
-    EXPECT_TRUE(cut.valid()) << ns.name;
+    const std::uint64_t mid = cold.trace_events / 2;
+    const nvp::SystemSnapshot cut =
+        snapshotAtEvent(ns.spec, cold.on_cycles, mid);
+    EXPECT_EQ(cut.event_index, mid) << ns.name;
 
     os << "=== " << ns.name << "\n--- spec_key_text\n"
        << runner::specKeyText(ns.spec) << "--- resume_key "
@@ -207,12 +239,10 @@ renderSnapshots(std::ostream &os)
         };
         const nvp::RunResult cold = nvp::runExperiment(spec);
 
-        nvp::RunOptions cut_opts;
-        nvp::SystemSnapshot cut;
-        cut_opts.max_events = cold.trace_events / 2;
-        cut_opts.cut = &cut;
-        nvp::runExperiment(spec, cut_opts);
-        EXPECT_TRUE(cut.valid()) << nvp::designKindName(spec.design);
+        const std::uint64_t mid = cold.trace_events / 2;
+        const nvp::SystemSnapshot cut =
+            snapshotAtEvent(spec, cold.on_cycles, mid);
+        EXPECT_EQ(cut.event_index, mid) << nvp::designKindName(spec.design);
 
         os << nvp::designKindName(spec.design) << " event "
            << cut.event_index << " cycle " << cut.cycle << " state "

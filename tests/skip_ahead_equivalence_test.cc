@@ -166,8 +166,9 @@ TEST_P(SkipAheadMatrix, BitIdenticalAcrossWorkloads)
         const nvp::RunResult r = expectModesIdentical(
             cfg, trace, power, env == PowerEnv::Infinite);
         EXPECT_GT(r.instructions, 0u);
-        if (env == PowerEnv::Infinite)
+        if (env == PowerEnv::Infinite) {
             EXPECT_TRUE(r.completed);
+        }
     }
 }
 

@@ -380,8 +380,11 @@ TEST(SnapshotResume, ResaveIsByteIdentical)
         const nvp::RunResult cold = nvp::runExperiment(spec);
         nvp::SystemSnapshot cut;
         nvp::RunOptions ro;
-        ro.max_events = cold.trace_events / 2;
-        ro.cut = &cut;
+        ro.snapshot_interval = std::max<Cycle>(1, cold.on_cycles / 2);
+        ro.snapshot_sink = [&cut](nvp::SystemSnapshot &&s) {
+            if (!cut.valid())
+                cut = std::move(s);
+        };
         nvp::runExperiment(spec, ro);
         ASSERT_TRUE(cut.valid());
 
@@ -401,8 +404,8 @@ TEST(SnapshotResume, ResaveIsByteIdentical)
 TEST(SnapshotKey, IndependentOfWhenItIsBuilt)
 {
     // The compat key is built on first use: read before run() on one
-    // system, or first built by a mid-run cut on a twin, it is the
-    // same key.
+    // system, or first built by a mid-run snapshot on a twin, it is
+    // the same key.
     const workloads::BuiltTrace &trace =
         workloads::getTrace("sha", 1, 42);
     energy::TraceGenConfig tg;
@@ -418,8 +421,11 @@ TEST(SnapshotKey, IndependentOfWhenItIsBuilt)
     nvp::SystemSim late(cfg, trace, power);
     nvp::SystemSnapshot cut;
     nvp::RunOptions ro;
-    ro.max_events = trace.events.size() / 2;
-    ro.cut = &cut;
+    ro.snapshot_interval = 100000;
+    ro.snapshot_sink = [&cut](nvp::SystemSnapshot &&s) {
+        if (!cut.valid())
+            cut = std::move(s);
+    };
     late.run(ro);
     ASSERT_TRUE(cut.valid());
     EXPECT_EQ(cut.compat_key, key);
@@ -502,7 +508,7 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
 TEST(SnapshotResume, RoundTripsThroughDiskEncoding)
 {
     // Same equivalence, but through encodeSnapshot/decodeSnapshot —
-    // the path campaign ladders and explorer rung cuts take.
+    // the path campaign ladders take.
     const nvp::ExperimentSpec spec = fuzzSpec(kFuzzCases[1]);
     const nvp::RunResult cold = nvp::runExperiment(spec);
 
@@ -522,30 +528,6 @@ TEST(SnapshotResume, RoundTripsThroughDiskEncoding)
     rr.resume = &mid;
     const nvp::RunResult resumed = nvp::runExperiment(spec, rr);
     EXPECT_EQ(resultJson(resumed), resultJson(cold));
-}
-
-TEST(SnapshotResume, BudgetCutThenExtendMatchesCold)
-{
-    // Explorer-rung shape: cut at an event budget, then extend the
-    // cut to completion. The extended run must equal the cold run.
-    const nvp::ExperimentSpec spec = fuzzSpec(kFuzzCases[0]);
-    const nvp::RunResult cold = nvp::runExperiment(spec);
-    ASSERT_GT(cold.trace_events, 10u);
-
-    nvp::SystemSnapshot cut;
-    nvp::RunOptions budget;
-    budget.max_events = cold.trace_events / 3;
-    budget.cut = &cut;
-    const nvp::RunResult partial =
-        nvp::runExperiment(spec, budget);
-    EXPECT_FALSE(partial.completed);
-    ASSERT_TRUE(cut.valid());
-    EXPECT_EQ(cut.event_index, budget.max_events);
-
-    nvp::RunOptions extend;
-    extend.resume = &cut;
-    const nvp::RunResult full = nvp::runExperiment(spec, extend);
-    EXPECT_EQ(resultJson(full), resultJson(cold));
 }
 
 TEST(SnapshotResume, TimelineStampsSnapshotEvents)

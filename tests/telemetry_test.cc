@@ -97,8 +97,9 @@ TEST(TimelineBuffer, WrapAroundKeepsNewestAndCountsDrops)
     std::size_t n = 0;
     std::uint64_t prev_seq = 0;
     tl.forEach([&](const TimelineEvent &e) {
-        if (n > 0)
+        if (n > 0) {
             EXPECT_GT(e.seq, prev_seq);
+        }
         prev_seq = e.seq;
         ++n;
     });

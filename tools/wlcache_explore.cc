@@ -8,13 +8,13 @@
  * fleet reports.
  *
  * Examples:
- *   # Exhaustive 2-axis sweep, frontier on time vs NVM writes:
+ *   # 2-axis sweep, frontier on time vs NVM writes:
  *   wlcache_explore --spec sweep.json --jobs 8 \
  *                   --cache-dir ~/.wlcache-cache \
  *                   --csv points.csv --report frontier.md
  *
- *   # Same spec, three objectives, budgeted successive halving:
- *   wlcache_explore --spec sweep.json --mode halving \
+ *   # Same spec, three objectives:
+ *   wlcache_explore --spec sweep.json \
  *                   --objective time --objective nvm_writes \
  *                   --objective hw_area
  *
@@ -63,14 +63,11 @@ main(int argc, char **argv)
     util::ArgParser args(
         "wlcache_explore",
         "declarative design-space exploration with Pareto-frontier "
-        "extraction and budgeted adaptive search");
+        "extraction");
     args.option("spec", "", "sweep-spec JSON file (required)")
         .listOption("objective",
                     "objective name(s); overrides the spec's list "
                     "(see --list-objectives)")
-        .option("mode", "",
-                "override the spec's search mode: "
-                "exhaustive|halving")
         .option("jobs", "0",
                 "worker threads; 0 = WLCACHE_JOBS env or all cores")
         .option("cache-dir", "",
@@ -113,15 +110,6 @@ main(int argc, char **argv)
     std::string err;
     if (!explore::parseSweepSpec(spec_text, cfg.sweep, &err))
         fatal("%s: %s", spec_path.c_str(), err.c_str());
-
-    const std::string mode = util::toLower(args.get("mode"));
-    if (mode == "exhaustive")
-        cfg.sweep.mode = explore::SearchMode::Exhaustive;
-    else if (mode == "halving")
-        cfg.sweep.mode = explore::SearchMode::Halving;
-    else if (!mode.empty())
-        fatal("unknown --mode '%s' (exhaustive|halving)",
-              mode.c_str());
 
     cfg.objectives = args.getList("objective");
     cfg.jobs = static_cast<unsigned>(args.getInt("jobs"));

@@ -117,6 +117,9 @@ applyCliConfig(const util::ArgParser &args, nvp::SystemConfig &cfg)
     if (!nvp::stepModeFromName(mode, cfg.step_mode))
         fatal("unknown --step-mode '%s' (percycle|skip_ahead)",
               mode.c_str());
+    std::string why;
+    if (!nvp::checkWlGeometry(cfg, why))
+        fatal("%s (--maxline, --dq-size)", why.c_str());
 }
 
 /** Expand a comma-separated list, mapping "all" to @p everything. */

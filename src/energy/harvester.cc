@@ -22,7 +22,8 @@ ceilDiv(std::uint64_t a, std::uint64_t b)
 
 Harvester::Harvester(const PowerTrace &trace, double efficiency,
                      bool infinite)
-    : trace_(trace), efficiency_(efficiency), infinite_(infinite)
+    : trace_(trace), cursor_(trace.cursor()), efficiency_(efficiency),
+      infinite_(infinite)
 {
     wlc_assert(efficiency_ > 0.0 && efficiency_ <= 1.0);
     // Snap the sample period to the cycle grid once; every later
@@ -31,7 +32,7 @@ Harvester::Harvester(const PowerTrace &trace, double efficiency,
     period_cycles_ = static_cast<Cycle>(
         std::llround(trace_.samplePeriod() * kCoreFreqHz));
     wlc_assert(period_cycles_ >= 1);
-    refreshRate();
+    seekSample();
 }
 
 void
@@ -41,21 +42,33 @@ Harvester::refreshRate()
                             kSecondsPerCycle);
 }
 
-double
-Harvester::currentPower() const
-{
-    if (trace_.numSamples() == 0)
-        return 0.0;
-    return trace_.samples()[sample_idx_];
-}
-
 void
 Harvester::stepSample()
 {
     pos_in_sample_cycles_ = 0;
     if (trace_.numSamples() == 0)
         return;
-    sample_idx_ = (sample_idx_ + 1) % trace_.numSamples();
+    if (++sample_idx_ == trace_.numSamples()) {
+        sample_idx_ = 0;
+        cursor_ = trace_.cursor();
+    }
+    power_w_ = cursor_.next();
+    refreshRate();
+}
+
+void
+Harvester::seekSample()
+{
+    cursor_ = trace_.cursor();
+    power_w_ = 0.0;
+    if (trace_.numSamples() != 0) {
+        wlc_assert(sample_idx_ < trace_.numSamples(),
+                   "trace sample %zu of %zu", sample_idx_,
+                   trace_.numSamples());
+        for (std::size_t i = 0; i < sample_idx_; ++i)
+            cursor_.next();
+        power_w_ = cursor_.next();
+    }
     refreshRate();
 }
 
@@ -174,7 +187,7 @@ Harvester::reset()
     total_harvested_aj_ = 0;
     sample_idx_ = 0;
     pos_in_sample_cycles_ = 0;
-    refreshRate();
+    seekSample();
 }
 
 void
@@ -186,7 +199,7 @@ Harvester::ioState(StateIo &io)
     io.u64(sample_idx_);
     io.u64(pos_in_sample_cycles_);
     if (io.loading())
-        refreshRate();
+        seekSample();
 }
 
 } // namespace energy

@@ -110,7 +110,7 @@ class Harvester
     const PowerTrace &trace() const { return trace_; }
 
     /** Ambient power of the sample the cursor is in, watts. */
-    double currentPower() const;
+    double currentPower() const { return power_w_; }
 
     /** Per-cycle deposit rate of the current sample, attojoules. */
     Attojoules currentRateAj() const { return rate_aj_; }
@@ -127,6 +127,9 @@ class Harvester
 
     /** Move the cursor to the start of the next trace sample. */
     void stepSample();
+
+    /** Regenerate the trace from sample 0 up to sample_idx_. */
+    void seekSample();
 
     /** Recompute rate_aj_ for the sample the cursor is in. */
     void refreshRate();
@@ -156,9 +159,12 @@ class Harvester
     Attojoules topUp(Capacitor &cap);
 
     const PowerTrace &trace_;
+    /** Reads the sample after sample_idx_; restarts on a wrap. */
+    PowerTrace::Cursor cursor_;
     double efficiency_;
     bool infinite_;
     Cycle period_cycles_ = 1;
+    double power_w_ = 0.0;    //!< Ambient power, current sample.
     Attojoules rate_aj_ = 0;  //!< Per-cycle deposit, current sample.
     Cycle now_cycles_ = 0;
     Attojoules total_harvested_aj_ = 0;

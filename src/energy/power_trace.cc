@@ -60,55 +60,73 @@ traceKindNameList()
 
 PowerTrace::PowerTrace(double sample_period_s,
                        std::vector<double> samples_w)
-    : sample_period_s_(sample_period_s), samples_w_(std::move(samples_w))
+    : sample_period_s_(sample_period_s), num_samples_(samples_w.size()),
+      stored_w_(std::move(samples_w))
 {
     wlc_assert(sample_period_s_ > 0.0);
-    wlc_assert(!samples_w_.empty());
+    wlc_assert(!stored_w_.empty());
+}
+
+PowerTrace::Cursor
+PowerTrace::cursor() const
+{
+    return Cursor(*this);
+}
+
+std::vector<double>
+PowerTrace::samples() const
+{
+    std::vector<double> out;
+    out.reserve(num_samples_);
+    Cursor c = cursor();
+    for (std::size_t i = 0; i < num_samples_; ++i)
+        out.push_back(c.next());
+    return out;
 }
 
 double
 PowerTrace::powerAt(double t_s) const
 {
-    if (samples_w_.empty())
+    if (num_samples_ == 0)
         return 0.0;
     const double dur = duration();
     double t = std::fmod(t_s, dur);
     if (t < 0.0)
         t += dur;
     auto idx = static_cast<std::size_t>(t / sample_period_s_);
-    if (idx >= samples_w_.size())
-        idx = samples_w_.size() - 1;
-    return samples_w_[idx];
+    if (idx >= num_samples_)
+        idx = num_samples_ - 1;
+    return samples()[idx];
 }
 
 double
 PowerTrace::duration() const
 {
-    return sample_period_s_ * static_cast<double>(samples_w_.size());
+    return sample_period_s_ * static_cast<double>(num_samples_);
 }
 
 double
 PowerTrace::meanPower() const
 {
-    if (samples_w_.empty())
+    if (num_samples_ == 0)
         return 0.0;
     double sum = 0.0;
-    for (double w : samples_w_)
+    for (double w : samples())
         sum += w;
-    return sum / static_cast<double>(samples_w_.size());
+    return sum / static_cast<double>(num_samples_);
 }
 
 double
 PowerTrace::variationCoefficient() const
 {
     const double m = meanPower();
-    if (m <= 0.0 || samples_w_.size() < 2)
+    if (m <= 0.0 || num_samples_ < 2)
         return 0.0;
     double sq = 0.0;
-    for (double w : samples_w_)
+    for (double w : samples())
         sq += (w - m) * (w - m);
     const double sd =
-        std::sqrt(sq / static_cast<double>(samples_w_.size() - 1));
+        std::sqrt(sq / static_cast<double>(num_samples_ - 1));
     return sd / m;
 }
 
@@ -134,7 +152,7 @@ void
 PowerTrace::save(std::ostream &os) const
 {
     writeExactDouble(os, sample_period_s_);
-    for (double w : samples_w_)
+    for (double w : samples())
         writeExactDouble(os, w);
 }
 
@@ -170,159 +188,185 @@ struct RfParams
     double jitter;          //!< Relative power jitter inside a burst.
 };
 
-PowerTrace
-makeRfTrace(const RfParams &p, const TraceGenConfig &cfg)
+const RfParams &
+rfParams(TraceKind kind)
 {
-    Rng rng(cfg.seed);
-    const auto n =
-        static_cast<std::size_t>(cfg.duration_s / cfg.sample_period_s);
-    std::vector<double> samples;
-    samples.reserve(n);
-
-    bool in_burst = rng.nextBool(
-        p.burst_mean_s / (p.burst_mean_s + p.idle_mean_s));
-    double state_left =
-        rng.nextExponential(in_burst ? p.burst_mean_s : p.idle_mean_s);
-    double level = p.burst_power_w;
-
-    while (samples.size() < n) {
-        if (state_left <= 0.0) {
-            in_burst = !in_burst;
-            state_left = rng.nextExponential(
-                in_burst ? p.burst_mean_s : p.idle_mean_s);
-            if (in_burst) {
-                level = p.burst_power_w *
-                    (1.0 + p.jitter * rng.nextGaussian());
-                if (level < 0.2 * p.burst_power_w)
-                    level = 0.2 * p.burst_power_w;
-            }
-        }
-        double w = in_burst ? level : p.idle_power_w;
-        // Small per-sample flutter so samples are not perfectly flat.
-        w *= 1.0 + 0.05 * p.jitter * rng.nextGaussian();
-        samples.push_back(w > 0.0 ? w : 0.0);
-        state_left -= cfg.sample_period_s;
+    // Paper Trace 1: comparatively stable home RF environment.
+    static constexpr RfParams home{ 24.0e-3, 2.8e-3, 3000.0e-6, 600.0e-6,
+                                    0.25 };
+    // Paper Trace 2: office RF, shorter bursts, more idle time.
+    static constexpr RfParams office{ 24.0e-3, 2.5e-3, 1700.0e-6,
+                                      800.0e-6, 0.45 };
+    // Paper tr.3: RFID-scale source, very low duty cycle.
+    static constexpr RfParams mementos{ 20.0e-3, 1.8e-3, 600.0e-6,
+                                        1300.0e-6, 0.60 };
+    switch (kind) {
+      case TraceKind::RfHome:     return home;
+      case TraceKind::RfOffice:   return office;
+      case TraceKind::RfMementos: return mementos;
+      default: break;
     }
-    return PowerTrace(cfg.sample_period_s, std::move(samples));
+    panic("TraceKind %d is not an RF kind", static_cast<int>(kind));
 }
 
-PowerTrace
-makeSolarTrace(const TraceGenConfig &cfg)
-{
-    Rng rng(cfg.seed ^ 0x50a1a2ull);
-    const auto n =
-        static_cast<std::size_t>(cfg.duration_s / cfg.sample_period_s);
-    std::vector<double> samples;
-    samples.reserve(n);
-    // Strong base level with slow irradiance drift and occasional
-    // cloud dips.
-    const double base_w = 46.0e-3;
-    double cloud_left = 0.0;
-    double cloud_factor = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double t = static_cast<double>(i) * cfg.sample_period_s;
-        const double drift =
-            1.0 + 0.12 * std::sin(2.0 * M_PI * t / 2.7) +
-            0.05 * std::sin(2.0 * M_PI * t / 0.61);
-        if (cloud_left <= 0.0 && rng.nextBool(2e-4)) {
-            cloud_left = rng.nextDouble(0.02, 0.08);
-            cloud_factor = rng.nextDouble(0.45, 0.75);
-        }
-        double factor = 1.0;
-        if (cloud_left > 0.0) {
-            factor = cloud_factor;
-            cloud_left -= cfg.sample_period_s;
-        }
-        samples.push_back(base_w * drift * factor);
-    }
-    return PowerTrace(cfg.sample_period_s, std::move(samples));
-}
+/**
+ * AR(1) coefficient of a node gain. The gain is stationary with
+ * var(g) = jitter^2 regardless of rho, so `jitter` reads directly as
+ * the relative power spread. rho makes the gain decorrelate over
+ * ~1 ms (50 samples at the 20 us grid): slow against bursts, fast
+ * against the recording.
+ */
+constexpr double kGainRho = 0.98;
 
-PowerTrace
-makeThermalTrace(const TraceGenConfig &cfg)
+/** Seed of node @p node_id's gain stream. */
+std::uint64_t
+gainSeed(std::uint64_t node_id)
 {
-    Rng rng(cfg.seed ^ 0x7e41ull);
-    const auto n =
-        static_cast<std::size_t>(cfg.duration_s / cfg.sample_period_s);
-    std::vector<double> samples;
-    samples.reserve(n);
-    // Thermal gradients change very slowly: near-constant output.
-    const double base_w = 44.0e-3;
-    double level = base_w;
-    for (std::size_t i = 0; i < n; ++i) {
-        level += 0.03e-3 * rng.nextGaussian();
-        if (level < 0.9 * base_w)
-            level = 0.9 * base_w;
-        if (level > 1.1 * base_w)
-            level = 1.1 * base_w;
-        samples.push_back(level);
-    }
-    return PowerTrace(cfg.sample_period_s, std::move(samples));
+    // Mixed through the golden-ratio multiplier so consecutive ids
+    // land far apart in seed space (the Rng's SplitMix init then
+    // scrambles further).
+    return 0xf1ee7000dull ^
+        (node_id * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull);
 }
 
 } // anonymous namespace
 
+PowerTrace::Cursor::Cursor(const PowerTrace &trace) : trace_(&trace)
+{
+    for (const NodeGain &n : trace.gains_) {
+        Gain g{ Rng(gainSeed(n.node_id)), 0.0,
+                n.jitter * std::sqrt(1.0 - kGainRho * kGainRho) };
+        g.g = n.jitter * g.rng.nextGaussian();
+        gains_.push_back(g);
+    }
+}
+
+double
+PowerTrace::Cursor::next()
+{
+    wlc_assert(idx_ < trace_->num_samples_);
+    double w = trace_->constant_w_;
+    if (!trace_->stored_w_.empty()) {
+        w = trace_->stored_w_[idx_];
+    } else {
+        switch (trace_->kind_) {
+          case TraceKind::RfHome:
+          case TraceKind::RfOffice:
+          case TraceKind::RfMementos: w = nextRf(); break;
+          case TraceKind::Solar:      w = nextSolar(); break;
+          case TraceKind::Thermal:    w = nextThermal(); break;
+          case TraceKind::Constant:   break;
+        }
+    }
+    ++idx_;
+    for (Gain &g : gains_) {
+        double f = 1.0 + g.g;
+        if (f < 0.05)
+            f = 0.05; // keep power strictly positive
+        w *= f;
+        g.g = kGainRho * g.g + g.sigma * g.rng.nextGaussian();
+    }
+    return w;
+}
+
+double
+PowerTrace::Cursor::nextRf()
+{
+    const RfParams &p = rfParams(trace_->kind_);
+    if (idx_ == 0) {
+        rng_ = Rng(trace_->seed_);
+        in_burst_ = rng_.nextBool(
+            p.burst_mean_s / (p.burst_mean_s + p.idle_mean_s));
+        left_s_ = rng_.nextExponential(in_burst_ ? p.burst_mean_s
+                                                 : p.idle_mean_s);
+        level_ = p.burst_power_w;
+    }
+    if (left_s_ <= 0.0) {
+        in_burst_ = !in_burst_;
+        left_s_ = rng_.nextExponential(in_burst_ ? p.burst_mean_s
+                                                 : p.idle_mean_s);
+        if (in_burst_) {
+            level_ = p.burst_power_w * (1.0 + p.jitter * rng_.nextGaussian());
+            if (level_ < 0.2 * p.burst_power_w)
+                level_ = 0.2 * p.burst_power_w;
+        }
+    }
+    double w = in_burst_ ? level_ : p.idle_power_w;
+    // Small per-sample flutter so samples are not perfectly flat.
+    w *= 1.0 + 0.05 * p.jitter * rng_.nextGaussian();
+    left_s_ -= trace_->sample_period_s_;
+    return w > 0.0 ? w : 0.0;
+}
+
+double
+PowerTrace::Cursor::nextSolar()
+{
+    // Strong base level with slow irradiance drift and occasional
+    // cloud dips.
+    const double base_w = 46.0e-3;
+    const double period = trace_->sample_period_s_;
+    if (idx_ == 0) {
+        rng_ = Rng(trace_->seed_ ^ 0x50a1a2ull);
+        level_ = 1.0;
+    }
+    const double t = static_cast<double>(idx_) * period;
+    const double drift = 1.0 + 0.12 * std::sin(2.0 * M_PI * t / 2.7) +
+        0.05 * std::sin(2.0 * M_PI * t / 0.61);
+    if (left_s_ <= 0.0 && rng_.nextBool(2e-4)) {
+        left_s_ = rng_.nextDouble(0.02, 0.08);
+        level_ = rng_.nextDouble(0.45, 0.75);
+    }
+    double factor = 1.0;
+    if (left_s_ > 0.0) {
+        factor = level_;
+        left_s_ -= period;
+    }
+    return base_w * drift * factor;
+}
+
+double
+PowerTrace::Cursor::nextThermal()
+{
+    // Thermal gradients change very slowly: near-constant output.
+    const double base_w = 44.0e-3;
+    if (idx_ == 0) {
+        rng_ = Rng(trace_->seed_ ^ 0x7e41ull);
+        level_ = base_w;
+    }
+    level_ += 0.03e-3 * rng_.nextGaussian();
+    if (level_ < 0.9 * base_w)
+        level_ = 0.9 * base_w;
+    if (level_ > 1.1 * base_w)
+        level_ = 1.1 * base_w;
+    return level_;
+}
+
 PowerTrace
 makeTrace(TraceKind kind, const TraceGenConfig &cfg, double constant_w)
 {
-    switch (kind) {
-      case TraceKind::RfHome:
-        // Paper Trace 1: comparatively stable home RF environment.
-        return makeRfTrace({ 24.0e-3, 2.8e-3, 3000.0e-6, 600.0e-6,
-                             0.25 },
-                           cfg);
-      case TraceKind::RfOffice:
-        // Paper Trace 2: office RF, shorter bursts, more idle time.
-        return makeRfTrace({ 24.0e-3, 2.5e-3, 1700.0e-6, 800.0e-6,
-                             0.45 },
-                           cfg);
-      case TraceKind::RfMementos:
-        // Paper tr.3: RFID-scale source, very low duty cycle.
-        return makeRfTrace({ 20.0e-3, 1.8e-3, 600.0e-6, 1300.0e-6,
-                             0.60 },
-                           cfg);
-      case TraceKind::Solar:
-        return makeSolarTrace(cfg);
-      case TraceKind::Thermal:
-        return makeThermalTrace(cfg);
-      case TraceKind::Constant: {
-        const auto n = static_cast<std::size_t>(
-            cfg.duration_s / cfg.sample_period_s);
-        return PowerTrace(cfg.sample_period_s,
-                          std::vector<double>(n ? n : 1, constant_w));
-      }
-    }
-    panic("unknown TraceKind %d", static_cast<int>(kind));
+    wlc_assert(cfg.sample_period_s > 0.0);
+    const auto n =
+        static_cast<std::size_t>(cfg.duration_s / cfg.sample_period_s);
+    wlc_assert(n > 0 || kind == TraceKind::Constant,
+               "a %s trace of %g s has no samples", traceKindName(kind),
+               cfg.duration_s);
+    PowerTrace t;
+    t.sample_period_s_ = cfg.sample_period_s;
+    t.num_samples_ = n ? n : 1;
+    t.kind_ = kind;
+    t.seed_ = cfg.seed;
+    t.constant_w_ = constant_w;
+    return t;
 }
 
 PowerTrace
 deriveNodeTrace(const PowerTrace &base, std::uint64_t node_id,
                 double jitter)
 {
-    if (jitter <= 0.0 || base.numSamples() == 0)
-        return base;
-    // Seed purely from the node id, mixed through the golden-ratio
-    // multiplier so consecutive ids land far apart in seed space (the
-    // Rng's SplitMix init then scrambles further).
-    Rng rng(0xf1ee7000dull ^
-            (node_id * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull));
-    // Stationary AR(1) gain: var(g) = jitter^2 regardless of rho, so
-    // `jitter` reads directly as the relative power spread. rho is
-    // chosen so the gain decorrelates over ~1 ms (50 samples at the
-    // 20 us grid) — slow against bursts, fast against the recording.
-    const double rho = 0.98;
-    const double sigma = jitter * std::sqrt(1.0 - rho * rho);
-    double g = jitter * rng.nextGaussian();
-    std::vector<double> samples;
-    samples.reserve(base.numSamples());
-    for (const double w : base.samples()) {
-        double f = 1.0 + g;
-        if (f < 0.05)
-            f = 0.05; // keep power strictly positive
-        samples.push_back(w * f);
-        g = rho * g + sigma * rng.nextGaussian();
-    }
-    return PowerTrace(base.samplePeriod(), std::move(samples));
+    PowerTrace t = base;
+    if (jitter > 0.0 && base.numSamples() != 0)
+        t.gains_.push_back({ node_id, jitter });
+    return t;
 }
 
 } // namespace energy

@@ -128,7 +128,13 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
     report.fleet = fleet;
     report.objective_names = objectives;
     report.expanded_points = points.size();
-    report.full_scale = points.front().spec.scale;
+    const auto [lo, hi] = std::minmax_element(
+        points.begin(), points.end(),
+        [](const DesignPoint &a, const DesignPoint &b) {
+            return a.spec.scale < b.spec.scale;
+        });
+    report.min_scale = lo->spec.scale;
+    report.max_scale = hi->spec.scale;
 
     // Every point at its own scale, once per node under a fleet block.
     const runner::JobSet set = pointJobs(points, fleet);

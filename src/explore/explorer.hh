@@ -98,7 +98,8 @@ struct ExploreReport
     std::vector<std::size_t> frontier;
 
     std::size_t expanded_points = 0;  //!< Points in the sweep.
-    unsigned full_scale = 1;          //!< Scale of the first point.
+    unsigned min_scale = 1;           //!< Smallest point scale.
+    unsigned max_scale = 1;           //!< Largest point scale.
 
     // --- Run economics ---
     std::size_t full_runs = 0;    //!< Jobs run (one per point or node).

@@ -166,8 +166,10 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
     // those written by earlier versions.
     os << "- search: exhaustive, " << report.expanded_points
        << " points expanded, " << report.outcomes.size()
-       << " evaluated at full scale (x" << report.full_scale
-       << ")\n";
+       << " evaluated at full scale (x" << report.min_scale;
+    if (report.max_scale != report.min_scale)
+        os << "..x" << report.max_scale;
+    os << ")\n";
     os << "- objectives (all minimized):";
     for (const auto &name : report.objective_names)
         os << " " << name;

@@ -109,6 +109,7 @@ SystemSim::snapshotKey() const
     // Every configuration knob the captured state depends on, plus
     // the trace and power identity.
     const energy::PowerTrace &power = harvester_.trace();
+    const std::vector<double> samples = power.samples();
     std::ostringstream ks;
     dumpConfigKey(ks, resumeNeutral(cfg_));
     ks << "trace=" << trace_.name << '\n'
@@ -117,8 +118,8 @@ SystemSim::snapshotKey() const
        << "infinite_power=" << (harvester_.infinite() ? 1 : 0) << '\n'
        << "power_period=" << power.samplePeriod() << '\n'
        << "power_hash="
-       << util::fnv1a128Hex(power.samples().data(),
-                            power.samples().size() * sizeof(double))
+       << util::fnv1a128Hex(samples.data(),
+                            samples.size() * sizeof(double))
        << '\n'
        << "snapshot_format=" << SystemSnapshot::kFormatVersion << '\n';
     const std::string key_text = ks.str();

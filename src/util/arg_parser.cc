@@ -21,7 +21,7 @@ ArgParser::option(const std::string &name,
 {
     wlc_assert(find(name) == nullptr, "duplicate option --%s",
                name.c_str());
-    options_.push_back({ name, default_value, help, false });
+    options_.push_back({ name, default_value, help, false, false, {} });
     return *this;
 }
 
@@ -30,7 +30,7 @@ ArgParser::flag(const std::string &name, const std::string &help)
 {
     wlc_assert(find(name) == nullptr, "duplicate flag --%s",
                name.c_str());
-    options_.push_back({ name, "0", help, true });
+    options_.push_back({ name, "0", help, true, false, {} });
     return *this;
 }
 
@@ -39,9 +39,7 @@ ArgParser::listOption(const std::string &name, const std::string &help)
 {
     wlc_assert(find(name) == nullptr, "duplicate option --%s",
                name.c_str());
-    Option opt{ name, "", help, false };
-    opt.is_list = true;
-    options_.push_back(std::move(opt));
+    options_.push_back({ name, "", help, false, true, {} });
     return *this;
 }
 
@@ -96,7 +94,9 @@ ArgParser::parse(int argc, char **argv)
                              program_.c_str(), arg.c_str());
                 return false;
             }
-            opt->value = "1";
+            // A char, not "1": GCC 12 warns a false -Wrestrict on
+            // assigning this string literal here.
+            opt->value = '1';
             continue;
         }
         if (!has_value) {

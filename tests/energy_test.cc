@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "energy/capacitor.hh"
 #include "energy/energy_meter.hh"
@@ -11,6 +14,7 @@
 #include "energy/power_trace.hh"
 #include "sim/rng.hh"
 #include "sim/snapshot.hh"
+#include "util/strings.hh"
 
 using namespace wlcache;
 using namespace wlcache::energy;
@@ -100,9 +104,10 @@ TEST(Capacitor, RailAccountingProperty)
             EXPECT_LE(c.voltage(), c.vmax() + 1e-12);
             // A genuinely saturated deposit lands exactly on the
             // rail energy (not one rounded add above or below it).
-            if (amt > room * 1.001 + 1e-15)
+            if (amt > room * 1.001 + 1e-15) {
                 EXPECT_DOUBLE_EQ(c.storedEnergy(),
                                  c.energyBetween(0.0, c.vmax()));
+            }
 
             const double before_draw = c.storedEnergy();
             const double drawn = c.drawEnergy(amt);
@@ -111,8 +116,9 @@ TEST(Capacitor, RailAccountingProperty)
                 << "draw v0=" << v0 << " amt=" << amt;
             EXPECT_LE(drawn, amt + 1e-18);
             EXPECT_GE(c.storedEnergy(), 0.0);
-            if (amt > before_draw * 1.001 + 1e-15)
+            if (amt > before_draw * 1.001 + 1e-15) {
                 EXPECT_DOUBLE_EQ(c.storedEnergy(), 0.0);
+            }
         }
     }
 }
@@ -160,6 +166,145 @@ TEST(PowerTrace, GeneratorsDeterministic)
     const auto b = makeTrace(TraceKind::RfHome, cfg);
     ASSERT_EQ(a.numSamples(), b.numSamples());
     EXPECT_EQ(a.samples(), b.samples());
+}
+
+TEST(PowerTrace, SampleStreamsMatchPinnedDigests)
+{
+    // fnv1a128 of samples() as the eager generators wrote them: a
+    // generator that draws its random stream in another order, or
+    // derives another length, changes every run under that trace.
+    // fleet_test pins the derived streams of the same traces.
+    struct Pin
+    {
+        TraceKind kind;
+        std::uint64_t seed;
+        double duration_s;
+        std::size_t samples;
+        const char *digest;
+    };
+    static const Pin pins[] = {
+        { TraceKind::RfHome, 1, 2, 99999,
+          "d209fe77055fbe747991cf0631385cec" },
+        { TraceKind::RfHome, 1, 0.5, 24999,
+          "e1e8a7e94c67f8882c7a3b5d4369d934" },
+        { TraceKind::RfHome, 1, 0.0013, 64,
+          "bc70048533505cd93d0a87f2b7a97f87" },
+        { TraceKind::RfHome, 7, 2, 99999,
+          "2bad38a445fdabe8718e9b08ea15ccf8" },
+        { TraceKind::RfHome, 7, 0.5, 24999,
+          "4976457955285db168b4aa5539b6e2e7" },
+        { TraceKind::RfHome, 7, 0.0013, 64,
+          "2d6d599fdd8014fc7268f381d210cc70" },
+        { TraceKind::RfHome, 42, 2, 99999,
+          "927987713f696fc6749540d444b6db3a" },
+        { TraceKind::RfHome, 42, 0.5, 24999,
+          "4a4619ee5fed6a4c445cf93697983340" },
+        { TraceKind::RfHome, 42, 0.0013, 64,
+          "428e1a3178d18b56b9a1a0418855ad96" },
+        { TraceKind::RfOffice, 1, 2, 99999,
+          "26bcf6738fda4e3ce11fde81cbb419e0" },
+        { TraceKind::RfOffice, 1, 0.5, 24999,
+          "5ad027585fa6cf8995424cb01c12e863" },
+        { TraceKind::RfOffice, 1, 0.0013, 64,
+          "c1e83c5575e66c6bfb0103e865401229" },
+        { TraceKind::RfOffice, 7, 2, 99999,
+          "f67fd0b60c8ce9569f011c81f7de0d4a" },
+        { TraceKind::RfOffice, 7, 0.5, 24999,
+          "fcc5e19c9e828160f560258854aa3a48" },
+        { TraceKind::RfOffice, 7, 0.0013, 64,
+          "7836fd261fd655b54e11b5da43c196a7" },
+        { TraceKind::RfOffice, 42, 2, 99999,
+          "7d0f9f72dc22e119170d92ac760e32cb" },
+        { TraceKind::RfOffice, 42, 0.5, 24999,
+          "cfd9f803a0d2bf5ae1c90651a711b5b6" },
+        { TraceKind::RfOffice, 42, 0.0013, 64,
+          "16adceae32ec7e00f38410cda497e160" },
+        { TraceKind::RfMementos, 1, 2, 99999,
+          "f9e6a6757f1e16644037dc257efac458" },
+        { TraceKind::RfMementos, 1, 0.5, 24999,
+          "7bca5c21850acb4958ba43950ffbe9f7" },
+        { TraceKind::RfMementos, 1, 0.0013, 64,
+          "34e3a155f46df21fff509662c35ea8a5" },
+        { TraceKind::RfMementos, 7, 2, 99999,
+          "f1ae21efab040f3fe4c1e1d32260bb81" },
+        { TraceKind::RfMementos, 7, 0.5, 24999,
+          "3f99756ed172e386e72bae3fbe8db0d2" },
+        { TraceKind::RfMementos, 7, 0.0013, 64,
+          "8a60f427de20830e6a2879cb70a4c316" },
+        { TraceKind::RfMementos, 42, 2, 99999,
+          "75720cf0088166642beab9ebacd15964" },
+        { TraceKind::RfMementos, 42, 0.5, 24999,
+          "e3c91d017e5b2d920f9c912d01fbd33e" },
+        { TraceKind::RfMementos, 42, 0.0013, 64,
+          "70559adafc2d6b1b025448bd0410bf4d" },
+        { TraceKind::Solar, 1, 2, 99999,
+          "756c0c7c7f8d8c16147b68f84e9e6fba" },
+        { TraceKind::Solar, 1, 0.5, 24999,
+          "28422249b0ced314f0e4a0a20ddf6fdc" },
+        { TraceKind::Solar, 1, 0.0013, 64,
+          "3655630116891641c030bf002e2983f3" },
+        { TraceKind::Solar, 7, 2, 99999,
+          "c54dbee978793c37cc811cab92f7dbf9" },
+        { TraceKind::Solar, 7, 0.5, 24999,
+          "9b5ffc130f648115baaa09ff1ae7e1cb" },
+        { TraceKind::Solar, 7, 0.0013, 64,
+          "3655630116891641c030bf002e2983f3" },
+        { TraceKind::Solar, 42, 2, 99999,
+          "7653f89485dbca64450f833213074300" },
+        { TraceKind::Solar, 42, 0.5, 24999,
+          "6271840aa18a2b3e6c2e8f70e3a3ae7e" },
+        { TraceKind::Solar, 42, 0.0013, 64,
+          "3655630116891641c030bf002e2983f3" },
+        { TraceKind::Thermal, 1, 2, 99999,
+          "deb82127bff1bc041ba3535b00332b68" },
+        { TraceKind::Thermal, 1, 0.5, 24999,
+          "67de82d06ba314ac1e27620341b17f34" },
+        { TraceKind::Thermal, 1, 0.0013, 64,
+          "fd14efdd8c59a4ae5fc397cddeeac22a" },
+        { TraceKind::Thermal, 7, 2, 99999,
+          "280d14875cce6915f71a87717dc76bd3" },
+        { TraceKind::Thermal, 7, 0.5, 24999,
+          "285c984de533cd769b2781274e47824e" },
+        { TraceKind::Thermal, 7, 0.0013, 64,
+          "3335f6f1031732187b6d6d9e8685b624" },
+        { TraceKind::Thermal, 42, 2, 99999,
+          "4d88e5706369ec0ff8a188d930aee41d" },
+        { TraceKind::Thermal, 42, 0.5, 24999,
+          "770b94c271c187eb9d28f954644c90f5" },
+        { TraceKind::Thermal, 42, 0.0013, 64,
+          "a16cc037876d56d05d4edf171341bf94" },
+        { TraceKind::Constant, 1, 2, 99999,
+          "3ceedf2ebbba60f3b4a279115fafa851" },
+        { TraceKind::Constant, 1, 0.5, 24999,
+          "10bb194a4c9c2ef39e40c77e2dbbd731" },
+        { TraceKind::Constant, 1, 0.0013, 64,
+          "8afa1e83bf6c9325fa2f52d23ee6994f" },
+        { TraceKind::Constant, 7, 2, 99999,
+          "3ceedf2ebbba60f3b4a279115fafa851" },
+        { TraceKind::Constant, 7, 0.5, 24999,
+          "10bb194a4c9c2ef39e40c77e2dbbd731" },
+        { TraceKind::Constant, 7, 0.0013, 64,
+          "8afa1e83bf6c9325fa2f52d23ee6994f" },
+        { TraceKind::Constant, 42, 2, 99999,
+          "3ceedf2ebbba60f3b4a279115fafa851" },
+        { TraceKind::Constant, 42, 0.5, 24999,
+          "10bb194a4c9c2ef39e40c77e2dbbd731" },
+        { TraceKind::Constant, 42, 0.0013, 64,
+          "8afa1e83bf6c9325fa2f52d23ee6994f" },
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(traceKindName(pin.kind)) + " seed " +
+                     std::to_string(pin.seed) + " " +
+                     std::to_string(pin.duration_s) + " s");
+        TraceGenConfig cfg;
+        cfg.seed = pin.seed;
+        cfg.duration_s = pin.duration_s;
+        const PowerTrace t = makeTrace(pin.kind, cfg);
+        EXPECT_EQ(t.numSamples(), pin.samples);
+        const std::vector<double> s = t.samples();
+        EXPECT_EQ(util::fnv1a128Hex(s.data(), s.size() * sizeof(double)),
+                  pin.digest);
+    }
 }
 
 TEST(PowerTrace, StabilityOrderingMatchesPaper)
@@ -358,6 +503,163 @@ TEST(Harvester, IoStateRestoresTheSampleRate)
         }
         EXPECT_EQ(restored.totalHarvestedAj(), saved.totalHarvestedAj());
     }
+}
+
+namespace {
+
+/** What a harvester reports after one step of a driveHarvester() script. */
+struct HarvestStep
+{
+    Attojoules result;       //!< Deposit, or chargeUntil() seconds' bits.
+    double power_w;
+    Attojoules rate_aj;
+    Attojoules stored_aj;
+    std::vector<std::uint8_t> harv;  //!< The HARV snapshot bytes.
+
+    bool operator==(const HarvestStep &) const = default;
+};
+
+/**
+ * Drive a harvester over @p trace with a script drawn from @p seed:
+ * random chunked advances (zero, sub-sample, whole-sample and
+ * multi-sample spans), capacitor draws, chargeUntil() in both step
+ * modes, one reset() and two snapshot reloads into a fresh harvester.
+ * With @p restore false the reset is a fresh harvester and the reloads
+ * are skipped, which must not change a step. The script depends only
+ * on @p seed, so two traces with the same samples give the same steps.
+ */
+std::vector<HarvestStep>
+driveHarvester(const PowerTrace &trace, std::uint64_t seed,
+               bool restore = true)
+{
+    Rng rng(seed);
+    std::optional<Harvester> h;
+    h.emplace(trace, 0.7);
+    Capacitor cap(1.0e-6, 2.8, 3.5);
+    const Cycle period = h->periodCycles();
+    const auto harvBytes = [&h] {
+        SnapshotWriter w;
+        StateIo::save(*h, w);
+        return w.take();
+    };
+    std::vector<HarvestStep> steps;
+    for (int i = 0; i < 400; ++i) {
+        Attojoules result = 0;
+        if (i == 150) {
+            if (restore)
+                h->reset();
+            else
+                h.emplace(trace, 0.7);
+        } else if (i == 100 || i == 290) {
+            if (restore) {
+                const std::vector<std::uint8_t> bytes = harvBytes();
+                h.emplace(trace, 0.7);
+                SnapshotReader r(bytes);
+                StateIo::load(*h, r);
+                EXPECT_TRUE(r.atEnd());
+            }
+        } else {
+            switch (rng.nextBelow(8)) {
+              case 0:
+                result = h->advanceCycles(0, cap);
+                break;
+              case 1:
+                result = h->advanceCycles(period * rng.nextBelow(3), cap);
+                break;
+              case 2:
+                result = cap.drawAj(rng.nextBelow(cap.storedAj() + 1));
+                break;
+              case 3:
+              case 4: {
+                const StepMode mode = i % 2 ? StepMode::SkipAhead
+                                            : StepMode::Percycle;
+                const double secs = h->chargeUntil(
+                    cap, rng.nextDouble(2.8, 3.5), 1.0e4, mode);
+                std::memcpy(&result, &secs, sizeof(secs));
+                break;
+              }
+              default:
+                result = h->advanceCycles(rng.nextBelow(3 * period), cap);
+                break;
+            }
+        }
+        steps.push_back({ result, h->currentPower(), h->currentRateAj(),
+                          cap.storedAj(), harvBytes() });
+    }
+    return steps;
+}
+
+/** Short traces wrap many times inside one driveHarvester() script. */
+TraceGenConfig
+shortTrace(std::uint64_t seed)
+{
+    TraceGenConfig cfg;
+    cfg.seed = seed;
+    cfg.duration_s = 65.5 * cfg.sample_period_s;  // 65 samples
+    return cfg;
+}
+
+void
+expectSameSteps(const std::vector<HarvestStep> &got,
+                const std::vector<HarvestStep> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_TRUE(got[i] == want[i]) << "first difference at step " << i;
+}
+
+} // namespace
+
+TEST(Harvester, LazyTraceMatchesItsStoredSamples)
+{
+    // A harvester reads a synthetic trace through its own cursor,
+    // restarting it on a wrap and regenerating forward on reset() and
+    // on a snapshot load; it must see exactly the samples it would
+    // read from the same trace stored as a vector, driven without
+    // resets or reloads.
+    const PowerTrace tr3 = makeTrace(TraceKind::RfMementos, shortTrace(9));
+    const PowerTrace traces[] = {
+        makeTrace(TraceKind::RfHome, shortTrace(1)),
+        tr3,
+        deriveNodeTrace(tr3, 3, 0.25),
+        makeTrace(TraceKind::Solar, shortTrace(2)),
+        makeTrace(TraceKind::Thermal, shortTrace(3)),
+        makeTrace(TraceKind::RfOffice),  // 2 s: reloads seek far in
+    };
+    ASSERT_EQ(traces[0].numSamples(), 65u);
+    for (const PowerTrace &lazy : traces) {
+        SCOPED_TRACE(lazy.numSamples());
+        const PowerTrace stored(lazy.samplePeriod(), lazy.samples());
+        for (const std::uint64_t seed : { 1, 2 }) {
+            SCOPED_TRACE(seed);
+            const std::vector<HarvestStep> steps =
+                driveHarvester(lazy, seed);
+            expectSameSteps(steps, driveHarvester(stored, seed, false));
+            if (lazy.numSamples() == 65) {
+                // The script ran past the end of the trace.
+                SnapshotReader r(steps.back().harv);
+                r.section("HARV");
+                EXPECT_GT(r.u64(), 2 * 65 * Cycle{ 20000 });
+            }
+        }
+    }
+}
+
+TEST(Harvester, ThreadsShareOneConstTrace)
+{
+    // Each harvester owns its cursor and the trace is never written,
+    // so harvesters on several threads can read one trace at once.
+    const PowerTrace trace = deriveNodeTrace(
+        makeTrace(TraceKind::RfOffice, shortTrace(4)), 5, 0.3);
+    const std::vector<HarvestStep> one = driveHarvester(trace, 1);
+    const std::vector<HarvestStep> two = driveHarvester(trace, 2);
+    std::vector<HarvestStep> got_one, got_two;
+    std::thread a([&] { got_one = driveHarvester(trace, 1); });
+    std::thread b([&] { got_two = driveHarvester(trace, 2); });
+    a.join();
+    b.join();
+    expectSameSteps(got_one, one);
+    expectSameSteps(got_two, two);
 }
 
 TEST(EnergyMeter, AccumulatesByCategory)

@@ -577,7 +577,6 @@ syntheticReport()
     r.name = "synthetic";
     r.objective_names = { "time", "nvm_writes" };
     r.expanded_points = 2;
-    r.full_scale = 1;
 
     PointOutcome a;
     a.point.id = "design=wl";
@@ -748,6 +747,10 @@ TEST(Explorer, ExhaustiveRunsEachPointAtItsOwnScale)
         EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
     EXPECT_EQ(report.outcomes[1].point.spec.scale, 2u);
     EXPECT_NE(report.outcomes[0].run_key, report.outcomes[1].run_key);
+    // The header names the range of scales, not the first point's.
+    EXPECT_NE(renderMd(report).find("2 evaluated at full scale (x1..x2)"),
+              std::string::npos)
+        << renderMd(report);
 }
 
 TEST(Explorer, WarmCacheExecutesNothing)

@@ -24,6 +24,7 @@
 #include "explore/report.hh"
 #include "explore/sweep_spec.hh"
 #include "sim/logging.hh"
+#include "util/strings.hh"
 
 using namespace wlcache;
 using namespace wlcache::explore;
@@ -109,9 +110,11 @@ TEST(DeriveNodeTrace, DeterministicAndDecorrelated)
 
     // The gain is multiplicative on the shared envelope: a zero
     // sample stays zero for every node (same burst/idle structure).
+    const std::vector<double> base_w = base.samples();
+    const std::vector<double> a_w = a.samples();
     for (std::size_t i = 0; i < base.numSamples(); ++i) {
-        if (base.samples()[i] == 0.0) {
-            EXPECT_EQ(a.samples()[i], 0.0);
+        if (base_w[i] == 0.0) {
+            EXPECT_EQ(a_w[i], 0.0);
         }
     }
 
@@ -144,6 +147,155 @@ TEST(DeriveNodeTrace, SaveLoadRoundTripsByteIdentically)
     EXPECT_EQ(derived.samples(), reloaded.samples());
     EXPECT_EQ(derived.samplePeriod(), reloaded.samplePeriod());
     EXPECT_EQ(first, saveBytes(reloaded));
+}
+
+TEST(DeriveNodeTrace, SampleStreamsMatchPinnedDigests)
+{
+    // fnv1a128 of node 3's samples at jitter 0.25 over the traces
+    // energy_test pins, as the eager derivation wrote them.
+    struct Pin
+    {
+        energy::TraceKind kind;
+        std::uint64_t seed;
+        double duration_s;
+        const char *digest;
+    };
+    static const Pin pins[] = {
+        { energy::TraceKind::RfHome, 1, 2,
+          "c08b7916bd0521f908c863bd055632bb" },
+        { energy::TraceKind::RfHome, 1, 0.5,
+          "6e025c3bfe748cf3e4094345ffe6fb5d" },
+        { energy::TraceKind::RfHome, 1, 0.0013,
+          "09461002deb4f84a914b26e38611a2ae" },
+        { energy::TraceKind::RfHome, 7, 2,
+          "bb5848df7be076972eed7b32c9eab821" },
+        { energy::TraceKind::RfHome, 7, 0.5,
+          "95a7c8a581b2598fb09848f22166e711" },
+        { energy::TraceKind::RfHome, 7, 0.0013,
+          "ba6e3274bb05e078d07c987859186428" },
+        { energy::TraceKind::RfHome, 42, 2,
+          "0c3312ee609779abd0c736604597f279" },
+        { energy::TraceKind::RfHome, 42, 0.5,
+          "bd2b813a780c828729d3b8ca04b50c8d" },
+        { energy::TraceKind::RfHome, 42, 0.0013,
+          "d0a28ebf979967d2797c61de81099ed2" },
+        { energy::TraceKind::RfOffice, 1, 2,
+          "3c1550b788832717823104096f1b6739" },
+        { energy::TraceKind::RfOffice, 1, 0.5,
+          "9a7f1a5a8bba3cbc6bb554b2ed8b9560" },
+        { energy::TraceKind::RfOffice, 1, 0.0013,
+          "86269a44380fd5cd645b4c70d0246397" },
+        { energy::TraceKind::RfOffice, 7, 2,
+          "a5a3f7af8409415dffe4a67f0a861e47" },
+        { energy::TraceKind::RfOffice, 7, 0.5,
+          "a77b901ce48e9cfc6073643b27964014" },
+        { energy::TraceKind::RfOffice, 7, 0.0013,
+          "fd4718d68ba63245c431a36d566c38db" },
+        { energy::TraceKind::RfOffice, 42, 2,
+          "9a8cdabb14860ea2148abd1599064faa" },
+        { energy::TraceKind::RfOffice, 42, 0.5,
+          "10887b3fe411441f05b34af392bac741" },
+        { energy::TraceKind::RfOffice, 42, 0.0013,
+          "6976e1fd73d9d26460b0873e40d16518" },
+        { energy::TraceKind::RfMementos, 1, 2,
+          "2b6688917e3a7ee36a9fd7553811fb29" },
+        { energy::TraceKind::RfMementos, 1, 0.5,
+          "58873cb78f0d30c9feaf85e118b13853" },
+        { energy::TraceKind::RfMementos, 1, 0.0013,
+          "c6c485b324618cc01d9946f0969cddd4" },
+        { energy::TraceKind::RfMementos, 7, 2,
+          "7484c95a1cfc400f4003aa05de553a4d" },
+        { energy::TraceKind::RfMementos, 7, 0.5,
+          "973ed3301df649af428a177b8b9ce001" },
+        { energy::TraceKind::RfMementos, 7, 0.0013,
+          "a68e655222317ad707bc3cb02205716d" },
+        { energy::TraceKind::RfMementos, 42, 2,
+          "3ba690e0aa86ac4c4b7cf6ad2888be10" },
+        { energy::TraceKind::RfMementos, 42, 0.5,
+          "cdebf1062c3257e73ee11db2428e3a79" },
+        { energy::TraceKind::RfMementos, 42, 0.0013,
+          "d7288632d1fdc0791088b78395e7a8f7" },
+        { energy::TraceKind::Solar, 1, 2,
+          "bbd63cba835d2eadaa7692b9b07ac893" },
+        { energy::TraceKind::Solar, 1, 0.5,
+          "2d1b84ce02d747cc30c96d0e71ae416c" },
+        { energy::TraceKind::Solar, 1, 0.0013,
+          "e93bf3e580da2713af619bd64cbb3fb1" },
+        { energy::TraceKind::Solar, 7, 2,
+          "d7f956800b452d8b2523bfa4fa1198c9" },
+        { energy::TraceKind::Solar, 7, 0.5,
+          "1e8959aee134b0009b5ddf9c74c70ad0" },
+        { energy::TraceKind::Solar, 7, 0.0013,
+          "e93bf3e580da2713af619bd64cbb3fb1" },
+        { energy::TraceKind::Solar, 42, 2,
+          "52183d31b95a4fe3ac728f34f731dff9" },
+        { energy::TraceKind::Solar, 42, 0.5,
+          "ca5a370626f07e3609cb0e275bb814a6" },
+        { energy::TraceKind::Solar, 42, 0.0013,
+          "e93bf3e580da2713af619bd64cbb3fb1" },
+        { energy::TraceKind::Thermal, 1, 2,
+          "c02a141c3be8b762e61ddb4bd19592d2" },
+        { energy::TraceKind::Thermal, 1, 0.5,
+          "9dee7f2eaf45dd607a4a8bf6f97e8c58" },
+        { energy::TraceKind::Thermal, 1, 0.0013,
+          "f2fe0e995117ea0870c7b791f4066210" },
+        { energy::TraceKind::Thermal, 7, 2,
+          "18cc4303c4556aabb7de2aafa1bad435" },
+        { energy::TraceKind::Thermal, 7, 0.5,
+          "b553d0f1315349bb6802d50a3c647d55" },
+        { energy::TraceKind::Thermal, 7, 0.0013,
+          "afe23c7bda9eb103df618c6065b894f1" },
+        { energy::TraceKind::Thermal, 42, 2,
+          "0512ddc30f43cfba7341d38c78bc17ba" },
+        { energy::TraceKind::Thermal, 42, 0.5,
+          "e884e8c6c441fcf8f8c5e7552e835720" },
+        { energy::TraceKind::Thermal, 42, 0.0013,
+          "cfbe43f39d17c59918b64109495889b3" },
+        { energy::TraceKind::Constant, 1, 2,
+          "82f2865bf71f0eabbff59c11c3e832d1" },
+        { energy::TraceKind::Constant, 1, 0.5,
+          "50dc0fba0699676f4bfcf18c18098759" },
+        { energy::TraceKind::Constant, 1, 0.0013,
+          "23ced7d2860e2f2755a2db1469afa449" },
+        { energy::TraceKind::Constant, 7, 2,
+          "82f2865bf71f0eabbff59c11c3e832d1" },
+        { energy::TraceKind::Constant, 7, 0.5,
+          "50dc0fba0699676f4bfcf18c18098759" },
+        { energy::TraceKind::Constant, 7, 0.0013,
+          "23ced7d2860e2f2755a2db1469afa449" },
+        { energy::TraceKind::Constant, 42, 2,
+          "82f2865bf71f0eabbff59c11c3e832d1" },
+        { energy::TraceKind::Constant, 42, 0.5,
+          "50dc0fba0699676f4bfcf18c18098759" },
+        { energy::TraceKind::Constant, 42, 0.0013,
+          "23ced7d2860e2f2755a2db1469afa449" },
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(energy::traceKindName(pin.kind)) +
+                     " seed " + std::to_string(pin.seed) + " " +
+                     std::to_string(pin.duration_s) + " s");
+        energy::TraceGenConfig cfg;
+        cfg.seed = pin.seed;
+        cfg.duration_s = pin.duration_s;
+        const std::vector<double> s =
+            energy::deriveNodeTrace(energy::makeTrace(pin.kind, cfg), 3,
+                                    0.25)
+                .samples();
+        EXPECT_EQ(util::fnv1a128Hex(s.data(), s.size() * sizeof(double)),
+                  pin.digest);
+    }
+}
+
+TEST(DeriveNodeTrace, DerivingTwiceMatchesDerivingTheSamples)
+{
+    // A derived trace stacks its node gain on the base recipe; deriving
+    // again must equal deriving from the first result's samples.
+    const auto once =
+        energy::deriveNodeTrace(energy::makeTrace(energy::TraceKind::Solar),
+                                2, 0.3);
+    const energy::PowerTrace stored(once.samplePeriod(), once.samples());
+    EXPECT_EQ(energy::deriveNodeTrace(once, 9, 0.1).samples(),
+              energy::deriveNodeTrace(stored, 9, 0.1).samples());
 }
 
 // ---------------------------------------------------------------------

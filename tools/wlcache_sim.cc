@@ -22,6 +22,7 @@
  *               --trace trace1 --jobs 8 --cache-dir ~/.wlcache-cache
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -92,6 +93,8 @@ applyCliConfig(const util::ArgParser &args, nvp::SystemConfig &cfg)
     cfg.wl.dq_repl = replOption(args, "dq-repl");
     cfg.adaptive.maxline_max = cfg.wl.dq_size >= 4
         ? cfg.wl.dq_size - 2 : cfg.wl.dq_size;
+    cfg.adaptive.maxline_min =
+        std::min(cfg.adaptive.maxline_min, cfg.adaptive.maxline_max);
     cfg.platform.capacitance_f = args.getDouble("capacitor");
     if (args.getFlag("no-adaptive"))
         cfg.adaptive.enabled = false;

@@ -48,10 +48,10 @@ main()
             outages;
         unsigned ml_min = 99, ml_max = 0;
         for (const auto &r : results) {
-            reconfigs.push_back(r.reconfigurations);
-            accs.push_back(100.0 * r.prediction_accuracy);
-            dirty.push_back(r.avg_dirty_at_ckpt);
-            wbs.push_back(r.writebacks_per_on_period);
+            reconfigs.push_back(r.wl.reconfigurations);
+            accs.push_back(100.0 * r.wl.prediction_accuracy);
+            dirty.push_back(r.wl.avg_dirty_at_ckpt);
+            wbs.push_back(r.wl.writebacks_per_on_period);
             outages.push_back(static_cast<double>(r.outages));
             stalls.push_back(r.on_cycles
                                  ? 100.0 *
@@ -59,8 +59,8 @@ main()
                                          r.store_stall_cycles) /
                                      static_cast<double>(r.on_cycles)
                                  : 0.0);
-            ml_min = std::min(ml_min, r.maxline_min_seen);
-            ml_max = std::max(ml_max, r.maxline_max_seen);
+            ml_min = std::min(ml_min, r.wl.maxline_min_seen);
+            ml_max = std::max(ml_max, r.wl.maxline_max_seen);
         }
         t.row({ energy::traceKindName(tk),
                 util::fmtDouble(util::mean(reconfigs), 1),

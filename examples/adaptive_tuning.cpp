@@ -62,10 +62,10 @@ main(int argc, char **argv)
                 util::fmtSeconds(stat.total_seconds),
                 util::fmtSeconds(adap.total_seconds),
                 util::fmtSeconds(dyn.total_seconds),
-                std::to_string(adap.reconfigurations),
-                std::to_string(adap.maxline_min_seen) + ".." +
-                    std::to_string(adap.maxline_max_seen),
-                util::fmtDouble(100.0 * adap.prediction_accuracy, 1),
+                std::to_string(adap.wl.reconfigurations),
+                std::to_string(adap.wl.maxline_min_seen) + ".." +
+                    std::to_string(adap.wl.maxline_max_seen),
+                util::fmtDouble(100.0 * adap.wl.prediction_accuracy, 1),
                 std::to_string(adap.outages) });
     }
     t.print(std::cout);

@@ -66,11 +66,11 @@ main(int argc, char **argv)
 
     if (r.outages > 0) {
         std::cout << "\nWL-Cache adaptive runtime: "
-                  << r.reconfigurations << " maxline reconfigurations"
-                  << ", maxline range [" << r.maxline_min_seen << ", "
-                  << r.maxline_max_seen << "]"
+                  << r.wl.reconfigurations << " maxline reconfigurations"
+                  << ", maxline range [" << r.wl.maxline_min_seen << ", "
+                  << r.wl.maxline_max_seen << "]"
                   << ", avg dirty lines at checkpoint "
-                  << util::fmtDouble(r.avg_dirty_at_ckpt, 1) << "\n";
+                  << util::fmtDouble(r.wl.avg_dirty_at_ckpt, 1) << "\n";
     }
     return r.completed && r.final_state_correct &&
             r.consistency_violations == 0

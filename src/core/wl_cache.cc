@@ -10,16 +10,19 @@ namespace wlcache {
 namespace core {
 
 WLCache::WLCache(const cache::CacheParams &params, const WlParams &wl,
-                 mem::NvmMemory &nvm, energy::EnergyMeter *meter)
-    : WLCache("wl_cache", params, wl, nvm, meter)
+                 mem::NvmMemory &nvm, energy::EnergyMeter *meter,
+                 const AdaptiveConfig &adaptive)
+    : WLCache("wl_cache", params, wl, nvm, meter, adaptive)
 {
 }
 
 WLCache::WLCache(const std::string &name,
                  const cache::CacheParams &params, const WlParams &wl,
-                 mem::NvmMemory &nvm, energy::EnergyMeter *meter)
+                 mem::NvmMemory &nvm, energy::EnergyMeter *meter,
+                 const AdaptiveConfig &adaptive)
     : BaseTagCache(name, params, nvm, meter), wl_(wl),
-      dq_(wl.dq_size, wl.dq_repl), wl_stats_(stat_group_)
+      initial_maxline_(wl.maxline), dq_(wl.dq_size, wl.dq_repl),
+      wl_stats_(stat_group_), runtime_(adaptive, wl.maxline)
 {
     wlc_assert(wl_.maxline >= 1 && wl_.maxline <= wl_.dq_size,
                "maxline must be in [1, |DirtyQueue|]");
@@ -82,7 +85,7 @@ WLCache::cleanAboveWaterline(Cycle now)
         // to the waterline constraint, raise maxline when the
         // capacitor can afford to JIT-checkpoint one more line.
         if (try_reserve_ && wl_.maxline < wl_.dq_size &&
-            try_reserve_(lineCheckpointEnergy())) {
+            try_reserve_(wl_.maxline + 1, lineCheckpointEnergy())) {
             ++wl_.maxline;
             ++wl_stats_.dyn_maxline_raises;
             continue;
@@ -108,7 +111,8 @@ WLCache::ensureDirtyCapacity(Cycle now)
         // afford checkpointing one more line, raise maxline instead
         // of stalling.
         if (at_maxline && !dq_.full() && wl_.maxline < wl_.dq_size &&
-            try_reserve_ && try_reserve_(lineCheckpointEnergy())) {
+            try_reserve_ &&
+            try_reserve_(wl_.maxline + 1, lineCheckpointEnergy())) {
             ++wl_.maxline;
             ++wl_stats_.dyn_maxline_raises;
             continue;
@@ -293,6 +297,43 @@ WLCache::setMaxline(unsigned maxline)
     wl_.maxline = maxline;
 }
 
+unsigned
+WLCache::nvffImage(std::uint8_t *out) const
+{
+    out[0] = static_cast<std::uint8_t>(maxline());
+    out[1] = static_cast<std::uint8_t>(waterline());
+    // The watchdog history lives in the runtime; its 2 x 2 bytes share
+    // the bank.
+    return 2;
+}
+
+bool
+WLCache::endPowerInterval(double on_seconds, Cycle now)
+{
+    const unsigned before = maxline();
+    const unsigned m = runtime_.onBoot(on_seconds);
+    WLC_TIMELINE(tl_, AdaptDecision, now, "runtime", before, m,
+                 on_seconds);
+    setMaxline(runtime_.config().enabled ? m : initial_maxline_);
+    return true;
+}
+
+void
+WLCache::reportRun(std::uint64_t outages, cache::WlRunStats &wl,
+                   mem::NvmJournalStats &) const
+{
+    wl.reconfigurations = runtime_.reconfigurations();
+    wl.maxline_min_seen = runtime_.observedMaxlineMin();
+    wl.maxline_max_seen = runtime_.observedMaxlineMax();
+    wl.prediction_accuracy = runtime_.predictionAccuracy();
+    wl.avg_dirty_at_ckpt = wl_stats_.dirty_at_ckpt.mean();
+    wl.dyn_maxline_raises =
+        static_cast<std::uint64_t>(wl_stats_.dyn_maxline_raises.value());
+    if (outages > 0)
+        wl.writebacks_per_on_period =
+            wl_stats_.cleanings.value() / static_cast<double>(outages);
+}
+
 void
 WLCache::onDirtyEviction(Addr line_addr)
 {
@@ -325,6 +366,7 @@ WLCache::ioState(StateIo &io)
     if (io.loading())
         setMaxline(maxline);
     dq_.ioState(io);
+    runtime_.ioState(io);
 }
 
 } // namespace core

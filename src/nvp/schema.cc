@@ -392,7 +392,7 @@ resultFields()
             WLC_PART(nvm_log, compactions),
             WLC_PART(nvm_log, compacted_lines),
             WLC_PART(nvm_log, compacted_bytes),
-            row<&R::log_live_lines>("live_lines"),
+            WLC_PART(nvm_log, live_lines),
         });
         group("", {
             WLC_ROW(R, dcache_load_hit_rate),
@@ -400,13 +400,13 @@ resultFields()
             WLC_ROW(R, store_stall_cycles),
         });
         group("wl", {
-            WLC_ROW(R, reconfigurations),
-            WLC_ROW(R, maxline_min_seen),
-            WLC_ROW(R, maxline_max_seen),
-            WLC_ROW(R, prediction_accuracy),
-            WLC_ROW(R, avg_dirty_at_ckpt),
-            WLC_ROW(R, writebacks_per_on_period),
-            WLC_ROW(R, dyn_maxline_raises),
+            WLC_PART(wl, reconfigurations),
+            WLC_PART(wl, maxline_min_seen),
+            WLC_PART(wl, maxline_max_seen),
+            WLC_PART(wl, prediction_accuracy),
+            WLC_PART(wl, avg_dirty_at_ckpt),
+            WLC_PART(wl, writebacks_per_on_period),
+            WLC_PART(wl, dyn_maxline_raises),
         });
         group("oracle", {
             WLC_ROW(R, consistency_checks),

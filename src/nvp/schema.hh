@@ -14,8 +14,9 @@
  *
  * A result group may live in a component's own stats struct that
  * RunResult embeds (mem::NvmDeviceStats as nvm_device,
- * mem::NvmJournalStats as nvm_log): its rows point into the struct,
- * and the component adds a counter by adding a member and a row.
+ * mem::NvmJournalStats as nvm_log, cache::WlRunStats as wl): its rows
+ * point into the struct, and the component adds a counter by adding a
+ * member and a row.
  */
 
 #ifndef WLCACHE_NVP_SCHEMA_HH

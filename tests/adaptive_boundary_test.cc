@@ -64,8 +64,9 @@ TEST(AdaptiveBoundary, MaxlineOneRunsToCompletion)
 
     const energy::PowerTrace power = rfHome();
     nvp::SystemSim sim(cfg, shaTrace(), power, false);
-    ASSERT_NE(sim.wlCache(), nullptr);
-    EXPECT_EQ(sim.wlCache()->waterline(), 0u);
+    const auto *wl = dynamic_cast<core::WLCache *>(&sim.dcache());
+    ASSERT_NE(wl, nullptr);
+    EXPECT_EQ(wl->waterline(), 0u);
 
     const nvp::RunResult res = sim.run();
     EXPECT_TRUE(res.completed);
@@ -92,8 +93,8 @@ TEST(AdaptiveBoundary, PinnedRangeNeverMoves)
 
     EXPECT_TRUE(res.completed);
     EXPECT_GT(res.outages, 0u);
-    EXPECT_EQ(res.maxline_min_seen, 3u);
-    EXPECT_EQ(res.maxline_max_seen, 3u);
+    EXPECT_EQ(res.wl.maxline_min_seen, 3u);
+    EXPECT_EQ(res.wl.maxline_max_seen, 3u);
     EXPECT_EQ(res.consistency_violations, 0u);
 }
 

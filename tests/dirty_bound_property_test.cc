@@ -65,7 +65,7 @@ TEST_P(DirtyBoundProperty, HoldsAtEveryStep)
         energy::makeTrace(energy::TraceKind::RfHome, tg);
 
     nvp::SystemSim sim(cfg, trace, power, false);
-    core::WLCache *wl = sim.wlCache();
+    auto *wl = dynamic_cast<core::WLCache *>(&sim.dcache());
     ASSERT_NE(wl, nullptr);
 
     unsigned max_dirty_seen = 0;
@@ -144,7 +144,7 @@ TEST(DirtyBoundProperty, CheckpointDrainsToZero)
         energy::makeTrace(energy::TraceKind::RfHome, tg);
 
     nvp::SystemSim sim(cfg, trace, power, false);
-    core::WLCache *wl = sim.wlCache();
+    auto *wl = dynamic_cast<core::WLCache *>(&sim.dcache());
     ASSERT_NE(wl, nullptr);
 
     std::uint64_t zero_observations = 0;

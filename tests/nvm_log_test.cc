@@ -433,7 +433,7 @@ TEST(WlLogSystem, CompletesCleanAndDrainsJournal)
     EXPECT_TRUE(res.final_state_correct);
     EXPECT_GT(res.nvm_log.appends, 0u);
     // Graceful completion drains every journal-resident line home.
-    EXPECT_EQ(res.log_live_lines, 0u);
+    EXPECT_EQ(res.nvm_log.live_lines, 0u);
     EXPECT_EQ(res.nvm_log.replays, 0u);
 }
 

@@ -706,9 +706,9 @@ TEST(RunRecord, DeadTraceRecordStaysFinite)
     const nvp::RunResult r = sim.run();
     ASSERT_FALSE(r.completed);
 
-    EXPECT_TRUE(std::isfinite(r.prediction_accuracy));
-    EXPECT_TRUE(std::isfinite(r.avg_dirty_at_ckpt));
-    EXPECT_TRUE(std::isfinite(r.writebacks_per_on_period));
+    EXPECT_TRUE(std::isfinite(r.wl.prediction_accuracy));
+    EXPECT_TRUE(std::isfinite(r.wl.avg_dirty_at_ckpt));
+    EXPECT_TRUE(std::isfinite(r.wl.writebacks_per_on_period));
     EXPECT_TRUE(std::isfinite(r.dcache_load_hit_rate));
     EXPECT_TRUE(std::isfinite(r.dcache_store_hit_rate));
 

@@ -133,10 +133,10 @@ TEST(System, WlAdaptiveStatsPopulated)
     const auto r = runExperiment(s);
     EXPECT_TRUE(r.completed);
     if (r.outages > 4) {
-        EXPECT_GT(r.avg_dirty_at_ckpt, 0.0);
-        EXPECT_GE(r.maxline_max_seen, r.maxline_min_seen);
-        EXPECT_GE(r.prediction_accuracy, 0.2);
-        EXPECT_LE(r.prediction_accuracy, 1.0);
+        EXPECT_GT(r.wl.avg_dirty_at_ckpt, 0.0);
+        EXPECT_GE(r.wl.maxline_max_seen, r.wl.maxline_min_seen);
+        EXPECT_GE(r.wl.prediction_accuracy, 0.2);
+        EXPECT_LE(r.wl.prediction_accuracy, 1.0);
     }
 }
 
@@ -154,7 +154,7 @@ TEST(System, WlDynamicAdaptationRuns)
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.final_state_correct);
     EXPECT_EQ(r.consistency_violations, 0u);
-    EXPECT_GT(r.dyn_maxline_raises, 0u);
+    EXPECT_GT(r.wl.dyn_maxline_raises, 0u);
 }
 
 TEST(System, EagerCleanupAblationStaysConsistent)

@@ -14,6 +14,8 @@
  * and commit tests/golden/timeline_perfetto.json with the change.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -458,6 +460,62 @@ TEST(LiveTelemetry, WlRunRecordsRichTimeline)
     EXPECT_NE(stats.get("icache"), nullptr);
     EXPECT_NE(stats.get("core"), nullptr);
     EXPECT_NE(stats.get("nvm"), nullptr);
+}
+
+/**
+ * A dynamic maxline raise (§4) moves Vbackup up one step of the WL
+ * schedule through the same threshold function a boot uses, so every
+ * raise records one Vbackup CapThreshold row carrying the raised
+ * threshold. With adaptation off, every boot returns to the configured
+ * maxline's threshold.
+ */
+TEST(LiveTelemetry, DynamicRaiseRecordsItsThreshold)
+{
+    std::ostringstream power_rows;  // the Power track survives ring wrap
+    TimelineBuffer tl(1024);
+    tl.setEcho(&power_rows, trackBit(Track::Power));
+    nvp::ExperimentSpec spec;
+    spec.design = nvp::DesignKind::WL;
+    spec.workload = "jpegencode";
+    spec.power = energy::TraceKind::Thermal;
+    spec.tweak = [&tl](nvp::SystemConfig &c) {
+        c.timeline = &tl;
+        c.wl_dynamic = true;
+        c.adaptive.enabled = false;
+        c.wl.maxline = 2;
+    };
+    const nvp::RunResult r = nvp::runExperiment(spec);
+    ASSERT_TRUE(r.completed);
+    ASSERT_GT(r.wl.dyn_maxline_raises, 0u);
+
+    const nvp::PlatformParams p =
+        nvp::SystemConfig::forDesign(nvp::DesignKind::WL).platform;
+    auto vbackup = [&p](unsigned maxline) {
+        return std::min(p.wl_vbackup_base +
+                            p.wl_vbackup_step *
+                                (maxline - p.wl_threshold_anchor),
+                        p.vmax);
+    };
+    // CSV columns: seq, cycle, type, track, comp, a0, a1, v.
+    unsigned maxline = 2;
+    std::uint64_t rows = 0, raises = 0;
+    std::istringstream is(power_rows.str());
+    for (std::string line; std::getline(is, line);) {
+        const std::vector<std::string> f = util::split(line, ',');
+        if (f[2] != "cap_threshold" || f[5] != "0")
+            continue;  // a Von row or another power event
+        ++rows;
+        const double v = std::stod(f[7]);
+        if (std::abs(v - vbackup(2)) < 1e-9) {
+            maxline = 2;  // construction or a boot
+            continue;
+        }
+        ++maxline;
+        ++raises;
+        EXPECT_NEAR(v, vbackup(maxline), 1e-9) << line;
+    }
+    EXPECT_EQ(raises, r.wl.dyn_maxline_raises);
+    EXPECT_EQ(rows, 1 + r.outages + r.wl.dyn_maxline_raises);
 }
 
 /** The rollup cap bounds the record; overflow lands in the counter. */

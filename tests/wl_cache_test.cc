@@ -276,7 +276,7 @@ TEST_F(WlFixture, DynamicAdaptationRaisesMaxlineInsteadOfStalling)
 {
     build(/*maxline=*/2, /*dq_size=*/6, ReplPolicy::FIFO,
           /*eager_cleanup=*/false, /*waterline_gap=*/0);
-    wl->enableDynamicAdaptation([](double) { return true; });
+    wl->enableDynamicAdaptation([](unsigned, double) { return true; });
     Cycle t = 0;
     t = store(0x000, 1, t);
     t = store(0x040, 2, t);
@@ -289,7 +289,7 @@ TEST_F(WlFixture, DynamicAdaptationDeniedFallsBackToStall)
 {
     build(/*maxline=*/1, /*dq_size=*/1, ReplPolicy::FIFO,
           /*eager_cleanup=*/false, /*waterline_gap=*/0);
-    wl->enableDynamicAdaptation([](double) { return false; });
+    wl->enableDynamicAdaptation([](unsigned, double) { return false; });
     Cycle t = 0;
     t = store(0x000, 1, t);
     t = store(0x040, 2, t);

@@ -190,7 +190,7 @@ TEST(Determinism, IdenticalSpecsProduceIdenticalResults)
     EXPECT_EQ(a.outages, b.outages);
     EXPECT_EQ(a.nvm_writes, b.nvm_writes);
     EXPECT_DOUBLE_EQ(a.meter.total(), b.meter.total());
-    EXPECT_EQ(a.reconfigurations, b.reconfigurations);
+    EXPECT_EQ(a.wl.reconfigurations, b.wl.reconfigurations);
 }
 
 TEST(Determinism, PowerSeedChangesOutageTiming)

@@ -391,14 +391,14 @@ main(int argc, char **argv)
               << "\nstore stalls:      " << r.store_stall_cycles
               << " cycles\n";
     if (nvp::isWlFamily(design)) {
-        std::cout << "wl reconfigs:      " << r.reconfigurations
-                  << " (maxline " << r.maxline_min_seen << ".."
-                  << r.maxline_max_seen << ", pred-acc "
-                  << util::fmtDouble(100.0 * r.prediction_accuracy, 1)
+        std::cout << "wl reconfigs:      " << r.wl.reconfigurations
+                  << " (maxline " << r.wl.maxline_min_seen << ".."
+                  << r.wl.maxline_max_seen << ", pred-acc "
+                  << util::fmtDouble(100.0 * r.wl.prediction_accuracy, 1)
                   << "%)"
                   << "\nwl dirty@ckpt:     "
-                  << util::fmtDouble(r.avg_dirty_at_ckpt, 2)
-                  << "\nwl dyn raises:     " << r.dyn_maxline_raises
+                  << util::fmtDouble(r.wl.avg_dirty_at_ckpt, 2)
+                  << "\nwl dyn raises:     " << r.wl.dyn_maxline_raises
                   << "\n";
     }
     if (cfg.validate_consistency) {

@@ -38,8 +38,12 @@ struct SystemSnapshot
      * 5 = SYS2 drops ReplayCache's region-dirty byte set (derived from
      * the trace on demand) and NVSP drops the write-only background
      * write-back queue.
+     * 6 = design-owned state: WL-family designs carry their adaptive
+     * runtime (ADPT) inside their own section, the runtime-presence
+     * byte is gone, and SYS2 ends with an "RGN " recovery point
+     * (region start index, fetch stream) for region designs only.
      */
-    static constexpr std::uint32_t kFormatVersion = 5;
+    static constexpr std::uint32_t kFormatVersion = 6;
 
     /**
      * Resume-compatibility key: hash of every configuration and trace

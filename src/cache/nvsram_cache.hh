@@ -72,8 +72,6 @@ class NvsramCacheWB : public BaseTagCache
 
     const char *designName() const override { return "NVSRAM-WB"; }
 
-    const NvsramParams &nvsramParams() const { return nvsram_; }
-
     void ioState(StateIo &io) override;
 
   private:

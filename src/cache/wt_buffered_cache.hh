@@ -48,7 +48,6 @@ class WtBufferedCache : public BaseTagCache
     double leakageWatts() const override;
     const char *designName() const override { return "WT+Buffer"; }
 
-    const WtBufferParams &bufferParams() const { return wb_; }
     std::size_t bufferDepth() const { return buffer_.size(); }
     std::uint64_t coalescedWrites() const { return coalesced_; }
 

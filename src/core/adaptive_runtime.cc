@@ -116,22 +116,6 @@ AdaptiveRuntime::predictionAccuracy() const
 }
 
 void
-AdaptiveRuntime::reset(unsigned initial_maxline)
-{
-    maxline_ =
-        std::clamp(initial_maxline, cfg_.maxline_min, cfg_.maxline_max);
-    t_n2_ = t_n1_ = 0;
-    boots_ = 0;
-    reconfigs_ = 0;
-    observed_min_ = observed_max_ = maxline_;
-    last_decision_ = AdaptDecision::Keep;
-    cooldown_ = false;
-    have_pending_prediction_ = false;
-    predictions_ = 0;
-    correct_predictions_ = 0;
-}
-
-void
 AdaptiveRuntime::ioState(StateIo &io)
 {
     io.section("ADPT");

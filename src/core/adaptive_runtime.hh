@@ -77,9 +77,6 @@ class AdaptiveRuntime
     /** Fraction of boot-time decisions the next interval validated. */
     double predictionAccuracy() const;
 
-    /** Reset history and statistics (new experiment). */
-    void reset(unsigned initial_maxline);
-
     /** Serialize the controller's mutable state. */
     void ioState(StateIo &io);
 

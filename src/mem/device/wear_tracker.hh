@@ -64,9 +64,6 @@ class WearTracker
                    : 0;
     }
 
-    std::uint64_t totalLines() const { return total_lines_; }
-    std::uint64_t enduranceWrites() const { return endurance_writes_; }
-
     /** Forget all wear (construction state). */
     void reset();
 

@@ -132,17 +132,6 @@ TEST(AdaptiveRuntime, PredictionAccuracyDropsOnReversal)
     EXPECT_LT(rt.predictionAccuracy(), 1.0);
 }
 
-TEST(AdaptiveRuntime, ResetClearsHistoryAndStats)
-{
-    AdaptiveRuntime rt(cfg(), 4);
-    rt.onBoot(100e-6);
-    rt.onBoot(300e-6);
-    rt.reset(5);
-    EXPECT_EQ(rt.maxline(), 5u);
-    EXPECT_EQ(rt.reconfigurations(), 0u);
-    EXPECT_EQ(rt.onBoot(100e-6), 5u);  // history gone, no decision
-}
-
 TEST(AdaptiveRuntime, InitialMaxlineClampedToBounds)
 {
     AdaptiveRuntime rt(cfg(0.15, 2, 6), 9);

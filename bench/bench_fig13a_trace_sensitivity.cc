@@ -8,60 +8,12 @@
 
 #include <iostream>
 
-#include "bench/bench_common.hh"
+#include "bench/speedup_figure.hh"
 #include "sim/logging.hh"
-#include "util/stat_math.hh"
 #include "util/table.hh"
 
 using namespace wlcache;
 using namespace wlcache::bench;
-
-namespace {
-
-struct TraceStats
-{
-    double speedup;
-    double outages;
-};
-
-TraceStats
-gmeanFor(nvp::DesignKind design, energy::TraceKind power, bool dyn)
-{
-    std::vector<nvp::ExperimentSpec> specs;
-    for (const auto &app : appNames()) {
-        nvp::ExperimentSpec base;
-        base.workload = app;
-        base.power = power;
-
-        nvp::ExperimentSpec nvsram = base;
-        nvsram.design = nvp::DesignKind::NvsramWB;
-        specs.push_back(nvsram);
-
-        nvp::ExperimentSpec s = base;
-        s.design = design;
-        if (dyn) {
-            s.tweak = [](nvp::SystemConfig &cfg) {
-                cfg.wl_dynamic = true;
-            };
-        }
-        specs.push_back(s);
-    }
-    const auto results = runBenchBatch(specs);
-
-    std::vector<double> speedups;
-    double outages = 0.0;
-    unsigned n = 0;
-    for (std::size_t i = 0; i < results.size(); i += 2) {
-        const auto &rb = results[i];
-        const auto &r = results[i + 1];
-        speedups.push_back(nvp::speedupVs(r, rb));
-        outages += static_cast<double>(r.outages);
-        ++n;
-    }
-    return { util::geoMean(speedups), outages / n };
-}
-
-} // namespace
 
 int
 main()
@@ -86,11 +38,11 @@ main()
     };
     for (const auto &e : envs) {
         const auto wt =
-            gmeanFor(nvp::DesignKind::VCacheWT, e.kind, false);
+            traceGmean(nvp::DesignKind::VCacheWT, e.kind, false);
         const auto rp =
-            gmeanFor(nvp::DesignKind::Replay, e.kind, false);
-        const auto wl = gmeanFor(nvp::DesignKind::WL, e.kind, false);
-        const auto dyn = gmeanFor(nvp::DesignKind::WL, e.kind, true);
+            traceGmean(nvp::DesignKind::Replay, e.kind, false);
+        const auto wl = traceGmean(nvp::DesignKind::WL, e.kind, false);
+        const auto dyn = traceGmean(nvp::DesignKind::WL, e.kind, true);
         t.rowDoubles(e.name, { wt.speedup, rp.speedup, wl.speedup,
                                dyn.speedup, wl.outages });
     }

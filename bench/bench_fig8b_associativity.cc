@@ -8,54 +8,12 @@
 
 #include <iostream>
 
-#include "bench/bench_common.hh"
+#include "bench/speedup_figure.hh"
 #include "sim/logging.hh"
-#include "util/stat_math.hh"
 #include "util/table.hh"
 
 using namespace wlcache;
 using namespace wlcache::bench;
-
-namespace {
-
-double
-gmeanSpeedup(unsigned assoc, energy::TraceKind power, bool no_failure)
-{
-    std::vector<nvp::ExperimentSpec> specs;
-    for (const auto &app : appNames()) {
-        nvp::ExperimentSpec base;
-        base.workload = app;
-        base.power = power;
-        base.no_failure = no_failure;
-
-        nvp::ExperimentSpec nvsram = base;
-        nvsram.design = nvp::DesignKind::NvsramWB;
-        specs.push_back(nvsram);
-
-        nvp::ExperimentSpec wl = base;
-        wl.design = nvp::DesignKind::WL;
-        wl.tweak = [assoc](nvp::SystemConfig &cfg) {
-            cfg.dcache.assoc = assoc;
-            cfg.icache.assoc = assoc;
-            // Higher associativity compares more tags per access;
-            // the data-array share of the access energy is fixed.
-            const double scale = 0.85 + 0.075 * assoc;
-            cfg.dcache.access_energy_read *= scale;
-            cfg.dcache.access_energy_write *= scale;
-            cfg.icache.access_energy_read *= scale;
-        };
-        specs.push_back(wl);
-    }
-    const auto results = runBenchBatch(specs);
-
-    std::vector<double> speedups;
-    for (std::size_t i = 0; i < results.size(); i += 2)
-        speedups.push_back(
-            nvp::speedupVs(results[i + 1], results[i]));
-    return util::geoMean(speedups);
-}
-
-} // namespace
 
 int
 main()
@@ -78,9 +36,9 @@ main()
     };
     for (const auto &c : conds) {
         t.rowDoubles(c.name,
-                     { gmeanSpeedup(1, c.power, c.no_failure),
-                       gmeanSpeedup(2, c.power, c.no_failure),
-                       gmeanSpeedup(4, c.power, c.no_failure) });
+                     { associativityGmean(1, c.power, c.no_failure),
+                       associativityGmean(2, c.power, c.no_failure),
+                       associativityGmean(4, c.power, c.no_failure) });
     }
     t.print(std::cout);
     return 0;

@@ -9,9 +9,7 @@
  * over (workload x replacement x maxline).
  */
 
-#include <iostream>
-
-#include "bench/bench_common.hh"
+#include "bench/speedup_figure.hh"
 #include "sim/logging.hh"
 
 using namespace wlcache;
@@ -21,60 +19,7 @@ int
 main()
 {
     setQuiet(true);
-    SpeedupTable table(
-        "Figure 9: WL-Cache maxline sweep x cache replacement "
-        "(speedup vs NVSRAM ideal), Power Trace 1");
-
-    const std::vector<std::string> policies = { "FIFO", "LRU" };
-    const std::vector<double> maxlines = { 2, 4, 6, 8 };
-    const auto apps = appNames();
-
-    std::vector<std::string> series;
-    for (const auto &pol : policies)
-        for (const double ml : maxlines)
-            series.push_back(pol + "@" +
-                             explore::numValue(ml).display());
-    table.seriesOrder(series);
-
-    explore::SweepSpec baseline;
-    baseline.name = "fig9-baseline";
-    baseline.base = { { "power", explore::strValue("trace1") },
-                      { "design", explore::strValue("nvsram") } };
-    explore::Axis app_axis{ "workload", {} };
-    for (const auto &app : apps)
-        app_axis.values.push_back(explore::strValue(app));
-    baseline.axes = { app_axis };
-
-    explore::SweepSpec wl;
-    wl.name = "fig9-wl-grid";
-    wl.base = { { "power", explore::strValue("trace1") },
-                { "design", explore::strValue("wl") },
-                { "adaptive.enabled", explore::boolValue(false) } };
-    explore::Axis pol_axis{ "dcache.repl", {} };
-    for (const auto &pol : policies)
-        pol_axis.values.push_back(explore::strValue(pol));
-    explore::Axis ml_axis{ "wl.maxline", {} };
-    for (const double ml : maxlines)
-        ml_axis.values.push_back(explore::numValue(ml));
-    wl.axes = { app_axis, pol_axis, ml_axis };
-
-    const auto base_results = runBenchSweep(baseline);
-    const auto wl_results = runBenchSweep(wl);
-
-    // Expansion order: first axis slowest — app-major, then policy,
-    // then maxline.
-    std::size_t i = 0;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        for (const auto &pol : policies) {
-            for (const double ml : maxlines) {
-                const std::string name =
-                    pol + "@" + explore::numValue(ml).display();
-                table.set(name, apps[a],
-                          nvp::speedupVs(wl_results[i++],
-                                         base_results[a]));
-            }
-        }
-    }
+    const SpeedupTable table = maxlineFigure();
     table.print();
     table.maybeWriteCsv("fig9");
     return 0;

@@ -102,18 +102,19 @@ class InstrCache
         std::vector<std::uint8_t> data;
     };
 
-    Cycle fetchLineChunk(Addr line_addr, unsigned insns, Cycle now);
-    Cycle fetchOnce(Addr pc, unsigned count, Cycle now);
-
     /**
-     * If every line of the run is resident, collect its chunks' line
-     * refs in resident_refs_, set @p round_aj to the CacheRead energy
-     * of one all-hit pass, and return true.
+     * One pass over the run: each line chunk probes its set once,
+     * misses fill in place, and the pass's counters and energy are
+     * committed at the end. Leaves the chunks' line refs in refs_ and
+     * the pass's CacheRead energy in @p read_aj. Advances @p t.
+     * @return true when every line of the run is still resident
+     * afterwards (no chunk evicted an earlier one); never for
+     * ICacheKind::None.
      */
-    bool bodyResident(Addr pc, unsigned count,
-                      energy::Attojoules &round_aj);
+    bool walk(Addr pc, unsigned count, Cycle &t,
+              energy::Attojoules &read_aj);
 
-    /** Charge @p rounds all-hit passes over resident_refs_. */
+    /** Charge @p rounds all-hit passes over refs_. */
     Cycle repeatHits(unsigned count, std::uint64_t rounds,
                      energy::Attojoules round_aj, Cycle now);
 
@@ -123,21 +124,20 @@ class InstrCache
     energy::EnergyMeter *meter_;
 
     /**
-     * Per-chunk energy costs quantized once at construction instead
-     * of per fetchLineChunk() call. read_energy_aj_[n] is the cost of
-     * an n-instruction chunk (n <= line_bytes/4); the table holds
-     * exactly toAttojoules(access_energy_read * n), so metering from
-     * it is bit-identical to quantizing the double product each call.
+     * Per-chunk CacheRead cost, quantized once at construction:
+     * chunk_aj_[n] = toAttojoules(access_energy_read * n), plus
+     * toAttojoules(lru_update_energy) under LRU, for an n-instruction
+     * chunk (n <= line_bytes/4). Integer sums, so metering from it is
+     * bit-identical to charging both parts per chunk.
      */
-    std::vector<energy::Attojoules> read_energy_aj_;
-    energy::Attojoules lru_update_aj_ = 0;
+    std::vector<energy::Attojoules> chunk_aj_;
     energy::Attojoules line_fill_aj_ = 0;
     telemetry::TimelineBuffer *tl_ = nullptr;
     std::unique_ptr<TagArray> tags_;
     double restore_line_energy_;
     Cycle restore_line_latency_;
     std::vector<SavedLine> warm_image_;
-    std::vector<LineRef> resident_refs_;  //!< bodyResident() scratch.
+    std::vector<LineRef> refs_;  //!< walk() scratch: the pass's chunks.
 
     stats::StatGroup stat_group_;
     stats::Scalar &stat_fetches_;

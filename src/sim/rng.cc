@@ -1,8 +1,5 @@
 #include "sim/rng.hh"
 
-#include <cmath>
-
-#include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
 namespace wlcache {
@@ -19,12 +16,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -32,55 +23,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &s : s_)
         s = splitMix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    wlc_assert(bound != 0);
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    wlc_assert(lo <= hi);
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(span == 0 ? next()
-                                                    : nextBelow(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::nextDouble(double lo, double hi)
-{
-    return lo + (hi - lo) * nextDouble();
 }
 
 double
@@ -99,21 +41,6 @@ Rng::nextGaussian()
     cached_gaussian_ = r * std::sin(theta);
     have_cached_gaussian_ = true;
     return r * std::cos(theta);
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
-double
-Rng::nextExponential(double mean_value)
-{
-    double u = nextDouble();
-    while (u <= 1e-300)
-        u = nextDouble();
-    return -mean_value * std::log(u);
 }
 
 void

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "cache/tag_array.hh"
+#include "sim/rng.hh"
 
 using namespace wlcache;
 using namespace wlcache::cache;
@@ -175,4 +176,59 @@ TEST(TagArray, DirectMappedWorks)
     const LineRef v = t.victim(0x200);
     EXPECT_TRUE(t.valid(v));
     EXPECT_EQ(t.lineAddr(v), 0x000u);
+}
+
+TEST(TagArray, ProbeMatchesLookupThenVictim)
+{
+    Rng rng(0x9e0be5ull);
+    const unsigned assocs[] = { 1, 2, 4 };
+    for (int trial = 0; trial < 300; ++trial) {
+        CacheParams p;
+        p.line_bytes = 16u << rng.nextBelow(3);
+        p.assoc = assocs[rng.nextBelow(3)];
+        p.size_bytes = static_cast<std::size_t>(p.line_bytes) * p.assoc *
+            (1u << rng.nextBelow(7));  // 1-64 sets
+        p.repl = rng.nextBool() ? ReplPolicy::LRU : ReplPolicy::FIFO;
+        TagArray t(p);
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " assoc " << p.assoc
+                     << " sets " << t.numSets()
+                     << (p.repl == ReplPolicy::LRU ? " LRU" : " FIFO"));
+        // Twice as many distinct lines as the array holds, so sets fill,
+        // conflict and evict.
+        const std::uint64_t span = 2ull * t.numLines();
+        for (int op = 0; op < 400; ++op) {
+            const Addr addr = 0x1000 + rng.nextBelow(span * p.line_bytes);
+            LineRef ref{ 0, 0 };
+            const bool hit = t.probe(addr, ref);
+            const auto found = t.lookup(addr);
+            ASSERT_EQ(hit, found.has_value()) << "op " << op;
+            if (hit)
+                ASSERT_EQ(ref, *found) << "op " << op;
+            else
+                ASSERT_EQ(ref, t.victim(addr)) << "op " << op;
+            // Fill, touch or drop lines; a dropped line leaves its set
+            // partly invalid and may leave the set's MRU hint stale.
+            switch (rng.nextBelow(4)) {
+              case 0:
+              case 1:
+                if (hit) {
+                    t.touch(ref);
+                } else {
+                    if (t.valid(ref))
+                        t.invalidate(ref);
+                    t.install(ref, t.lineAddrOf(addr), nullptr);
+                }
+                break;
+              case 2:
+                if (hit)
+                    t.invalidate(ref);
+                break;
+              default:
+                if (rng.nextBelow(50) == 0)
+                    t.invalidateAll();
+                break;
+            }
+        }
+    }
 }

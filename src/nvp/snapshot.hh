@@ -42,8 +42,10 @@ struct SystemSnapshot
      * runtime (ADPT) inside their own section, the runtime-presence
      * byte is gone, and SYS2 ends with an "RGN " recovery point
      * (region start index, fetch stream) for region designs only.
+     * 7 = SYS2 drops the unread double Vbackup energy level (the
+     * quantized level drives the outage comparator).
      */
-    static constexpr std::uint32_t kFormatVersion = 6;
+    static constexpr std::uint32_t kFormatVersion = 7;
 
     /**
      * Resume-compatibility key: hash of every configuration and trace

@@ -238,8 +238,6 @@ SystemSim::applyThresholds(unsigned bound)
     const Thresholds th = thresholds(bound);
     vbackup_now_ = th.vbackup;
     von_now_ = th.von;
-    const double c = cfg_.platform.capacitance_f;
-    backup_energy_level_ = 0.5 * c * vbackup_now_ * vbackup_now_;
     backup_level_aj_ = cap_.energyAjForVoltage(vbackup_now_);
 
     WLC_TIMELINE(tl_, CapThreshold, now_, "system", 0, 0, vbackup_now_);
@@ -600,7 +598,6 @@ SystemSim::ioState(StateIo &io, Cycle cycle, std::uint64_t event_index)
     io.u64(now_);
     io.u64(boot_cycle_);
     io.u64(last_meter_aj_);
-    io.f64(backup_energy_level_);
     io.u64(backup_level_aj_);
     io.f64(vbackup_now_);
     io.f64(von_now_);

@@ -289,7 +289,6 @@ class SystemSim
     Cycle boot_cycle_ = 0;
     /** meter_.totalAj() at the last drawConsumedEnergy(). */
     energy::Attojoules last_meter_aj_ = 0;
-    double backup_energy_level_ = 0.0;  //!< Stored-energy Vbackup level.
     /** Quantized Vbackup level driving the outage comparator. */
     energy::Attojoules backup_level_aj_ = 0;
     double vbackup_now_ = 0.0;          //!< Active Vbackup threshold.

@@ -47,6 +47,32 @@ TagArray::touchRepeated(const LineRef *refs, unsigned n,
     seq_ = base + n;
 }
 
+bool
+TagArray::probeSet(Addr laddr, std::uint32_t set, LineRef &ref) const
+{
+    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+    const std::uint64_t *seqs = (repl_ == ReplPolicy::LRU
+                                     ? touch_seq_.data()
+                                     : install_seq_.data()) + base;
+    std::uint32_t invalid = assoc_;
+    std::uint32_t oldest = 0;
+    for (std::uint32_t way = 0; way < assoc_; ++way) {
+        if (!valid_[base + way]) {
+            if (invalid == assoc_)
+                invalid = way;
+        } else if (addrs_[base + way] == laddr) {
+            ref = { set, way };
+            return true;
+        } else if (seqs[way] < seqs[oldest]) {
+            oldest = way;
+        }
+    }
+    // As victim(): the first invalid way, else the first way with
+    // the smallest policy sequence (all ways are valid then).
+    ref = { set, invalid < assoc_ ? invalid : oldest };
+    return false;
+}
+
 LineRef
 TagArray::victim(Addr addr) const
 {

@@ -7,10 +7,10 @@
  * observationally identical to having executed the prefix cold: same
  * RunResult, same final-image digest, same post-resume timeline.
  *
- * Fault-injection campaigns use interval snapshots of the golden run
- * to fast-forward each injection point past its (identical) prefix,
- * and keep that ladder content-addressed on disk
- * (runner::SnapshotStore) next to the result cache.
+ * Fault-injection campaigns record interval snapshots of the golden
+ * run once, in memory, and fast-forward each injection point past its
+ * (identical) prefix from the latest one strictly before the point
+ * (verify::rungBefore).
  */
 
 #ifndef WLCACHE_NVP_SNAPSHOT_HH
@@ -68,40 +68,6 @@ struct SystemSnapshot
 
     bool valid() const { return !state.empty(); }
 };
-
-/**
- * The interval snapshots of one golden run, ascending by cycle.
- * bestBefore() answers "which snapshot lets me fast-forward closest
- * to cycle c without overshooting it".
- */
-struct SnapshotSet
-{
-    Cycle interval = 0;
-    std::vector<SystemSnapshot> snaps;
-
-    /**
-     * Latest snapshot captured strictly before @p c (a snapshot AT
-     * the target cycle is too late: the forced-outage comparison for
-     * that cycle has already been passed at capture time).
-     * @return null when no snapshot precedes @p c.
-     */
-    const SystemSnapshot *bestBefore(Cycle c) const;
-};
-
-/**
- * Encode a snapshot as a self-describing binary blob (magic +
- * format version + fields) for the on-disk snapshot store.
- */
-std::vector<std::uint8_t> encodeSnapshot(const SystemSnapshot &s);
-
-/**
- * Decode a blob produced by encodeSnapshot().
- * @return false (leaving @p out untouched) on any corruption: bad
- * magic, unknown version, or truncation. Never panics — a damaged
- * store entry is a cache miss, not a fatal error.
- */
-bool decodeSnapshot(const std::vector<std::uint8_t> &blob,
-                    SystemSnapshot &out);
 
 } // namespace nvp
 } // namespace wlcache

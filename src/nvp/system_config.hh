@@ -243,13 +243,13 @@ void dumpConfigKey(std::ostream &os, const SystemConfig &cfg);
 
 /**
  * @p cfg with every field a snapshot does not depend on reset to a
- * fixed value, so snapshot compat keys and runner::resumeKey() hash
- * the same config. Neutralized: the forced-outage schedule and both
- * fault-injection flags (they only trigger behaviour at or after a
- * scheduled point, so a golden run's prefix snapshot resumes into a
- * point run), max_outages (prefix-invariant: it only decides when to
- * give up), the timeline (observational) and the step mode (both
- * modes are bit-identical, so snapshots resume across modes).
+ * fixed value, for the snapshot compat key to hash. Neutralized: the
+ * forced-outage schedule and both fault-injection flags (they only
+ * trigger behaviour at or after a scheduled point, so a golden run's
+ * prefix snapshot resumes into a point run), max_outages
+ * (prefix-invariant: it only decides when to give up), the timeline
+ * (observational) and the step mode (both modes are bit-identical, so
+ * snapshots resume across modes).
  */
 SystemConfig resumeNeutral(SystemConfig cfg);
 

@@ -8,25 +8,12 @@
 namespace wlcache {
 namespace runner {
 
-namespace {
-
-/** The schema line and the spec-level fields every key starts with. */
-void
-writeSpecPrefix(std::ostream &os, const nvp::ExperimentSpec &spec,
-                bool resume)
-{
-    os << "schema=" << kResultSchemaVersion << '\n'
-       << (resume ? "resume\n" : "");
-    nvp::dumpFields(os, nvp::specFields(), &spec);
-}
-
-} // anonymous namespace
-
 std::string
 specKeyText(const nvp::ExperimentSpec &spec)
 {
     std::ostringstream os;
-    writeSpecPrefix(os, spec, false);
+    os << "schema=" << kResultSchemaVersion << '\n';
+    nvp::dumpFields(os, nvp::specFields(), &spec);
     // The configuration the run actually uses: design preset plus the
     // caller's tweak hook.
     nvp::dumpConfigKey(os, nvp::resolveConfig(spec));
@@ -43,15 +30,6 @@ std::string
 specKey(const nvp::ExperimentSpec &spec)
 {
     return hashKeyText(specKeyText(spec));
-}
-
-std::string
-resumeKey(const nvp::ExperimentSpec &spec)
-{
-    std::ostringstream os;
-    writeSpecPrefix(os, spec, true);
-    nvp::dumpConfigKey(os, nvp::resumeNeutral(nvp::resolveConfig(spec)));
-    return hashKeyText(os.str());
 }
 
 } // namespace runner

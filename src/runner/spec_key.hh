@@ -54,17 +54,6 @@ std::string hashKeyText(const std::string &text);
 /** Cache key for @p spec: hashKeyText(specKeyText(spec)). */
 std::string specKey(const nvp::ExperimentSpec &spec);
 
-/**
- * Snapshot resume-compatibility key for @p spec: like specKey() but
- * with the forced-outage schedule and fault-injection flags
- * neutralized, because they only alter behaviour at or after their
- * trigger point — the execution *prefix* (what a snapshot captures)
- * is identical. A golden run and its fault-injection point runs share
- * this key, which is what lets the campaign engine reuse the golden
- * run's interval snapshots across every injection point.
- */
-std::string resumeKey(const nvp::ExperimentSpec &spec);
-
 } // namespace runner
 } // namespace wlcache
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -94,17 +95,6 @@ FileLock::unlock()
 }
 
 bool
-readFileBytes(const std::string &path, std::vector<std::uint8_t> &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    out.assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-    return in.good() || in.eof();
-}
-
-bool
 readFileText(const std::string &path, std::string &out)
 {
     std::ifstream in(path, std::ios::binary);
@@ -118,7 +108,7 @@ readFileText(const std::string &path, std::string &out)
 
 bool
 writeFileAtomic(const std::string &dir, const std::string &final_path,
-                const void *data, std::size_t size, std::string *err)
+                const std::string &data, std::string *err)
 {
     auto fail = [&](const std::string &what) {
         if (err)
@@ -142,9 +132,7 @@ writeFileAtomic(const std::string &dir, const std::string &final_path,
         std::ofstream outf(tmp, std::ios::binary);
         if (!outf)
             return fail("cannot write '" + tmp.string() + "'");
-        if (size)
-            outf.write(static_cast<const char *>(data),
-                       static_cast<std::streamsize>(size));
+        outf.write(data.data(), static_cast<std::streamsize>(data.size()));
         outf.flush();
         if (!outf) {
             fs::remove(tmp, ec);
@@ -159,22 +147,6 @@ writeFileAtomic(const std::string &dir, const std::string &final_path,
                     "' failed: " + ec.message());
     }
     return true;
-}
-
-bool
-writeFileAtomic(const std::string &dir, const std::string &final_path,
-                const std::string &data, std::string *err)
-{
-    return writeFileAtomic(dir, final_path, data.data(), data.size(),
-                           err);
-}
-
-bool
-writeFileAtomic(const std::string &dir, const std::string &final_path,
-                const std::vector<std::uint8_t> &data, std::string *err)
-{
-    return writeFileAtomic(dir, final_path, data.data(), data.size(),
-                           err);
 }
 
 } // namespace util

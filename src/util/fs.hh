@@ -2,7 +2,7 @@
  * @file
  * Filesystem helpers shared by every component that publishes
  * artifacts into a directory other processes may be reading or
- * writing concurrently (result cache, snapshot store, run manifests).
+ * writing concurrently (result cache, run manifests).
  *
  * Two primitives cover all of them:
  *
@@ -22,9 +22,7 @@
 #ifndef WLCACHE_UTIL_FS_HH
 #define WLCACHE_UTIL_FS_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace wlcache {
 namespace util {
@@ -70,9 +68,7 @@ class FileLock
     int fd_ = -1;
 };
 
-/** Slurp a file; false if it cannot be opened or read. */
-bool readFileBytes(const std::string &path,
-                   std::vector<std::uint8_t> &out);
+/** Slurp a file; false if it cannot be opened. */
 bool readFileText(const std::string &path, std::string &out);
 
 /**
@@ -83,15 +79,7 @@ bool readFileText(const std::string &path, std::string &out);
  */
 bool writeFileAtomic(const std::string &dir,
                      const std::string &final_path,
-                     const void *data, std::size_t size,
-                     std::string *err = nullptr);
-bool writeFileAtomic(const std::string &dir,
-                     const std::string &final_path,
                      const std::string &data,
-                     std::string *err = nullptr);
-bool writeFileAtomic(const std::string &dir,
-                     const std::string &final_path,
-                     const std::vector<std::uint8_t> &data,
                      std::string *err = nullptr);
 
 } // namespace util

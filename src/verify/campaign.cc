@@ -1,13 +1,12 @@
 #include "verify/campaign.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
-#include "nvp/snapshot.hh"
 #include "runner/result_cache.hh"
 #include "runner/runner.hh"
-#include "runner/snapshot_store.hh"
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
 
@@ -132,6 +131,15 @@ absorbStats(CampaignReport &rep, const runner::BatchStats &st)
 
 } // anonymous namespace
 
+std::shared_ptr<const nvp::SystemSnapshot>
+rungBefore(const SnapshotLadder &ladder, Cycle point)
+{
+    const auto after = std::partition_point(
+        ladder.begin(), ladder.end(),
+        [point](const auto &s) { return s->cycle < point; });
+    return after == ladder.begin() ? nullptr : *std::prev(after);
+}
+
 CampaignReport
 runCampaign(const CampaignConfig &cfg)
 {
@@ -161,42 +169,28 @@ runCampaign(const CampaignConfig &cfg)
     //
     // With snapshots enabled the golden run doubles as the ladder
     // recorder: it executes directly (a result-cache hit would skip
-    // the simulation and record nothing) with a snapshot sink, and
-    // the ladder is persisted to the snapshot store so later
-    // campaigns skip even that. Taking snapshots never perturbs the
-    // run, so the RunResult is identical either way.
-    nvp::SnapshotSet ladder;
-    bool have_ladder = false;
-    const runner::SnapshotStore snaps(cfg.snapshot_dir);
-    bool golden_done = false;
+    // the simulation and record nothing) with a snapshot sink that
+    // keeps each snapshot once, shared by every point resuming from
+    // it. Taking snapshots never perturbs the run, so the RunResult
+    // is identical either way.
+    const nvp::ExperimentSpec gspec = goldenSpec(cfg);
+    SnapshotLadder ladder;
     if (snap_interval) {
-        const nvp::ExperimentSpec gspec = goldenSpec(cfg);
-        const std::string rkey = runner::resumeKey(gspec);
-        if (snaps.loadSet(rkey, ladder) &&
-            ladder.interval == snap_interval) {
-            have_ladder = true;
-        } else {
-            ladder = nvp::SnapshotSet{};
-            ladder.interval = snap_interval;
-            nvp::RunOptions ro;
-            ro.snapshot_interval = snap_interval;
-            ro.snapshot_sink = [&ladder](nvp::SystemSnapshot s) {
-                ladder.snaps.push_back(std::move(s));
-            };
-            rep.golden = nvp::runExperiment(gspec, ro);
-            ++rep.runs;
-            ++rep.executed;
-            rep.simulated_cycles += rep.golden.on_cycles;
-            have_ladder = true;
-            golden_done = true;
-            snaps.storeSet(rkey, ladder);
-            const runner::ResultCache cache(cfg.cache_dir);
-            cache.store(runner::specKey(gspec), rep.golden);
-        }
-    }
-    if (!golden_done) {
+        nvp::RunOptions ro;
+        ro.snapshot_interval = snap_interval;
+        ro.snapshot_sink = [&ladder](nvp::SystemSnapshot &&s) {
+            ladder.push_back(
+                std::make_shared<const nvp::SystemSnapshot>(std::move(s)));
+        };
+        rep.golden = nvp::runExperiment(gspec, ro);
+        ++rep.runs;
+        ++rep.executed;
+        rep.simulated_cycles += rep.golden.on_cycles;
+        const runner::ResultCache cache(cfg.cache_dir);
+        cache.store(runner::specKey(gspec), rep.golden);
+    } else {
         runner::JobSet set;
-        set.add(goldenSpec(cfg), "golden");
+        set.add(gspec, "golden");
         rep.golden = runner.runAll(set).at(0);
         absorbStats(rep, runner.stats());
     }
@@ -225,35 +219,13 @@ runCampaign(const CampaignConfig &cfg)
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
 
-    // Shared holders so every point resuming from the same ladder
-    // rung references one snapshot instead of copying it.
-    std::vector<std::shared_ptr<const nvp::SystemSnapshot>> rungs;
-    if (have_ladder) {
-        rungs.reserve(ladder.snaps.size());
-        for (const nvp::SystemSnapshot &s : ladder.snaps)
-            rungs.push_back(
-                std::make_shared<const nvp::SystemSnapshot>(s));
-    }
-    auto resumeFor = [&](std::uint64_t point)
-        -> std::shared_ptr<const nvp::SystemSnapshot> {
-        if (!have_ladder)
-            return nullptr;
-        // Strictly before the point: a snapshot taken AT the outage
-        // cycle was captured after the forced-outage check passed.
-        const nvp::SystemSnapshot *s = ladder.bestBefore(point);
-        if (!s || !s->valid())
-            return nullptr;
-        return rungs[static_cast<std::size_t>(
-            s - ladder.snaps.data())];
-    };
-
     // --- 3. Sweep: one run per point, fanned over the pool. ---
     if (!pts.empty()) {
         runner::JobSet set;
         for (const std::uint64_t p : pts) {
             const std::size_t i =
                 set.add(pointSpec(cfg, p), "p" + std::to_string(p));
-            if (auto r = resumeFor(p))
+            if (auto r = rungBefore(ladder, p))
                 set.setResume(i, std::move(r));
         }
         const std::vector<nvp::RunResult> runs = runner.runAll(set);
@@ -332,7 +304,7 @@ runCampaign(const CampaignConfig &cfg)
             runner::JobSet probe;
             probe.add(pointSpec(cfg, mid),
                       "bisect" + std::to_string(mid));
-            if (auto r = resumeFor(mid))
+            if (auto r = rungBefore(ladder, mid))
                 probe.setResume(0, std::move(r));
             const nvp::RunResult run = runner.runAll(probe).at(0);
             absorbStats(rep, runner.stats());

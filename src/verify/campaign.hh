@@ -16,10 +16,12 @@
 #define WLCACHE_VERIFY_CAMPAIGN_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "nvp/experiment.hh"
+#include "nvp/snapshot.hh"
 #include "runner/runner.hh"
 #include "telemetry/timeline.hh"
 
@@ -99,12 +101,6 @@ struct CampaignConfig
      * so the interval is ignored (with a warning).
      */
     std::uint64_t snapshot_interval = 0;
-    /**
-     * Snapshot-store directory for persisting the golden ladder
-     * across campaigns (keyed like the result cache). Empty keeps
-     * the ladder in memory for this campaign only.
-     */
-    std::string snapshot_dir;
 
     /**
      * After a divergent sweep, re-run the first divergent point with a
@@ -197,6 +193,19 @@ struct CampaignReport
 
 /** Execute a campaign. */
 CampaignReport runCampaign(const CampaignConfig &cfg);
+
+/** A golden run's interval snapshots, ascending by cycle. */
+using SnapshotLadder =
+    std::vector<std::shared_ptr<const nvp::SystemSnapshot>>;
+
+/**
+ * The rung a forced outage at cycle @p point resumes from: the latest
+ * snapshot captured strictly before @p point (one captured AT the
+ * point is too late: that cycle's forced-outage check has already
+ * passed). Null when no rung precedes @p point.
+ */
+std::shared_ptr<const nvp::SystemSnapshot>
+rungBefore(const SnapshotLadder &ladder, Cycle point);
 
 /**
  * Write @p report as a single structured-JSON object: golden summary,

@@ -4,14 +4,13 @@
  * between them exercise every configuration knob, every result field
  * and every design name, this test renders
  *   - the spec-key text (schema prefix + dumpConfigKey),
- *   - the resume key,
  *   - the snapshot compat key and a digest of the snapshot bytes taken
  *     mid-run (which include the "RES " result section), and
  *   - the full run-record JSON,
- * plus one mid-run snapshot digest per design, and compares the rendering with tests/golden/schema.txt. Existing
- * result caches and snapshot ladders stay valid exactly
- * when these bytes do not move, so a diff here is a compatibility
- * break, not a cosmetic change.
+ * plus one mid-run snapshot digest per design, and compares the
+ * rendering with tests/golden/schema.txt. Existing result caches stay
+ * valid exactly when these bytes do not move, so a diff here is a
+ * compatibility break, not a cosmetic change.
  *
  * Regenerate only together with a kResultSchemaVersion /
  * kRunRecordVersion / SystemSnapshot::kFormatVersion bump:
@@ -182,8 +181,7 @@ renderSpec(std::ostream &os, const NamedSpec &ns)
     EXPECT_EQ(cut.event_index, mid) << ns.name;
 
     os << "=== " << ns.name << "\n--- spec_key_text\n"
-       << runner::specKeyText(ns.spec) << "--- resume_key "
-       << runner::resumeKey(ns.spec) << "\n--- snapshot at event "
+       << runner::specKeyText(ns.spec) << "--- snapshot at event "
        << cut.event_index << " cycle " << cut.cycle << "\ncompat_key "
        << cut.compat_key << "\nstate " << hex(cut.state) << " ("
        << cut.state.size() << " bytes)\n--- run_json\n"

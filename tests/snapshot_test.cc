@@ -1,20 +1,19 @@
 /**
  * @file
  * Deterministic-snapshot tests: the sectioned serializer round-trips
- * every field kind, snapshot blobs survive encode/decode and reject
- * corruption, and — the load-bearing property — a run resumed from
+ * every field kind, and — the load-bearing property — a run resumed from
  * any interval snapshot is observationally identical to the cold run
  * (byte-identical run-record JSON, same final-image digest), fuzzed
  * across designs, workloads, and power environments. Also pins the
  * fault-campaign fast-forward path: a snapshot-accelerated campaign
  * must produce a byte-identical report to a cold one while
- * simulating several times fewer cycles.
+ * simulating several times fewer cycles, and each point resumes from
+ * the latest snapshot strictly before it.
  */
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -30,10 +29,8 @@
 #include "nvp/run_json.hh"
 #include "nvp/snapshot.hh"
 #include "nvp/system.hh"
-#include "runner/snapshot_store.hh"
 #include "sim/snapshot.hh"
 #include "telemetry/timeline.hh"
-#include "util/fs.hh"
 #include "verify/campaign.hh"
 #include "workloads/workloads.hh"
 
@@ -124,134 +121,6 @@ TEST(SnapshotIo, LoadSideGeometryMismatchIsFatal)
     EXPECT_DEATH(StateIo::load(eight, r),
                  "dirty-queue snapshot capacity mismatch: snapshot "
                  "has 6, this system has 8");
-}
-
-// --- Blob encode/decode ---
-
-TEST(SnapshotBlob, EncodeDecodeRoundTrip)
-{
-    nvp::SystemSnapshot s;
-    s.compat_key = "0123456789abcdef0123456789abcdef";
-    s.cycle = 123456789;
-    s.event_index = 4242;
-    s.state = { 0xde, 0xad, 0xbe, 0xef, 0x00, 0x42 };
-
-    nvp::SystemSnapshot out;
-    ASSERT_TRUE(nvp::decodeSnapshot(nvp::encodeSnapshot(s), out));
-    EXPECT_EQ(out.compat_key, s.compat_key);
-    EXPECT_EQ(out.cycle, s.cycle);
-    EXPECT_EQ(out.event_index, s.event_index);
-    EXPECT_EQ(out.state, s.state);
-    EXPECT_TRUE(out.valid());
-}
-
-TEST(SnapshotBlob, DecodeRejectsCorruption)
-{
-    nvp::SystemSnapshot s;
-    s.compat_key = "k";
-    s.cycle = 7;
-    s.event_index = 3;
-    s.state = { 1, 2, 3 };
-    const std::vector<std::uint8_t> good = nvp::encodeSnapshot(s);
-
-    nvp::SystemSnapshot out;
-    // Bad magic.
-    auto bad = good;
-    bad[0] ^= 0xff;
-    EXPECT_FALSE(nvp::decodeSnapshot(bad, out));
-    // Truncation at every prefix length.
-    for (std::size_t n = 0; n < good.size(); ++n) {
-        const std::vector<std::uint8_t> cut(good.begin(),
-                                            good.begin() + n);
-        EXPECT_FALSE(nvp::decodeSnapshot(cut, out)) << n;
-    }
-    // Trailing garbage.
-    bad = good;
-    bad.push_back(0);
-    EXPECT_FALSE(nvp::decodeSnapshot(bad, out));
-    // Unknown format version.
-    bad = good;
-    bad[4] ^= 0x40;
-    EXPECT_FALSE(nvp::decodeSnapshot(bad, out));
-}
-
-TEST(SnapshotBlob, BestBeforeIsStrictlyBefore)
-{
-    nvp::SnapshotSet set;
-    set.interval = 100;
-    for (std::uint64_t c : { 100u, 200u, 300u }) {
-        nvp::SystemSnapshot s;
-        s.compat_key = "k";
-        s.cycle = c;
-        s.event_index = c / 10;
-        s.state = { 1 };
-        set.snaps.push_back(s);
-    }
-    EXPECT_EQ(set.bestBefore(50), nullptr);
-    EXPECT_EQ(set.bestBefore(100), nullptr);  // AT the point is too late
-    ASSERT_NE(set.bestBefore(101), nullptr);
-    EXPECT_EQ(set.bestBefore(101)->cycle, 100u);
-    EXPECT_EQ(set.bestBefore(300)->cycle, 200u);
-    EXPECT_EQ(set.bestBefore(100000)->cycle, 300u);
-}
-
-// --- On-disk snapshot store ---
-
-TEST(SnapshotStore, RoundTripAndCorruptionAsMiss)
-{
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         "wlc_snapstore_test")
-            .string();
-    std::filesystem::remove_all(dir);
-    const runner::SnapshotStore store(dir);
-
-    nvp::SystemSnapshot s;
-    s.compat_key = "key";
-    s.cycle = 10;
-    s.event_index = 1;
-    s.state = { 5, 6 };
-    nvp::SnapshotSet set;
-    set.interval = 64;
-    set.snaps = { s, s };
-    nvp::SnapshotSet got;
-    EXPECT_FALSE(store.loadSet("bb", got));
-    store.storeSet("bb", set);
-    ASSERT_TRUE(store.loadSet("bb", got));
-    EXPECT_EQ(got.interval, 64u);
-    ASSERT_EQ(got.snaps.size(), 2u);
-    EXPECT_EQ(got.snaps[1].cycle, 10u);
-    EXPECT_EQ(got.snaps[1].state, s.state);
-
-    // Every corruption of a valid entry reads as a miss and removes
-    // the file.
-    std::vector<std::uint8_t> good;
-    ASSERT_TRUE(util::readFileBytes(store.setPath("bb"), good));
-    std::vector<std::uint8_t> bad_magic = good;
-    bad_magic[0] ^= 0xff;
-    const std::vector<std::uint8_t> truncated(good.begin(),
-                                              good.end() - 1);
-    std::vector<std::uint8_t> trailing = good;
-    trailing.push_back(0);
-    const std::pair<const char *, std::vector<std::uint8_t>> cases[] = {
-        { "bad magic", bad_magic },
-        { "truncated entry", truncated },
-        { "trailing bytes", trailing },
-    };
-    for (const auto &[what, bytes] : cases) {
-        {
-            std::ofstream out(store.setPath("bb"),
-                              std::ios::binary | std::ios::trunc);
-            out.write(reinterpret_cast<const char *>(bytes.data()),
-                      static_cast<std::streamsize>(bytes.size()));
-        }
-        nvp::SnapshotSet miss;
-        EXPECT_FALSE(store.loadSet("bb", miss)) << what;
-        EXPECT_FALSE(std::filesystem::exists(store.setPath("bb")))
-            << what;
-    }
-
-    std::filesystem::remove_all(dir);
 }
 
 // --- Resume-equivalence fuzz ---
@@ -483,13 +352,6 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
             const nvp::SystemSnapshot &snap = snaps[order[k]];
             ASSERT_TRUE(snap.valid());
 
-            // The wear counters themselves must survive the disk
-            // encoding byte-exactly.
-            nvp::SystemSnapshot back;
-            ASSERT_TRUE(nvp::decodeSnapshot(
-                nvp::encodeSnapshot(snap), back));
-            EXPECT_EQ(back.state, snap.state);
-
             nvp::RunOptions rr;
             rr.resume = &snap;
             const nvp::RunResult resumed =
@@ -503,31 +365,6 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
         }
     }
     EXPECT_GE(total_points, 25u);
-}
-
-TEST(SnapshotResume, RoundTripsThroughDiskEncoding)
-{
-    // Same equivalence, but through encodeSnapshot/decodeSnapshot —
-    // the path campaign ladders take.
-    const nvp::ExperimentSpec spec = fuzzSpec(kFuzzCases[1]);
-    const nvp::RunResult cold = nvp::runExperiment(spec);
-
-    std::vector<nvp::SystemSnapshot> snaps;
-    nvp::RunOptions ro;
-    ro.snapshot_interval = std::max<Cycle>(1, cold.on_cycles / 5);
-    ro.snapshot_sink = [&snaps](nvp::SystemSnapshot &&s) {
-        snaps.push_back(std::move(s));
-    };
-    nvp::runExperiment(spec, ro);
-    ASSERT_FALSE(snaps.empty());
-
-    nvp::SystemSnapshot mid;
-    ASSERT_TRUE(nvp::decodeSnapshot(
-        nvp::encodeSnapshot(snaps[snaps.size() / 2]), mid));
-    nvp::RunOptions rr;
-    rr.resume = &mid;
-    const nvp::RunResult resumed = nvp::runExperiment(spec, rr);
-    EXPECT_EQ(resultJson(resumed), resultJson(cold));
 }
 
 TEST(SnapshotResume, TimelineStampsSnapshotEvents)
@@ -763,4 +600,72 @@ TEST(SnapshotCampaign, ByteIdenticalReportWithFewerCycles)
               5 * fast.simulated_cycles)
         << "cold=" << cold.simulated_cycles
         << " fast=" << fast.simulated_cycles;
+}
+
+TEST(SnapshotCampaign, RungBeforeIsStrictlyBefore)
+{
+    verify::SnapshotLadder ladder;
+    for (const Cycle c : { 100u, 200u, 300u }) {
+        nvp::SystemSnapshot s;
+        s.cycle = c;
+        s.state = { 1 };
+        ladder.push_back(
+            std::make_shared<const nvp::SystemSnapshot>(std::move(s)));
+    }
+    EXPECT_EQ(verify::rungBefore({}, 100), nullptr);
+    EXPECT_EQ(verify::rungBefore(ladder, 50), nullptr);
+    // A rung AT the point is too late.
+    EXPECT_EQ(verify::rungBefore(ladder, 100), nullptr);
+    ASSERT_NE(verify::rungBefore(ladder, 101), nullptr);
+    EXPECT_EQ(verify::rungBefore(ladder, 101)->cycle, 100u);
+    EXPECT_EQ(verify::rungBefore(ladder, 300)->cycle, 200u);
+    EXPECT_EQ(verify::rungBefore(ladder, 100000)->cycle, 300u);
+}
+
+TEST(SnapshotCampaign, PointOnARungResumesFromTheRungBefore)
+{
+    // A forced outage exactly at a recorded rung's cycle fires at the
+    // end of the event before that rung was captured, so it must
+    // resume from the rung before: the run record then equals the
+    // cold point run's, down to when the outage struck.
+    nvp::ExperimentSpec golden;
+    golden.design = nvp::DesignKind::WL;
+    golden.workload = "sha";
+    golden.power = energy::TraceKind::Constant;
+    golden.no_failure = true;
+    golden.tweak = [](nvp::SystemConfig &cfg) {
+        cfg.validate_consistency = true;
+        cfg.check_load_values = true;
+    };
+    const std::uint64_t n = nvp::runExperiment(golden).on_cycles;
+    ASSERT_GT(n, 1000u);
+
+    verify::SnapshotLadder ladder;
+    nvp::RunOptions ro;
+    ro.snapshot_interval = n / 8 + 1;
+    ro.snapshot_sink = [&ladder](nvp::SystemSnapshot &&s) {
+        ladder.push_back(
+            std::make_shared<const nvp::SystemSnapshot>(std::move(s)));
+    };
+    nvp::runExperiment(golden, ro);
+    ASSERT_GE(ladder.size(), 3u);
+
+    for (std::size_t k = 1; k < ladder.size(); ++k) {
+        const Cycle point = ladder[k]->cycle;
+        nvp::ExperimentSpec spec = golden;
+        spec.tweak = [point](nvp::SystemConfig &cfg) {
+            cfg.forced_outage_cycles = { point };
+            cfg.validate_consistency = true;
+            cfg.check_load_values = true;
+        };
+        const auto rung = verify::rungBefore(ladder, point);
+        ASSERT_NE(rung, nullptr);
+        EXPECT_LT(rung->cycle, point);
+        nvp::RunOptions rr;
+        rr.resume = rung.get();
+        const nvp::RunResult resumed = nvp::runExperiment(spec, rr);
+        const nvp::RunResult cold = nvp::runExperiment(spec);
+        EXPECT_EQ(cold.forced_outages, 1u);
+        EXPECT_EQ(resultJson(resumed), resultJson(cold)) << point;
+    }
 }

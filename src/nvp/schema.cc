@@ -483,6 +483,15 @@ rollupFields()
 #undef WLC_ROW
 #undef WLC_KNOB
 
+const Field &
+fieldByKey(const FieldTable &fields, const std::string &key)
+{
+    for (const Field &f : fields)
+        if (f.key == key)
+            return f;
+    panic("no field '%s'", key.c_str());
+}
+
 void
 dumpFields(std::ostream &os, const FieldTable &fields, const void *record)
 {

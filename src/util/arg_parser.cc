@@ -1,5 +1,6 @@
 #include "util/arg_parser.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -128,16 +129,50 @@ ArgParser::get(const std::string &name) const
     return opt->value;
 }
 
+namespace {
+
+/** fatal() unless a strto*() call on option --@p name's @p text
+ *  consumed all of it (ending at @p end) without leaving the range. */
+void
+checkNumber(const std::string &name, const std::string &text,
+            const char *end)
+{
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+        fatal("option --%s: '%s' is not a number in range",
+              name.c_str(), text.c_str());
+}
+
+} // anonymous namespace
+
 long
 ArgParser::getInt(const std::string &name) const
 {
-    return std::strtol(get(name).c_str(), nullptr, 0);
+    const std::string text = get(name);
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text.c_str(), &end, 0);
+    checkNumber(name, text, end);
+    return v;
+}
+
+std::uint64_t
+ArgParser::getCount(const std::string &name) const
+{
+    const long v = getInt(name);
+    if (v < 0)
+        fatal("--%s must be >= 0, got %ld", name.c_str(), v);
+    return static_cast<std::uint64_t>(v);
 }
 
 double
 ArgParser::getDouble(const std::string &name) const
 {
-    return std::strtod(get(name).c_str(), nullptr);
+    const std::string text = get(name);
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    checkNumber(name, text, end);
+    return v;
 }
 
 bool

@@ -52,9 +52,12 @@ class ArgParser
      */
     bool parse(int argc, char **argv);
 
-    // --- Typed accessors (fatal() on unknown names) ---
+    // --- Typed accessors (fatal() on unknown names; getInt and
+    // getDouble also on a value that is not one in-range number) ---
     std::string get(const std::string &name) const;
     long getInt(const std::string &name) const;
+    /** getInt() for a count: fatal() on a negative value. */
+    std::uint64_t getCount(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getFlag(const std::string &name) const;
     /** Collected values of a list option (empty when never given). */

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/arg_parser.hh"
@@ -107,6 +109,45 @@ TEST(ArgParser, ScientificNotationDoubles)
     auto p = makeParser();
     ASSERT_TRUE(parse(p, { "--ratio", "1e-6" }));
     EXPECT_DOUBLE_EQ(p.getDouble("ratio"), 1e-6);
+}
+
+TEST(ArgParser, NonNumericValuesAreFatal)
+{
+    // Trailing garbage, no digits at all, and out-of-range values
+    // each name the option instead of reading as a prefix or as 0.
+    const std::pair<const char *, const char *> cases[] = {
+        { "--count", "5k" },
+        { "--count", "abc" },
+        { "--count", "" },
+        { "--count", "99999999999999999999999" },
+        { "--ratio", "0.5x" },
+        { "--ratio", "1e999" },
+    };
+    for (const auto &[opt, value] : cases) {
+        auto p = makeParser();
+        ASSERT_TRUE(parse(p, { opt, value }));
+        const std::string name = opt + 2;
+        EXPECT_DEATH(name == "count" ? (void)p.getInt(name)
+                                     : (void)p.getDouble(name),
+                     "option " + std::string(opt) + ": '" + value +
+                         "' is not a number in range")
+            << opt << " " << value;
+    }
+    // Hex integers and signs still parse.
+    auto p = makeParser();
+    ASSERT_TRUE(parse(p, { "--count", "0x10", "--ratio", "-2.5" }));
+    EXPECT_EQ(p.getInt("count"), 16);
+    EXPECT_DOUBLE_EQ(p.getDouble("ratio"), -2.5);
+}
+
+TEST(ArgParser, NegativeCountIsFatal)
+{
+    auto p = makeParser();
+    ASSERT_TRUE(parse(p, { "--count", "-1" }));
+    EXPECT_EQ(p.getInt("count"), -1);
+    EXPECT_DEATH(p.getCount("count"), "--count must be >= 0, got -1");
+    ASSERT_TRUE(parse(p, { "--count", "0" }));
+    EXPECT_EQ(p.getCount("count"), 0u);
 }
 
 TEST(ArgParser, UsageListsOptions)

@@ -112,7 +112,7 @@ main(int argc, char **argv)
         fatal("%s: %s", spec_path.c_str(), err.c_str());
 
     cfg.objectives = args.getList("objective");
-    cfg.jobs = static_cast<unsigned>(args.getInt("jobs"));
+    cfg.jobs = static_cast<unsigned>(args.getCount("jobs"));
     cfg.cache_dir = args.get("cache-dir");
     cfg.progress = args.getFlag("progress");
 

@@ -32,6 +32,7 @@
 #include "energy/power_trace.hh"
 #include "mem/device/tech_profile.hh"
 #include "nvp/run_json.hh"
+#include "nvp/schema.hh"
 #include "nvp/system.hh"
 #include "runner/runner.hh"
 #include "telemetry/exporters.hh"
@@ -74,6 +75,19 @@ traceOption(const std::string &name, bool &no_failure)
         fatal("unknown trace '%s' (valid: %s)", name.c_str(),
               util::join(nvp::powerShortNames(), "|").c_str());
     return kind;
+}
+
+/** fatal() unless --@p flag reaches the floor that the registry row
+ *  @p key of @p fields sets for sweeps too. */
+void
+checkFloor(const util::ArgParser &args, const char *flag,
+           const nvp::FieldTable &fields, const char *key)
+{
+    const double v = args.getDouble(flag);
+    const double min = nvp::fieldByKey(fields, key).min;
+    if (v < min)
+        fatal("--%s must be >= %g, got %s", flag, min,
+              args.get(flag).c_str());
 }
 
 /** Apply every CLI configuration override to @p cfg. Shared between
@@ -189,7 +203,7 @@ runBatch(const util::ArgParser &args)
     }
 
     runner::RunnerConfig rc;
-    rc.jobs = static_cast<unsigned>(args.getInt("jobs"));
+    rc.jobs = static_cast<unsigned>(args.getCount("jobs"));
     rc.cache_dir = args.get("cache-dir");
     rc.progress = !args.getFlag("no-progress");
     rc.manifest_path = args.get("manifest");
@@ -294,6 +308,11 @@ main(int argc, char **argv)
         .flag("no-progress", "suppress batch progress on stderr");
     if (!args.parse(argc, argv))
         return 1;
+
+    checkFloor(args, "scale", nvp::specFields(), "scale");
+    checkFloor(args, "capacitor", nvp::configFields(),
+               "platform.capacitance_f");
+    checkFloor(args, "maxline", nvp::configFields(), "wl.maxline");
 
     const bool debug = !args.get("debug").empty();
     std::uint32_t debug_tracks = 0;

@@ -136,7 +136,7 @@ namespace {
  * Shortest-exact double rendering for save(): %.17g survives a
  * strtod round trip bit-for-bit, so save → load → save is
  * byte-identical (the default 6-significant-digit stream precision
- * silently truncated derived traces).
+ * silently truncated samples).
  */
 inline void
 writeExactDouble(std::ostream &os, double v)
@@ -209,37 +209,7 @@ rfParams(TraceKind kind)
     panic("TraceKind %d is not an RF kind", static_cast<int>(kind));
 }
 
-/**
- * AR(1) coefficient of a node gain. The gain is stationary with
- * var(g) = jitter^2 regardless of rho, so `jitter` reads directly as
- * the relative power spread. rho makes the gain decorrelate over
- * ~1 ms (50 samples at the 20 us grid): slow against bursts, fast
- * against the recording.
- */
-constexpr double kGainRho = 0.98;
-
-/** Seed of node @p node_id's gain stream. */
-std::uint64_t
-gainSeed(std::uint64_t node_id)
-{
-    // Mixed through the golden-ratio multiplier so consecutive ids
-    // land far apart in seed space (the Rng's SplitMix init then
-    // scrambles further).
-    return 0xf1ee7000dull ^
-        (node_id * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull);
-}
-
 } // anonymous namespace
-
-PowerTrace::Cursor::Cursor(const PowerTrace &trace) : trace_(&trace)
-{
-    for (const NodeGain &n : trace.gains_) {
-        Gain g{ Rng(gainSeed(n.node_id)), 0.0,
-                n.jitter * std::sqrt(1.0 - kGainRho * kGainRho) };
-        g.g = n.jitter * g.rng.nextGaussian();
-        gains_.push_back(g);
-    }
-}
 
 double
 PowerTrace::Cursor::next()
@@ -259,13 +229,6 @@ PowerTrace::Cursor::next()
         }
     }
     ++idx_;
-    for (Gain &g : gains_) {
-        double f = 1.0 + g.g;
-        if (f < 0.05)
-            f = 0.05; // keep power strictly positive
-        w *= f;
-        g.g = kGainRho * g.g + g.sigma * g.rng.nextGaussian();
-    }
     return w;
 }
 
@@ -356,16 +319,6 @@ makeTrace(TraceKind kind, const TraceGenConfig &cfg, double constant_w)
     t.kind_ = kind;
     t.seed_ = cfg.seed;
     t.constant_w_ = constant_w;
-    return t;
-}
-
-PowerTrace
-deriveNodeTrace(const PowerTrace &base, std::uint64_t node_id,
-                double jitter)
-{
-    PowerTrace t = base;
-    if (jitter > 0.0 && base.numSamples() != 0)
-        t.gains_.push_back({ node_id, jitter });
     return t;
 }
 

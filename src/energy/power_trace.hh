@@ -65,10 +65,9 @@ struct TraceGenConfig
  * an arbitrarily long environment.
  *
  * A trace is an immutable recipe: stored samples (load() or the vector
- * constructor) or a synthetic kind with its generator settings, either
- * one optionally modulated by deriveNodeTrace() gains. Readers walk it
- * with a Cursor, so a run generates only the samples it reads, and one
- * trace can be read from several threads at once.
+ * constructor) or a synthetic kind with its generator settings.
+ * Readers walk it with a Cursor, so a run generates only the samples
+ * it reads, and one trace can be read from several threads at once.
  */
 class PowerTrace
 {
@@ -114,15 +113,6 @@ class PowerTrace
   private:
     friend PowerTrace makeTrace(TraceKind, const TraceGenConfig &,
                                 double);
-    friend PowerTrace deriveNodeTrace(const PowerTrace &, std::uint64_t,
-                                      double);
-
-    /** One deriveNodeTrace() gain, applied over the samples below it. */
-    struct NodeGain
-    {
-        std::uint64_t node_id;
-        double jitter;
-    };
 
     double sample_period_s_ = 1.0e-3;
     std::size_t num_samples_ = 0;
@@ -130,7 +120,6 @@ class PowerTrace
     TraceKind kind_ = TraceKind::Constant; //!< Generator otherwise.
     std::uint64_t seed_ = 0;
     double constant_w_ = 0.0;
-    std::vector<NodeGain> gains_;   //!< Innermost first.
 };
 
 /**
@@ -149,19 +138,11 @@ class PowerTrace::Cursor
 
   private:
     friend class PowerTrace;
-    explicit Cursor(const PowerTrace &trace);
+    explicit Cursor(const PowerTrace &trace) : trace_(&trace) {}
 
     double nextRf();
     double nextSolar();
     double nextThermal();
-
-    /** AR(1) state of one NodeGain. */
-    struct Gain
-    {
-        Rng rng;
-        double g;
-        double sigma;
-    };
 
     const PowerTrace *trace_;
     std::size_t idx_ = 0;    //!< Index of the sample next() returns.
@@ -169,7 +150,6 @@ class PowerTrace::Cursor
     bool in_burst_ = false;  //!< RF: inside a burst.
     double left_s_ = 0.0;    //!< RF: state time left; solar: cloud left.
     double level_ = 0.0;     //!< RF burst / thermal level; cloud factor.
-    std::vector<Gain> gains_;
 };
 
 /**
@@ -182,29 +162,6 @@ class PowerTrace::Cursor
  */
 PowerTrace makeTrace(TraceKind kind, const TraceGenConfig &cfg = {},
                      double constant_w = 5.0e-3);
-
-/**
- * Derive a per-node trace from a shared environment envelope.
- *
- * Fleet scenarios model N sensors in one ambient environment: every
- * node sees the same burst/idle structure (the base trace), modulated
- * by a slowly varying multiplicative gain that is unique to the node —
- * antenna orientation, shadowing, and placement differ per device but
- * drift slowly relative to the 20 us sample grid. The gain is an AR(1)
- * process seeded purely by @p node_id, so derivation is deterministic
- * (same inputs ⇒ identical samples, bit for bit) and different node
- * ids decorrelate. The base trace is never mutated; each call returns
- * an independent PowerTrace so no cursor/phase state can leak between
- * nodes sharing one base.
- *
- * @param base Shared environment trace (returned unchanged when
- *             @p jitter <= 0).
- * @param node_id Fleet node index; sole seed of the jitter stream.
- * @param jitter Relative gain amplitude (stddev of the stationary
- *               AR(1) gain). 0 disables derivation.
- */
-PowerTrace deriveNodeTrace(const PowerTrace &base,
-                           std::uint64_t node_id, double jitter);
 
 } // namespace energy
 } // namespace wlcache

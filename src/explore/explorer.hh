@@ -5,16 +5,13 @@
  * in the content-addressed result cache, so explorations are
  * resumable and warm re-runs execute nothing), and extract the
  * Pareto frontier over the chosen objectives. Every point is
- * evaluated at its own scale (exhaustive search). Under a fleet block
- * every point runs once per node and the fleet objectives reduce the
- * node results before the frontier is taken.
+ * evaluated at its own scale (exhaustive search).
  */
 
 #ifndef WLCACHE_EXPLORE_EXPLORER_HH
 #define WLCACHE_EXPLORE_EXPLORER_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,8 +33,7 @@ struct ExploreConfig
     /**
      * Objective names (see objectives.hh). Overrides the sweep's own
      * list when non-empty; the engine falls back to the sweep's, and
-     * then to {"time", "nvm_writes"} ({"fleet_p99_progress",
-     * "fleet_wear_total"} under a fleet block).
+     * then to {"time", "nvm_writes"}.
      */
     std::vector<std::string> objectives;
 
@@ -62,31 +58,12 @@ struct PointOutcome
      */
     std::string run_key;
     bool on_frontier = false;
-
-    // --- Fleet block only (result and run_key stay empty) ---
-    /** Per-node results, sorted by node id (aggregatePoint sorts). */
-    std::vector<NodeResult> nodes;
-    std::uint64_t total_instructions = 0;
-    std::uint64_t total_nvm_writes = 0;
-    std::uint64_t total_outages = 0;
-    std::size_t completed_nodes = 0;
 };
-
-/**
- * Reduce @p out.nodes into fleet objectives and totals. Sorts the
- * nodes by id first, so the result is identical no matter what order
- * the runner delivered them in. @p objective_names must all be
- * registered fleet objectives.
- */
-void aggregatePoint(PointOutcome &out, const FleetBlock &fleet,
-                    const std::vector<std::string> &objective_names);
 
 /** Everything an exploration learned. */
 struct ExploreReport
 {
     std::string name;
-    /** The sweep's fleet block, when it has one. */
-    std::optional<FleetBlock> fleet;
     std::vector<std::string> objective_names;
 
     /** Every point of the sweep, in expansion order. */
@@ -102,15 +79,15 @@ struct ExploreReport
     unsigned max_scale = 1;           //!< Largest point scale.
 
     // --- Run economics ---
-    std::size_t full_runs = 0;    //!< Jobs run (one per point or node).
+    std::size_t full_runs = 0;    //!< Jobs run (one per point).
     std::size_t cache_hits = 0;   //!< Served from the result cache.
     std::size_t executed = 0;     //!< Actual simulator executions.
 };
 
 /**
  * Run one exploration.
- * @return true on success; false fills @p err (an objective that is
- *         unknown or of the wrong kind, expansion failure).
+ * @return true on success; false fills @p err (an unknown objective,
+ *         expansion failure).
  */
 bool runExploration(const ExploreConfig &cfg, ExploreReport &out,
                     std::string *err = nullptr);

@@ -37,80 +37,6 @@ paramColumns(const ExploreReport &report)
     return cols;
 }
 
-/**
- * The Markdown frontier table. @p last names the final column and
- * @p cell writes it for one point.
- */
-template <typename Cell>
-void
-writeMarkdownFrontier(std::ostream &os, const ExploreReport &report,
-                      const char *last, Cell cell)
-{
-    os << "| # | point |";
-    for (const auto &name : report.objective_names)
-        os << " " << name << " |";
-    os << " " << last << " |\n";
-    os << "|---|-------|";
-    for (std::size_t i = 0; i < report.objective_names.size(); ++i)
-        os << "---|";
-    os << "---|\n";
-
-    std::size_t n = 0;
-    for (const std::size_t idx : report.frontier) {
-        const PointOutcome &o = report.outcomes[idx];
-        os << "| " << ++n << " | `" << o.point.id << "` |";
-        for (const double obj : o.objectives)
-            os << " " << fmtObjective(obj) << " |";
-        os << " ";
-        cell(o);
-        os << " |\n";
-    }
-}
-
-void
-writeFleetMarkdown(std::ostream &os, const ExploreReport &report)
-{
-    const unsigned nodes = report.fleet->nodes;
-    os << "# Fleet report: " << report.name << "\n\n";
-    os << "- fleet: " << nodes << " node" << (nodes == 1 ? "" : "s")
-       << ", power jitter " << fmtObjective(report.fleet->jitter)
-       << " (shared environment envelope, node-seeded gain)\n";
-    os << "- points: " << report.outcomes.size() << " evaluated, "
-       << report.frontier.size() << " on the frontier\n";
-    os << "- objectives (all minimized):";
-    for (const auto &name : report.objective_names)
-        os << " " << name;
-    os << "\n\n";
-
-    writeMarkdownFrontier(os, report, "completed",
-                          [&](const PointOutcome &o) {
-                              os << o.completed_nodes << "/"
-                                 << o.nodes.size();
-                          });
-
-    if (!report.frontier.empty()) {
-        const PointOutcome &w = report.outcomes[report.frontier.front()];
-        os << "\n## Per-node breakdown: `" << w.point.id << "`\n\n";
-        os << "| node | workload | progress (insn/s) | outages | "
-              "nvm writes | completed |\n";
-        os << "|------|----------|-------------------|---------|"
-              "------------|-----------|\n";
-        for (const NodeResult &nr : w.nodes) {
-            os << "| " << nr.node << " | " << nr.workload << " | "
-               << fmtObjective(nodeProgressRate(nr.result)) << " | "
-               << nr.result.outages << " | " << nr.result.nvm_writes
-               << " | " << (nr.result.completed ? "yes" : "no")
-               << " |\n";
-        }
-    }
-
-    os << "\nEvery per-node run is an ordinary content-addressed "
-          "single-node experiment (spec lines `power_node`/"
-          "`power_jitter` select the derived trace), so re-running "
-          "the same fleet spec against the same cache executes "
-          "nothing.\n";
-}
-
 } // anonymous namespace
 
 void
@@ -123,13 +49,7 @@ writeCsv(std::ostream &os, const ExploreReport &report)
     header.insert(header.end(), cols.begin(), cols.end());
     header.insert(header.end(), report.objective_names.begin(),
                   report.objective_names.end());
-    header.push_back("frontier");
-    if (report.fleet)
-        header.insert(header.end(),
-                      { "completed_nodes", "total_instructions",
-                        "total_nvm_writes", "total_outages" });
-    else
-        header.insert(header.end(), { "completed", "run_key" });
+    header.insert(header.end(), { "frontier", "completed", "run_key" });
     csv.row(header);
 
     for (const auto &o : report.outcomes) {
@@ -140,16 +60,9 @@ writeCsv(std::ostream &os, const ExploreReport &report)
         }
         for (const double obj : o.objectives)
             row.push_back(fmtObjective(obj));
-        row.push_back(o.on_frontier ? "1" : "0");
-        if (report.fleet)
-            row.insert(row.end(),
-                       { std::to_string(o.completed_nodes),
-                         std::to_string(o.total_instructions),
-                         std::to_string(o.total_nvm_writes),
-                         std::to_string(o.total_outages) });
-        else
-            row.insert(row.end(),
-                       { o.result.completed ? "1" : "0", o.run_key });
+        row.insert(row.end(), { o.on_frontier ? "1" : "0",
+                                o.result.completed ? "1" : "0",
+                                o.run_key });
         csv.row(row);
     }
 }
@@ -158,9 +71,6 @@ void
 writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
                       const std::string &cache_dir)
 {
-    if (report.fleet)
-        return writeFleetMarkdown(os, report);
-
     os << "# Exploration frontier: " << report.name << "\n\n";
     // "exhaustive" is fixed wording: reports stay byte-identical to
     // those written by earlier versions.
@@ -176,15 +86,25 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
     os << "\n- frontier: " << report.frontier.size() << " point"
        << (report.frontier.size() == 1 ? "" : "s") << "\n\n";
 
-    writeMarkdownFrontier(os, report, "run record",
-                          [&](const PointOutcome &o) {
-                              os << "`";
-                              if (!cache_dir.empty())
-                                  os << cache_dir << "/";
-                              os << o.run_key
-                                 << (cache_dir.empty() ? "" : ".json")
-                                 << "`";
-                          });
+    os << "| # | point |";
+    for (const auto &name : report.objective_names)
+        os << " " << name << " |";
+    os << " run record |\n";
+    os << "|---|-------|";
+    for (std::size_t i = 0; i < report.objective_names.size(); ++i)
+        os << "---|";
+    os << "---|\n";
+    std::size_t n = 0;
+    for (const std::size_t idx : report.frontier) {
+        const PointOutcome &o = report.outcomes[idx];
+        os << "| " << ++n << " | `" << o.point.id << "` |";
+        for (const double obj : o.objectives)
+            os << " " << fmtObjective(obj) << " |";
+        os << " `";
+        if (!cache_dir.empty())
+            os << cache_dir << "/";
+        os << o.run_key << (cache_dir.empty() ? "" : ".json") << "` |\n";
+    }
 
     os << "\nEach run record is the content-addressed run JSON in "
           "the result cache; it carries the point's full structured "
@@ -200,21 +120,13 @@ writeSummaryText(std::ostream &os, const ExploreReport &report)
 {
     // "exhaustive" and "+ 0 triage" are fixed wording, as in the
     // Markdown report.
-    if (report.fleet)
-        os << "=== " << report.name << ": " << report.fleet->nodes
-           << " nodes x " << report.outcomes.size() << " points, "
-           << report.frontier.size() << " on the frontier ===\n";
-    else
-        os << "=== " << report.name << ": " << report.expanded_points
-           << " points, " << report.outcomes.size()
-           << " at full scale, " << report.frontier.size()
-           << " on the frontier (exhaustive) ===\n";
+    os << "=== " << report.name << ": " << report.expanded_points
+       << " points, " << report.outcomes.size() << " at full scale, "
+       << report.frontier.size() << " on the frontier (exhaustive) ===\n";
     util::TextTable t;
     std::vector<std::string> header{ "#", "point" };
     for (const auto &name : report.objective_names)
         header.push_back(name);
-    if (report.fleet)
-        header.push_back("completed");
     t.header(header);
     std::size_t n = 0;
     for (const std::size_t idx : report.frontier) {
@@ -223,9 +135,6 @@ writeSummaryText(std::ostream &os, const ExploreReport &report)
                                       o.point.id };
         for (const double v : o.objectives)
             row.push_back(fmtObjective(v));
-        if (report.fleet)
-            row.push_back(std::to_string(o.completed_nodes) + "/" +
-                          std::to_string(o.nodes.size()));
         t.row(row);
     }
     t.print(os);

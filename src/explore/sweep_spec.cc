@@ -61,16 +61,6 @@ boolValue(bool b)
     return out;
 }
 
-std::vector<std::string>
-FleetBlock::workloadPattern() const
-{
-    std::vector<std::string> pattern;
-    for (const MixEntry &e : mix)
-        for (unsigned i = 0; i < e.weight; ++i)
-            pattern.push_back(e.workload);
-    return pattern;
-}
-
 namespace {
 
 /** Largest value an `unsigned` destination holds. */
@@ -350,96 +340,6 @@ parseBindings(const util::JsonValue &obj,
     return true;
 }
 
-/**
- * An integral JSON number in [@p lo, @p hi] (lo >= 0). The range is
- * checked on the double, so the conversion never sees a value its
- * destination cannot hold.
- */
-bool
-wantInteger(const util::JsonValue &jv, double lo, double hi,
-            const std::string &path, std::uint64_t &out,
-            std::string *err)
-{
-    const double d = jv.isNumber() ? jv.asDouble() : -1.0;
-    if (d != std::floor(d) || d < lo)
-        return fail(err, path + ": expected an integer >= " +
-                             numValue(lo).text);
-    if (d > hi)
-        return fail(err, path + ": expected an integer <= " +
-                             util::fmtExact(hi));
-    out = static_cast<std::uint64_t>(d);
-    return true;
-}
-
-/** Parse the "fleet" block at @p path. */
-bool
-parseFleet(const util::JsonValue &jv, FleetBlock &out,
-           const std::string &path, std::string *err)
-{
-    if (!jv.isObject())
-        return fail(err, path + ": expected an object {nodes, jitter?, "
-                         "deadline_cycles?, mix?}");
-    bool saw_nodes = false;
-    std::uint64_t n = 0;
-    for (const auto &[key, v] : jv.members()) {
-        const std::string fpath = path + "." + key;
-        if (key == "nodes") {
-            if (!wantInteger(v, 1.0, 4096.0, fpath, n, err))
-                return false;
-            out.nodes = static_cast<unsigned>(n);
-            saw_nodes = true;
-        } else if (key == "jitter") {
-            if (!v.isNumber() || v.asDouble() < 0.0 ||
-                v.asDouble() > 2.0)
-                return fail(err, fpath + ": expected a number in [0, 2]");
-            out.jitter = v.asDouble();
-        } else if (key == "deadline_cycles") {
-            if (!wantInteger(v, 0.0, kMaxExactInteger, fpath,
-                             out.deadline_cycles, err))
-                return false;
-        } else if (key == "mix") {
-            if (!v.isArray() || v.items().empty())
-                return fail(err, fpath + ": expected a non-empty array");
-            for (std::size_t i = 0; i < v.items().size(); ++i) {
-                const auto &ej = v.items()[i];
-                const std::string epath =
-                    fpath + "[" + std::to_string(i) + "]";
-                if (!ej.isObject())
-                    return fail(err, epath + ": expected an object "
-                                     "{workload, weight?}");
-                MixEntry e;
-                for (const auto &[ekey, ev] : ej.members()) {
-                    if (ekey == "workload") {
-                        // Validated like the "workload" parameter.
-                        ParamValue w;
-                        const std::string wpath = epath + ".workload";
-                        if (!scalarFromJson(ev, w, wpath, err) ||
-                            !checkValue(*findParam(ekey), w, wpath, err))
-                            return false;
-                        e.workload = w.text;
-                    } else if (ekey == "weight") {
-                        if (!wantInteger(ev, 1.0, 1024.0,
-                                         epath + ".weight", n, err))
-                            return false;
-                        e.weight = static_cast<unsigned>(n);
-                    } else {
-                        return fail(err, epath + "." + ekey +
-                                         ": unknown mix key");
-                    }
-                }
-                if (e.workload.empty())
-                    return fail(err, epath + ": missing \"workload\"");
-                out.mix.push_back(std::move(e));
-            }
-        } else {
-            return fail(err, fpath + ": unknown fleet key");
-        }
-    }
-    if (!saw_nodes)
-        return fail(err, path + ": missing \"nodes\"");
-    return true;
-}
-
 } // anonymous namespace
 
 bool
@@ -586,10 +486,6 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                                      "]: expected a string");
                 spec.objectives.push_back(jv.items()[i].asString());
             }
-        } else if (key == "fleet") {
-            spec.fleet.emplace();
-            if (!parseFleet(jv, *spec.fleet, path, err))
-                return false;
         } else {
             return fail(err, path + ": unknown sweep-spec key");
         }
@@ -598,8 +494,7 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
     // Cross-checks the per-key loops above cannot do.
     for (std::size_t i = 0; i < spec.objectives.size(); ++i) {
         std::string why;
-        if (!checkObjective(spec.objectives[i], spec.fleet.has_value(),
-                            &why))
+        if (!checkObjective(spec.objectives[i], &why))
             return fail(err, "$.objectives[" + std::to_string(i) +
                              "]: " + why);
     }

@@ -34,15 +34,6 @@ struct ExperimentSpec
     std::uint64_t workload_seed = 42;
     std::uint64_t power_seed = 7;
 
-    /**
-     * Fleet node identity: when power_jitter > 0 the environment trace
-     * is re-derived per node via energy::deriveNodeTrace(), modelling N
-     * sensors sharing one ambient environment with node-local gain.
-     * Defaults (node 0, jitter 0) leave single-node runs untouched.
-     */
-    std::uint64_t power_node = 0;
-    double power_jitter = 0.0;
-
     /** Optional configuration override hook. */
     std::function<void(SystemConfig &)> tweak;
 };

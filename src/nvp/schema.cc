@@ -186,15 +186,6 @@ addCacheFields(FieldTable &t, const std::string &prefix,
 }
 
 bool
-checkJitter(double v, std::string &why)
-{
-    if (v <= 2.0)
-        return true;
-    why = "power_jitter must be in [0, 2]";
-    return false;
-}
-
-bool
 checkWatermark(double v, std::string &why)
 {
     if (v > 0.0 && v < 1.0)
@@ -329,12 +320,6 @@ specFields()
         WLC_ROW(S, workload_seed, "workload input seed"),
         WLC_ROW(S, power),
         WLC_ROW(S, power_seed, "power trace seed"),
-        WLC_ROW(S, power_node,
-                "fleet node id: derives a node-local power trace when "
-                "power_jitter > 0"),
-        WLC_ROW(S, power_jitter,
-                "per-node power gain spread (0 disables trace derivation)",
-                0, checkJitter),
         WLC_ROW(S, no_failure),
     };
     return rows;

@@ -35,9 +35,10 @@ namespace runner {
  * energy arithmetic (every accumulated joule quantized) plus the
  * step_mode config key line; 6 = banked NVM device model (timing
  * model, wear, hybrid region config keys); 7 = WL-Log design and
- * the log.* journal config keys plus run-record v5 fields; 8 = fleet
- * scenarios (power_node/power_jitter spec lines for per-node derived
- * traces).
+ * the log.* journal config keys plus run-record v5 fields; 8 = the
+ * power_node/power_jitter spec lines of per-node derived traces. The
+ * derivation is gone; specKeyText() writes both lines as the fixed
+ * text "power_node=0"/"power_jitter=0" until the next bump (8 -> 9).
  */
 constexpr unsigned kResultSchemaVersion = 8;
 

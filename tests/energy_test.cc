@@ -156,6 +156,19 @@ TEST(PowerTrace, SaveLoadRoundTrip)
     EXPECT_DOUBLE_EQ(u.samplePeriod(), 0.5e-3);
     ASSERT_EQ(u.numSamples(), 3u);
     EXPECT_DOUBLE_EQ(u.samples()[1], 0.2);
+
+    // save() writes full precision: a synthetic trace written by
+    // power_trace_tool and read back reproduces the identical
+    // waveform, byte for byte.
+    const PowerTrace gen = makeTrace(TraceKind::RfOffice);
+    std::stringstream first;
+    gen.save(first);
+    const PowerTrace reloaded = PowerTrace::load(first);
+    EXPECT_EQ(reloaded.samples(), gen.samples());
+    EXPECT_EQ(reloaded.samplePeriod(), gen.samplePeriod());
+    std::stringstream second;
+    reloaded.save(second);
+    EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(PowerTrace, GeneratorsDeterministic)
@@ -173,7 +186,6 @@ TEST(PowerTrace, SampleStreamsMatchPinnedDigests)
     // fnv1a128 of samples() as the eager generators wrote them: a
     // generator that draws its random stream in another order, or
     // derives another length, changes every run under that trace.
-    // fleet_test pins the derived streams of the same traces.
     struct Pin
     {
         TraceKind kind;
@@ -617,11 +629,9 @@ TEST(Harvester, LazyTraceMatchesItsStoredSamples)
     // on a snapshot load; it must see exactly the samples it would
     // read from the same trace stored as a vector, driven without
     // resets or reloads.
-    const PowerTrace tr3 = makeTrace(TraceKind::RfMementos, shortTrace(9));
     const PowerTrace traces[] = {
         makeTrace(TraceKind::RfHome, shortTrace(1)),
-        tr3,
-        deriveNodeTrace(tr3, 3, 0.25),
+        makeTrace(TraceKind::RfMementos, shortTrace(9)),
         makeTrace(TraceKind::Solar, shortTrace(2)),
         makeTrace(TraceKind::Thermal, shortTrace(3)),
         makeTrace(TraceKind::RfOffice),  // 2 s: reloads seek far in
@@ -649,8 +659,7 @@ TEST(Harvester, ThreadsShareOneConstTrace)
 {
     // Each harvester owns its cursor and the trace is never written,
     // so harvesters on several threads can read one trace at once.
-    const PowerTrace trace = deriveNodeTrace(
-        makeTrace(TraceKind::RfOffice, shortTrace(4)), 5, 0.3);
+    const PowerTrace trace = makeTrace(TraceKind::RfOffice, shortTrace(4));
     const std::vector<HarvestStep> one = driveHarvester(trace, 1);
     const std::vector<HarvestStep> two = driveHarvester(trace, 2);
     std::vector<HarvestStep> got_one, got_two;

@@ -114,12 +114,17 @@ TEST(SweepSpec, RejectsUnknownTopLevelKey)
 {
     expectDiagnostic(parseErr(R"({"bogus": 1})"), "$.bogus",
                      "unknown sweep-spec key");
+    // A sweep evaluates one node per design point.
+    expectDiagnostic(parseErr(R"({"fleet": {"nodes": 2, "jitter": 0.25}})"),
+                     "$.fleet", "unknown sweep-spec key");
 }
 
 TEST(SweepSpec, RejectsUnknownBaseParam)
 {
     expectDiagnostic(parseErr(R"({"base": {"dcache.ways": 4}})"),
                      "$.base.dcache.ways", "unknown parameter");
+    expectDiagnostic(parseErr(R"({"base": {"power_node": 3}})"),
+                     "$.base.power_node", "unknown parameter");
 }
 
 TEST(SweepSpec, RejectsBaseTypeMismatch)
@@ -163,17 +168,9 @@ TEST(SweepSpec, RejectsUnknownDesignAndWorkload)
     expectDiagnostic(
         parseErr(R"({"base": {"workload": "doom"}})"),
         "$.base.workload", "unknown workload 'doom'");
-    // Objectives: registered, and of the kind the sweep evaluates.
     expectDiagnostic(
         parseErr(R"({"objectives": ["time", "speed"]})"),
         "$.objectives[1]", "unknown objective 'speed' (valid: time,");
-    expectDiagnostic(
-        parseErr(R"({"objectives": ["fleet_wear_total"]})"),
-        "$.objectives[0]", "needs a \"fleet\" block");
-    expectDiagnostic(
-        parseErr(R"({"objectives": ["fleet_wear_total", "time"],
-                     "fleet": {"nodes": 2}})"),
-        "$.objectives[1]", "objective 'time' is per-run");
 }
 
 TEST(SweepSpec, RejectsBadAxes)
@@ -276,7 +273,7 @@ TEST(SweepSpec, EveryCommittedExampleParsesAndExpands)
         EXPECT_FALSE(expandOk(parseOk(text)).empty());
         ++specs;
     }
-    EXPECT_GE(specs, 6u);
+    EXPECT_GE(specs, 5u);
 }
 
 // ---------------------------------------------------------------------
@@ -646,11 +643,11 @@ namespace {
 
 bool
 runSweep(const SweepSpec &sweep, ExploreReport &out,
-        const std::string &cache_dir = "")
+         const std::string &cache_dir = "", unsigned jobs = 2)
 {
     ExploreConfig cfg;
     cfg.sweep = sweep;
-    cfg.jobs = 2;
+    cfg.jobs = jobs;
     cfg.cache_dir = cache_dir;
     std::string err;
     const bool ok = runExploration(cfg, out, &err);
@@ -687,17 +684,6 @@ TEST(Explorer, RejectsBadInputsWithClearErrors)
     EXPECT_NE(err.find("unknown objective 'bogus'"),
               std::string::npos);
 
-    // An override must match the sweep's kind: fleet objectives need
-    // a fleet block, which takes no per-run objectives.
-    cfg.objectives = { "fleet_p99_progress" };
-    EXPECT_FALSE(runExploration(cfg, report, &err));
-    EXPECT_NE(err.find("needs a \"fleet\" block"), std::string::npos);
-    ExploreConfig fleet;
-    fleet.sweep = parseOk(R"({"base": {"workload": "sha"},
-                              "fleet": {"nodes": 2}})");
-    fleet.objectives = { "time" };
-    EXPECT_FALSE(runExploration(fleet, report, &err));
-    EXPECT_NE(err.find("objective 'time' is per-run"), std::string::npos);
     // A DirtyQueue too small for the WL preset's adaptive range fails
     // before any run, naming the point, instead of panicking mid-run.
     ExploreConfig small_dq;
@@ -714,22 +700,25 @@ TEST(Explorer, ExhaustiveIsDeterministic)
 {
     const auto sweep = parseOk(R"({
         "name": "tiny",
-        "base": {"workload": "qsort", "power": "trace1"},
-        "axes": [{"param": "design", "values": ["wl", "nvsram"]}],
+        "base": {"workload": "qsort"},
+        "axes": [{"param": "design", "values": ["wl", "nvsram"]},
+                 {"param": "power", "values": ["trace1", "trace2"]}],
         "objectives": ["time", "nvm_writes", "hw_area"]
     })");
+    // One worker runs the points in expansion order; four deliver
+    // them in whatever order they finish.
     ExploreReport first, second;
-    ASSERT_TRUE(runSweep(sweep, first));
-    ASSERT_TRUE(runSweep(sweep, second));
+    ASSERT_TRUE(runSweep(sweep, first, "", 1));
+    ASSERT_TRUE(runSweep(sweep, second, "", 4));
 
-    ASSERT_EQ(first.outcomes.size(), 2u);
-    EXPECT_EQ(first.outcomes[0].point.id, "design=wl");
+    ASSERT_EQ(first.outcomes.size(), 4u);
+    EXPECT_EQ(first.outcomes[0].point.id, "design=wl;power=trace1");
     EXPECT_FALSE(first.frontier.empty());
     for (const auto &o : first.outcomes) {
         ASSERT_EQ(o.objectives.size(), 3u);
         EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
     }
-    // Two cold runs render byte-identical reports.
+    // Two cold runs render byte-identical reports at any --jobs.
     EXPECT_EQ(renderCsv(first), renderCsv(second));
     EXPECT_EQ(renderMd(first), renderMd(second));
 }

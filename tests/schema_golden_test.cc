@@ -71,7 +71,6 @@ specs()
     out.push_back({ "nvsram-all-params", fromSweep(R"({"base": {
         "design": "nvsram", "workload": "sha", "power": "trace2",
         "scale": 2, "workload_seed": 43, "power_seed": 8,
-        "power_node": 3, "power_jitter": 0.25,
         "nvm.tech": "stt-ram",
         "dcache.size_bytes": 4096, "dcache.assoc": 4,
         "dcache.line_bytes": 32, "dcache.repl": "fifo",

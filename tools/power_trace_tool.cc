@@ -98,10 +98,7 @@ main(int argc, char **argv)
         .option("out", "", "output file for 'gen'")
         .option("load", "25e-3", "constant load for 'estimate', W")
         .option("capacitor", "1e-6", "capacitance for 'estimate', F")
-        .option("efficiency", "0.7", "harvester efficiency")
-        .option("node", "0", "fleet node id for --jitter derivation")
-        .option("jitter", "0",
-                "derive a node-local trace with this gain spread");
+        .option("efficiency", "0.7", "harvester efficiency");
     if (!args.parse(argc, argv))
         return 1;
     if (args.positional().empty()) {
@@ -113,31 +110,21 @@ main(int argc, char **argv)
     const std::string cmd = args.positional()[0];
 
     auto load_or_gen = [&]() -> PowerTrace {
-        PowerTrace base;
         if (args.positional().size() > 1) {
             std::ifstream in(args.positional()[1]);
             if (!in)
                 fatal("cannot open '%s'",
                       args.positional()[1].c_str());
-            base = PowerTrace::load(in);
-        } else {
-            TraceKind kind;
-            if (!traceKindFromName(args.get("kind"), kind))
-                fatal("unknown kind '%s' (valid: %s)",
-                      args.get("kind").c_str(),
-                      traceKindNameList().c_str());
-            TraceGenConfig cfg;
-            cfg.seed =
-                static_cast<std::uint64_t>(args.getInt("seed"));
-            cfg.duration_s = args.getDouble("duration");
-            base = makeTrace(kind, cfg,
-                             args.getDouble("constant-mw") * 1e-3);
+            return PowerTrace::load(in);
         }
-        // Optional per-node derivation (fleet scenarios): jitter 0
-        // passes the base trace through untouched.
-        return deriveNodeTrace(
-            base, static_cast<std::uint64_t>(args.getInt("node")),
-            args.getDouble("jitter"));
+        TraceKind kind;
+        if (!traceKindFromName(args.get("kind"), kind))
+            fatal("unknown kind '%s' (valid: %s)",
+                  args.get("kind").c_str(), traceKindNameList().c_str());
+        TraceGenConfig cfg;
+        cfg.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+        cfg.duration_s = args.getDouble("duration");
+        return makeTrace(kind, cfg, args.getDouble("constant-mw") * 1e-3);
     };
 
     if (cmd == "gen") {

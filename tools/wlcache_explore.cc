@@ -3,9 +3,8 @@
  * Design-space exploration driver: expand a declarative JSON sweep
  * spec into concrete experiments, evaluate them through the parallel
  * runner (content-addressed caching makes explorations resumable),
- * and report the Pareto frontier over the chosen objectives. A spec
- * with a "fleet" block evaluates every point on N nodes and renders
- * fleet reports.
+ * and report the Pareto frontier over the chosen objectives, one
+ * simulated node per design point.
  *
  * Examples:
  *   # 2-axis sweep, frontier on time vs NVM writes:
@@ -17,10 +16,6 @@
  *   wlcache_explore --spec sweep.json \
  *                   --objective time --objective nvm_writes \
  *                   --objective hw_area
- *
- *   # N-node fleet (the spec's "fleet" block), tail objectives:
- *   wlcache_explore --spec examples/sweeps/fleet_smoke.json \
- *                   --csv fleet.csv --report fleet.md
  *
  *   # CI warm-cache check: fail unless everything is served from
  *   # the result cache:

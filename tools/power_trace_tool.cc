@@ -11,6 +11,7 @@
  *   power_trace_tool estimate tr1.txt --load 25e-3 --capacitor 1e-6
  */
 
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "energy/capacitor.hh"
 #include "energy/harvester.hh"
 #include "energy/power_trace.hh"
+#include "nvp/schema.hh"
 #include "sim/logging.hh"
 #include "util/arg_parser.hh"
 #include "util/strings.hh"
@@ -26,6 +28,38 @@ using namespace wlcache;
 using namespace wlcache::energy;
 
 namespace {
+
+/**
+ * Reject every value the trace generator, Capacitor or Harvester
+ * would assert on or silently misread. The capacitor floor is the
+ * sweep registry's, as on wlcache_sim's command line. Each check is
+ * written as !(in range) so a NaN fails it too.
+ */
+void
+checkOptions(const util::ArgParser &args)
+{
+    auto reject = [&args](const char *flag, const std::string &want) {
+        fatal("--%s must be %s, got %s", flag, want.c_str(),
+              args.get(flag).c_str());
+    };
+    const double period = TraceGenConfig{}.sample_period_s;
+    if (!(args.getDouble("duration") / period >= 1.0))
+        reject("duration", "a positive length of at least one " +
+                               util::fmtSeconds(period) + " sample");
+    for (const char *flag : { "constant-mw", "load" })
+        if (!(args.getDouble(flag) >= 0.0))
+            reject(flag, ">= 0");
+    const double eff = args.getDouble("efficiency");
+    if (!(eff > 0.0 && eff <= 1.0))
+        reject("efficiency", "in (0, 1]");
+    const double min_cap =
+        nvp::fieldByKey(nvp::configFields(), "platform.capacitance_f").min;
+    if (!(args.getDouble("capacitor") >= min_cap)) {
+        char want[32];
+        std::snprintf(want, sizeof(want), ">= %g", min_cap);
+        reject("capacitor", want);
+    }
+}
 
 int
 cmdInfo(const PowerTrace &trace)
@@ -101,6 +135,7 @@ main(int argc, char **argv)
         .option("efficiency", "0.7", "harvester efficiency");
     if (!args.parse(argc, argv))
         return 1;
+    checkOptions(args);
     if (args.positional().empty()) {
         std::cerr << "usage: power_trace_tool gen|info|estimate "
                      "[file] [options]\n"

@@ -94,6 +94,7 @@ toPointResult(std::uint64_t point, const nvp::RunResult &run,
     pr.point = point;
     pr.verdict = judge(run, golden);
     pr.completed = run.completed;
+    pr.on_cycles = run.on_cycles;
     pr.outages = run.outages;
     pr.forced_outages = run.forced_outages;
     pr.has_first_divergence = run.has_first_divergence;

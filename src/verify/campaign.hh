@@ -119,6 +119,9 @@ struct PointResult
     std::uint64_t point = 0;        //!< Requested outage cycle.
     Verdict verdict = Verdict::Clean;
     bool completed = false;
+    /** Powered cycles of the point's run: a resumed run that struck
+     *  its forced outage at another cycle shows a different count. */
+    std::uint64_t on_cycles = 0;
     std::uint64_t outages = 0;
     std::uint64_t forced_outages = 0;
 

@@ -20,7 +20,7 @@ void
 writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
 {
     os << "{\n";
-    os << "  \"report_version\": 2,\n";
+    os << "  \"report_version\": 3,\n";
     os << "  \"workload\": \"" << util::jsonEscape(r.workload) << "\",\n";
     os << "  \"design\": \"" << util::jsonEscape(r.design) << "\",\n";
 
@@ -48,7 +48,8 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
         const PointResult &p = r.points[i];
         os << "    {\"point\": " << p.point << ", \"verdict\": \""
            << verdictName(p.verdict) << "\", \"completed\": "
-           << boolStr(p.completed) << ", \"outages\": " << p.outages
+           << boolStr(p.completed) << ", \"on_cycles\": " << p.on_cycles
+           << ", \"outages\": " << p.outages
            << ", \"forced_outages\": " << p.forced_outages
            << ", \"consistency_violations\": "
            << p.consistency_violations

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -31,6 +32,7 @@
 #include "nvp/system.hh"
 #include "sim/snapshot.hh"
 #include "telemetry/timeline.hh"
+#include "util/fs.hh"
 #include "verify/campaign.hh"
 #include "workloads/workloads.hh"
 
@@ -668,4 +670,38 @@ TEST(SnapshotCampaign, PointOnARungResumesFromTheRungBefore)
         EXPECT_EQ(cold.forced_outages, 1u);
         EXPECT_EQ(resultJson(resumed), resultJson(cold)) << point;
     }
+
+    // A campaign over the same rung cycles, cold and resumed, writes
+    // identical reports and identical run records: the records'
+    // interval rollups show when each forced outage struck, which a
+    // point's on_cycles alone need not.
+    verify::CampaignConfig cc;
+    cc.base = golden;
+    cc.jobs = 2;
+    for (std::size_t k = 1; k < ladder.size(); ++k)
+        cc.points.push_back(ladder[k]->cycle);
+    std::string report[2], dir[2];
+    for (int resumed = 0; resumed < 2; ++resumed) {
+        dir[resumed] = ::testing::TempDir() + "wlcache_rung_campaign_" +
+                       std::to_string(resumed);
+        std::filesystem::remove_all(dir[resumed]);
+        cc.cache_dir = dir[resumed];
+        cc.snapshot_interval = resumed ? ro.snapshot_interval : 0;
+        std::ostringstream os;
+        verify::writeCampaignReportJson(os, verify::runCampaign(cc));
+        report[resumed] = os.str();
+    }
+    EXPECT_EQ(report[0], report[1]);
+    std::size_t records = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir[0])) {
+        if (entry.path().extension() != ".json")
+            continue;
+        std::string cold, resumed;
+        ASSERT_TRUE(util::readFileText(entry.path().string(), cold));
+        ASSERT_TRUE(util::readFileText(
+            dir[1] + "/" + entry.path().filename().string(), resumed));
+        EXPECT_EQ(cold, resumed) << entry.path().filename();
+        ++records;
+    }
+    EXPECT_EQ(records, cc.points.size() + 1);  // + the golden run
 }

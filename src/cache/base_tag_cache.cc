@@ -52,7 +52,14 @@ BaseTagCache::BaseTagCache(const std::string &name,
                            const CacheParams &params, mem::NvmMemory &nvm,
                            energy::EnergyMeter *meter)
     : DataCache(name), params_(params), tags_(params), nvm_(nvm),
-      meter_(meter)
+      meter_(meter),
+      read_aj_(energy::toAttojoules(params.access_energy_read)),
+      write_aj_(energy::toAttojoules(params.access_energy_write)),
+      repl_aj_(params.repl == ReplPolicy::LRU
+                   ? energy::toAttojoules(params.lru_update_energy)
+                   : 0),
+      fill_aj_(energy::toAttojoules(params.line_fill_energy)),
+      line_read_aj_(energy::toAttojoules(params.line_read_energy))
 {
 }
 
@@ -60,40 +67,35 @@ void
 BaseTagCache::chargeArrayRead()
 {
     if (meter_)
-        meter_->add(energy::EnergyCategory::CacheRead,
-                    params_.access_energy_read);
+        meter_->addAj(energy::EnergyCategory::CacheRead, read_aj_);
 }
 
 void
 BaseTagCache::chargeArrayWrite()
 {
     if (meter_)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    params_.access_energy_write);
+        meter_->addAj(energy::EnergyCategory::CacheWrite, write_aj_);
 }
 
 void
 BaseTagCache::chargeReplUpdate()
 {
-    if (meter_ && params_.repl == ReplPolicy::LRU)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    params_.lru_update_energy);
+    if (meter_)
+        meter_->addAj(energy::EnergyCategory::CacheWrite, repl_aj_);
 }
 
 void
 BaseTagCache::chargeLineFill()
 {
     if (meter_)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    params_.line_fill_energy);
+        meter_->addAj(energy::EnergyCategory::CacheWrite, fill_aj_);
 }
 
 void
 BaseTagCache::chargeLineRead()
 {
     if (meter_)
-        meter_->add(energy::EnergyCategory::CacheRead,
-                    params_.line_read_energy);
+        meter_->addAj(energy::EnergyCategory::CacheRead, line_read_aj_);
 }
 
 CacheAccessResult

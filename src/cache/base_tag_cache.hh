@@ -189,6 +189,14 @@ class BaseTagCache : public DataCache
     TagArray tags_;
     mem::NvmMemory &nvm_;
     energy::EnergyMeter *meter_;
+
+  private:
+    // params_' charge amounts, quantized once; repl_aj_ is 0 under FIFO.
+    energy::Attojoules read_aj_;
+    energy::Attojoules write_aj_;
+    energy::Attojoules repl_aj_;
+    energy::Attojoules fill_aj_;
+    energy::Attojoules line_read_aj_;
 };
 
 } // namespace cache

@@ -69,9 +69,12 @@ toAttojoules(double joules)
 inline Attojoules
 scaleAttojoules(Attojoules rate, std::uint64_t cycles)
 {
-    if (rate != 0 && cycles > kMaxAttojoules / rate)
-        return kMaxAttojoules;
-    return rate * cycles;
+    // One 128-bit multiply, no divide: rate * cycles > kMaxAttojoules
+    // holds exactly when cycles > kMaxAttojoules / rate (floored).
+    __extension__ using U128 = unsigned __int128;
+    const U128 aj = static_cast<U128>(rate) * cycles;
+    return aj > kMaxAttojoules ? kMaxAttojoules
+                               : static_cast<Attojoules>(aj);
 }
 
 /**

@@ -308,8 +308,14 @@ PowerTrace
 makeTrace(TraceKind kind, const TraceGenConfig &cfg, double constant_w)
 {
     wlc_assert(cfg.sample_period_s > 0.0);
-    const auto n =
-        static_cast<std::size_t>(cfg.duration_s / cfg.sample_period_s);
+    // Range-check before converting: an out-of-range double-to-size_t
+    // conversion is undefined.
+    const double count = cfg.duration_s / cfg.sample_period_s;
+    wlc_assert(count >= 0.0 &&
+                   count < static_cast<double>(kMaxTraceSamples) + 1.0,
+               "a %g s trace holds %g samples, not 0..%zu", cfg.duration_s,
+               count, kMaxTraceSamples);
+    const auto n = static_cast<std::size_t>(count);
     wlc_assert(n > 0 || kind == TraceKind::Constant,
                "a %s trace of %g s has no samples", traceKindName(kind),
                cfg.duration_s);

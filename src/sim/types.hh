@@ -66,21 +66,27 @@ enum class MemOp : std::uint8_t
 /** Access width in bytes for a memory operation (1, 2, 4, or 8). */
 using AccessSize = std::uint8_t;
 
+/** Largest compute gap one trace event can carry. */
+constexpr std::uint32_t kMaxComputeGap = 0xffff;
+
 /**
- * One data-memory reference in a workload trace.
+ * One data-memory reference in a workload trace, 16 bytes with no
+ * padding: the paper sweep keeps millions of them resident.
  *
  * @c computeGap is the number of non-memory instructions the core
  * executes *before* this reference; it models the compute/memory mix
- * without recording every ALU instruction.
+ * without recording every ALU instruction. Guest addresses fit 32
+ * bits (the workloads' data segment sits at 1 MiB).
  */
 struct MemAccess
 {
-    std::uint32_t computeGap;
+    std::uint16_t computeGap;  //!< At most kMaxComputeGap.
     MemOp op;
     AccessSize size;
-    Addr addr;
+    std::uint32_t addr;
     std::uint64_t value;  //!< Store data (or loaded data for checking).
 };
+static_assert(sizeof(MemAccess) == 16);
 
 } // namespace wlcache
 

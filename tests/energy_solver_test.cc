@@ -364,6 +364,15 @@ TEST(SolverProperty, ScaleAttojoulesSaturates)
     EXPECT_EQ(scaleAttojoules(1'000'000'000'000ull,
                               100'000'000'000ull),
               kMaxAttojoules);
+    // The ceiling itself is reachable; one rate step past it, or a
+    // product past 2^64, saturates.
+    for (const Attojoules rate : { 1ull, 7ull, 1'000'003ull }) {
+        const std::uint64_t top = kMaxAttojoules / rate;
+        EXPECT_EQ(scaleAttojoules(rate, top), rate * top) << rate;
+        EXPECT_EQ(scaleAttojoules(rate, top + 1), kMaxAttojoules) << rate;
+    }
+    EXPECT_EQ(scaleAttojoules(kMaxAttojoules, 1), kMaxAttojoules);
+    EXPECT_EQ(scaleAttojoules(~0ull, ~0ull), kMaxAttojoules);
 }
 
 TEST(SolverProperty, QuantizerEdges)

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -169,6 +170,21 @@ TEST(PowerTrace, SaveLoadRoundTrip)
     std::stringstream second;
     reloaded.save(second);
     EXPECT_EQ(second.str(), first.str());
+}
+
+TEST(PowerTrace, SampleCountIsCheckedBeforeConversion)
+{
+    TraceGenConfig cfg;
+    const double max = static_cast<double>(kMaxTraceSamples);
+    cfg.duration_s = (max + 0.5) * cfg.sample_period_s;
+    EXPECT_EQ(makeTrace(TraceKind::RfHome, cfg).numSamples(),
+              kMaxTraceSamples);
+    for (const double d : { (max + 1.5) * cfg.sample_period_s, 1e15, -1.0,
+                            std::nan("") }) {
+        cfg.duration_s = d;
+        EXPECT_DEATH(makeTrace(TraceKind::Constant, cfg), "samples, not")
+            << d;
+    }
 }
 
 TEST(PowerTrace, GeneratorsDeterministic)

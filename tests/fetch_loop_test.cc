@@ -382,11 +382,12 @@ TEST(FetchLoop, CoreMatchesSingleIterationReference)
                 rig.core.restoreStream(rig_mark);
                 ref.stream = ref_mark;
             }
-            const MemAccess ev{ randomGap(rng),
-                                rng.nextBool() ? MemOp::Load
-                                               : MemOp::Store,
-                                4, 0x1000 + 4 * rng.nextBelow(1024),
-                                rng.next() & 0xffffffffu };
+            const MemAccess ev{
+                static_cast<std::uint16_t>(randomGap(rng)),
+                rng.nextBool() ? MemOp::Load : MemOp::Store, 4,
+                static_cast<std::uint32_t>(0x1000 +
+                                           4 * rng.nextBelow(1024)),
+                rng.next() & 0xffffffffu };
             t_rig = rig.core.executeEvent(ev, t_rig);
             t_ref = ref.execute(ev, t_ref);
             ASSERT_EQ(t_rig, t_ref) << "event " << e;

@@ -43,9 +43,14 @@ checkOptions(const util::ArgParser &args)
               args.get(flag).c_str());
     };
     const double period = TraceGenConfig{}.sample_period_s;
-    if (!(args.getDouble("duration") / period >= 1.0))
+    const double samples = args.getDouble("duration") / period;
+    if (!(samples >= 1.0))
         reject("duration", "a positive length of at least one " +
                                util::fmtSeconds(period) + " sample");
+    if (!(samples < static_cast<double>(kMaxTraceSamples) + 1.0))
+        reject("duration",
+               "at most " + util::fmtSeconds(kMaxTraceSamples * period) +
+                   " (" + std::to_string(kMaxTraceSamples) + " samples)");
     for (const char *flag : { "constant-mw", "load" })
         if (!(args.getDouble(flag) >= 0.0))
             reject(flag, ">= 0");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "sim/snapshot.hh"
@@ -33,10 +32,13 @@ ByteImage::applyTo(Addr base, std::uint8_t *out, std::size_t size) const
     for (auto it = pages_.lower_bound(base / kPageBytes);
          it != pages_.end() && it->first * kPageBytes < base + size; ++it) {
         const Addr page_base = it->first * kPageBytes;
-        forEachByte(it->second, [&](std::size_t i) {
-            if (page_base + i >= base && page_base + i < base + size)
-                out[page_base + i - base] = it->second.data[i];
-        });
+        const Page &page = it->second;
+        for (std::size_t w = 0; w < kWords; ++w)
+            for (std::uint64_t bits = page.valid[w]; bits; bits &= bits - 1) {
+                const std::size_t i = w * 64 + std::countr_zero(bits);
+                if (page_base + i >= base && page_base + i < base + size)
+                    out[page_base + i - base] = page.data[i];
+            }
     }
 }
 
@@ -80,20 +82,18 @@ ByteImage::firstMismatch(const NvmMemory &nvm, const ByteImage &overlay,
 void
 ByteImage::ioState(StateIo &io)
 {
-    std::vector<std::pair<Addr, std::uint8_t>> bytes;
-    for (const auto &[pn, page] : pages_)
-        forEachByte(page, [&](std::size_t i) {
-            bytes.emplace_back(pn * kPageBytes + i, page.data[i]);
-        });
-    io.seq(bytes, [&io](std::pair<Addr, std::uint8_t> &b) {
-        io.u64(b.first);
-        io.u8(b.second);
-    });
-    if (io.loading()) {
+    std::vector<Addr> pns;
+    for (const auto &entry : pages_)
+        pns.push_back(entry.first);
+    if (io.loading())
         pages_.clear();
-        for (const auto &[addr, byte] : bytes)
-            write(addr, &byte, 1);
-    }
+    io.seq(pns, [&](Addr &pn) {
+        io.u64(pn);
+        Page &page = pages_[pn];
+        for (std::uint64_t &word : page.valid)
+            io.u64(word);
+        io.bytes(page.data.data(), kPageBytes);
+    });
 }
 
 } // namespace mem

@@ -7,10 +7,10 @@
  * observationally identical to having executed the prefix cold: same
  * RunResult, same final-image digest, same post-resume timeline.
  *
- * Fault-injection campaigns record interval snapshots of the golden
- * run once, in memory, and fast-forward each injection point past its
- * (identical) prefix from the latest one strictly before the point
- * (verify::rungBefore).
+ * Fault-injection campaigns pause the golden run at their points and
+ * take a snapshot there, in memory, now and then; each injection point
+ * fast-forwards past its (identical) prefix from one taken strictly
+ * before it (verify::rungBefore), and at most two are held at once.
  */
 
 #ifndef WLCACHE_NVP_SNAPSHOT_HH
@@ -44,8 +44,11 @@ struct SystemSnapshot
      * (region start index, fetch stream) for region designs only.
      * 7 = SYS2 drops the unread double Vbackup energy level (the
      * quantized level drives the outage comparator).
+     * 8 = the oracle's expected byte image is saved page by page
+     * (page number, valid bitmap, page bytes) instead of as one
+     * (address, byte) pair per tracked byte.
      */
-    static constexpr std::uint32_t kFormatVersion = 7;
+    static constexpr std::uint32_t kFormatVersion = 8;
 
     /**
      * Resume-compatibility key: hash of every configuration and trace

@@ -132,9 +132,13 @@ struct RunResult
     std::uint64_t intervals_dropped = 0;
 };
 
-/** Optional run-loop controls: snapshot capture, resume, early cut. */
+class SystemSim;
+
+/** Optional run-loop controls: resume, pauses, early cut. */
 struct RunOptions
 {
+    static constexpr Cycle kNever = ~Cycle{0};  //!< No run gets here.
+
     /**
      * Resume from this snapshot instead of booting cold (null runs
      * cold). The snapshot's compat_key must match this system's.
@@ -150,14 +154,13 @@ struct RunOptions
      */
     const std::atomic<bool> *cut_request = nullptr;
 
-    /**
-     * Capture a snapshot at the first event boundary at or past every
-     * multiple of this many cycles (0 = never).
-     */
-    Cycle snapshot_interval = 0;
+    /** At the first event boundary at or past this cycle, call
+     *  @c on_pause (never without one). */
+    Cycle pause_at = kNever;
 
-    /** Receives each interval snapshot (unset discards them). */
-    std::function<void(SystemSnapshot &&)> snapshot_sink;
+    /** Gets the paused system (it may take a snapshot; pausing never
+     *  perturbs the run) and returns the next pause cycle. */
+    std::function<Cycle(const SystemSim &)> on_pause;
 };
 
 /** One simulated system instance bound to a workload and a trace. */
@@ -185,7 +188,7 @@ class SystemSim
 
     /**
      * Run the workload to completion (or until max_outages), under
-     * the snapshot/resume/cut controls in @p opts.
+     * the resume/pause/cut controls in @p opts.
      */
     RunResult run(const RunOptions &opts = {});
 
@@ -209,6 +212,9 @@ class SystemSim
      * on first use (only snapshot capture, restore and resume read it).
      */
     const std::string &snapshotKey() const;
+
+    /** The current cycle (the event boundary a pause stopped at). */
+    Cycle now() const { return now_; }
 
     /** Access the data cache (tests). */
     cache::DataCache &dcache() { return *dcache_; }

@@ -8,7 +8,8 @@ namespace wlcache {
 namespace runner {
 
 std::size_t
-JobSet::add(nvp::ExperimentSpec spec, std::string label)
+JobSet::add(nvp::ExperimentSpec spec, std::string label,
+            std::shared_ptr<const nvp::SystemSnapshot> resume)
 {
     Job job;
     job.index = jobs_.size();
@@ -25,15 +26,9 @@ JobSet::add(nvp::ExperimentSpec spec, std::string label)
     job.id = std::move(label);
     job.key = specKey(spec);
     job.spec = std::move(spec);
+    job.resume = std::move(resume);
     jobs_.push_back(std::move(job));
     return jobs_.back().index;
-}
-
-void
-JobSet::setResume(std::size_t i,
-                  std::shared_ptr<const nvp::SystemSnapshot> resume)
-{
-    jobs_.at(i).resume = std::move(resume);
 }
 
 } // namespace runner

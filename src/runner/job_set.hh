@@ -44,13 +44,11 @@ class JobSet
      * @param spec The experiment to run.
      * @param label Optional id; defaults to
      *              "<index>:<design>/<workload>@<power>".
+     * @param resume Optional resume snapshot (key unchanged; see Job).
      * @return the job's submission index.
      */
-    std::size_t add(nvp::ExperimentSpec spec, std::string label = "");
-
-    /** Attach only a resume snapshot (key unchanged; see Job). */
-    void setResume(std::size_t i,
-                   std::shared_ptr<const nvp::SystemSnapshot> resume);
+    std::size_t add(nvp::ExperimentSpec spec, std::string label = "",
+                    std::shared_ptr<const nvp::SystemSnapshot> resume = {});
 
     std::size_t size() const { return jobs_.size(); }
     bool empty() const { return jobs_.empty(); }

@@ -54,26 +54,9 @@ warn(const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (quiet_flag)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
-void
 setQuiet(bool quiet)
 {
     quiet_flag = quiet;
-}
-
-bool
-isQuiet()
-{
-    return quiet_flag;
 }
 
 namespace detail {

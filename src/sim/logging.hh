@@ -1,7 +1,7 @@
 /**
  * @file
  * gem5-style status/error reporting: panic() for simulator bugs,
- * fatal() for user/configuration errors, warn()/inform() for status.
+ * fatal() for user/configuration errors, warn() for status.
  */
 
 #ifndef WLCACHE_SIM_LOGGING_HH
@@ -28,14 +28,8 @@ namespace wlcache {
 /** Non-fatal warning about questionable behaviour. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Informational status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Suppress warn()/inform() output (used by tests and benches). */
+/** Suppress warn() output (used by tests and benches). */
 void setQuiet(bool quiet);
-
-/** @return true when warn()/inform() output is suppressed. */
-bool isQuiet();
 
 namespace detail {
 

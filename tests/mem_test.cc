@@ -211,7 +211,9 @@ TEST(PersistChecker, TracksStores)
     EXPECT_EQ(expected.firstMismatch(nvm, {}, {}), std::nullopt);
     pokeLe(nvm, 0x12, 1, 0x00);  // tracked, expected 0x03
     EXPECT_EQ(expected.firstMismatch(nvm, {}, {}), Addr{ 0x12 });
-    EXPECT_EQ(saved(expected).size(), 8u + 4 * 9);  // four bytes
+    // One page: count, page number, valid bitmap, page bytes.
+    EXPECT_EQ(saved(expected).size(),
+              8u + 8 + ByteImage::kPageBytes / 8 + ByteImage::kPageBytes);
 }
 
 TEST(PersistChecker, LatestStoreWins)
@@ -330,13 +332,19 @@ TEST(ByteImage, IoStateEncodesAscendingBytes)
         for (int i = 0; i < 8; ++i)
             want.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     };
+    // Per page: its number, its valid bitmap, all its bytes.
+    auto page = [&](std::uint64_t pn, std::size_t off, std::uint8_t byte) {
+        u64(pn);
+        for (std::size_t w = 0; w < ByteImage::kPageBytes / 64; ++w)
+            u64(w == off / 64 ? std::uint64_t{ 1 } << (off % 64) : 0);
+        std::vector<std::uint8_t> data(ByteImage::kPageBytes, 0);
+        data[off] = byte;
+        want.insert(want.end(), data.begin(), data.end());
+    };
     u64(3);
-    u64(0x10);
-    want.push_back(0xcc);
-    u64(0x1FFF);
-    want.push_back(0xaa);
-    u64(0x2000);
-    want.push_back(0xbb);
+    page(0, 0x10, 0xcc);
+    page(1, 0xFFF, 0xaa);
+    page(2, 0, 0xbb);
     const std::vector<std::uint8_t> bytes = saved(expected);
     EXPECT_EQ(bytes, want);
 

@@ -129,32 +129,34 @@ hex(const std::vector<std::uint8_t> &bytes)
 
 /**
  * The snapshot @p spec's run takes at the boundary before trace event
- * @p event (a run of @p on_cycles cycles). Interval captures land on
- * cycle multiples, so narrow in: each pass resumes from the latest
- * capture at or before @p event with a 64x finer interval and stops
- * once past it; an interval of 1 captures every boundary.
+ * @p event (a run of @p on_cycles cycles). Pauses land on cycles, so
+ * narrow in: each pass resumes from the latest snapshot at or before
+ * @p event, pausing at every multiple of a 64x finer step, and stops
+ * once past it; a step of 1 pauses at every boundary.
  */
 nvp::SystemSnapshot
 snapshotAtEvent(const nvp::ExperimentSpec &spec, Cycle on_cycles,
                 std::uint64_t event)
 {
     nvp::SystemSnapshot best;
-    for (Cycle interval = std::max<Cycle>(1, on_cycles / 64);;
-         interval = std::max<Cycle>(1, interval / 64)) {
+    for (Cycle step = std::max<Cycle>(1, on_cycles / 64);;
+         step = std::max<Cycle>(1, step / 64)) {
         const nvp::SystemSnapshot from = best;
         std::atomic<bool> past{ false };
         nvp::RunOptions ro;
         ro.resume = from.valid() ? &from : nullptr;
         ro.cut_request = &past;
-        ro.snapshot_interval = interval;
-        ro.snapshot_sink = [&](nvp::SystemSnapshot &&s) {
+        ro.pause_at = from.cycle / step * step + step;
+        ro.on_pause = [&, step](const nvp::SystemSim &sim) {
+            nvp::SystemSnapshot s = sim.takeSnapshot();
             if (s.event_index <= event)
                 best = std::move(s);
             else
                 past = true;
+            return (sim.now() / step + 1) * step;
         };
         nvp::runExperiment(spec, ro);
-        if ((best.valid() && best.event_index == event) || interval == 1)
+        if ((best.valid() && best.event_index == event) || step == 1)
             return best;
     }
 }

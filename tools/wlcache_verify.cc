@@ -18,8 +18,10 @@
  *   wlcache_verify --design wl --workload sha --stride 500 \
  *                  --inject checkpoint-skip --expect divergent
  *
- * Campaigns fan out over the parallel runner; point --cache-dir at a
- * directory to make re-runs (and bisection probes) nearly free.
+ * Campaigns fan out over the parallel runner, and under --trace none
+ * each point run fast-forwards from a snapshot of the golden run; point
+ * --cache-dir at a directory to make re-runs (and bisection probes)
+ * nearly free.
  */
 
 #include <charconv>
@@ -53,16 +55,6 @@ parseCycle(const std::string &text, const char *option)
     return v;
 }
 
-std::vector<std::uint64_t>
-parsePoints(const std::string &arg)
-{
-    std::vector<std::uint64_t> out;
-    for (const auto &tok : util::split(arg, ','))
-        if (!tok.empty())
-            out.push_back(parseCycle(tok, "points"));
-    return out;
-}
-
 /** Parse "begin:end[:step]". */
 bool
 parseWindow(const std::string &arg, verify::CampaignConfig &cfg)
@@ -85,6 +77,15 @@ expandList(const std::string &arg)
     for (const auto &item : util::split(arg, ','))
         if (!item.empty())
             out.push_back(item);
+    return out;
+}
+
+std::vector<std::uint64_t>
+parsePoints(const std::string &arg)
+{
+    std::vector<std::uint64_t> out;
+    for (const auto &tok : expandList(arg))
+        out.push_back(parseCycle(tok, "points"));
     return out;
 }
 
@@ -126,11 +127,6 @@ main(int argc, char **argv)
                 "worker threads; 0 = WLCACHE_JOBS env or all cores")
         .option("cache-dir", "",
                 "result-cache directory (empty = no cache)")
-        .option("snapshot-interval", "0",
-                "record a golden-run snapshot every N cycles and "
-                "fast-forward each point run from the nearest "
-                "preceding snapshot (0 disables; requires --trace "
-                "none)")
         .option("timeline-window", "64",
                 "timeline events to attach around the first "
                 "divergence (0 disables the extra traced re-run)")
@@ -148,7 +144,6 @@ main(int argc, char **argv)
     if (!nvp::powerFromShortName(args.get("trace"), kind, no_failure))
         fatal("unknown trace '%s' (valid: %s)",
               args.get("trace").c_str(), power_names.c_str());
-    const bool ambient = !no_failure;
 
     bool inject_ckpt = false, inject_regs = false;
     for (const auto &f : expandList(util::toLower(args.get("inject")))) {
@@ -180,7 +175,7 @@ main(int argc, char **argv)
     // campaign starts.
     verify::CampaignConfig proto;
     proto.base.power = kind;
-    proto.base.no_failure = !ambient;
+    proto.base.no_failure = no_failure;
     const long scale = args.getInt("scale");
     const double min_scale = nvp::fieldByKey(nvp::specFields(), "scale").min;
     if (scale < min_scale)
@@ -193,7 +188,7 @@ main(int argc, char **argv)
     proto.base.tweak = [step_mode](nvp::SystemConfig &cfg) {
         cfg.step_mode = step_mode;
     };
-    proto.ambient = ambient;
+    proto.ambient = !no_failure;
     proto.points = parsePoints(args.get("points"));
     proto.stride = args.getCount("stride");
     if (!args.get("window").empty() &&
@@ -205,7 +200,6 @@ main(int argc, char **argv)
     proto.inject_register_skip = inject_regs;
     proto.jobs = static_cast<unsigned>(args.getCount("jobs"));
     proto.cache_dir = args.get("cache-dir");
-    proto.snapshot_interval = args.getCount("snapshot-interval");
     proto.timeline_window = args.getCount("timeline-window");
     proto.progress = args.getFlag("progress");
 
@@ -226,8 +220,7 @@ main(int argc, char **argv)
             verify::CampaignConfig cc = proto;
             cc.base.design = design;
             cc.base.workload = app;
-            const verify::CampaignReport rep =
-                verify::runCampaign(cc);
+            const verify::CampaignReport rep = verify::runCampaign(cc);
             if (runner::interrupted()) {
                 std::cerr << "interrupted: no report written; re-run "
                              "to resume\n";
@@ -238,12 +231,8 @@ main(int argc, char **argv)
             std::ostringstream rj;
             writeCampaignReportJson(rj, rep);
             report_jsons.push_back(rj.str());
-            if (!rep.golden_clean) {
-                all_ok = false;
-                continue;
-            }
-
-            if (want_divergent != (rep.num_divergent > 0))
+            if (!rep.golden_clean ||
+                want_divergent != (rep.num_divergent > 0))
                 all_ok = false;
         }
     }
@@ -252,13 +241,8 @@ main(int argc, char **argv)
         std::ofstream out(args.get("json"));
         if (!out)
             fatal("cannot write '%s'", args.get("json").c_str());
-        out << "{\n  \"campaigns\": [\n";
-        for (std::size_t i = 0; i < report_jsons.size(); ++i) {
-            out << report_jsons[i];
-            if (i + 1 < report_jsons.size())
-                out << ",\n";
-        }
-        out << "  ]\n}\n";
+        out << "{\n  \"campaigns\": [\n" << util::join(report_jsons, ",\n")
+            << "  ]\n}\n";
         std::cout << "campaign report written to "
                   << args.get("json") << "\n";
     }

@@ -11,13 +11,6 @@
 namespace wlcache {
 namespace cache {
 
-void
-PersistQueue::popCompleted(Cycle now)
-{
-    while (!q_.empty() && q_.front().ready <= now)
-        q_.pop_front();
-}
-
 const PersistQueue::Entry *
 PersistQueue::find(Addr addr) const
 {
@@ -47,6 +40,26 @@ PersistQueue::ioState(StateIo &io)
         io.u64(e.ready);
     });
 }
+
+namespace {
+
+/**
+ * memcpy of an access's 1, 2, 4 or 8 bytes as a fixed-width move, so
+ * the common sizes need no libc call with a runtime length.
+ */
+void
+copyAccess(void *dst, const void *src, unsigned bytes)
+{
+    switch (bytes) {
+      case 1: std::memcpy(dst, src, 1); break;
+      case 2: std::memcpy(dst, src, 2); break;
+      case 4: std::memcpy(dst, src, 4); break;
+      case 8: std::memcpy(dst, src, 8); break;
+      default: std::memcpy(dst, src, bytes); break;
+    }
+}
+
+} // namespace
 
 BaseTagCache::BaseTagCache(const std::string &name,
                            const CacheParams &params, mem::NvmMemory &nvm,
@@ -227,7 +240,7 @@ BaseTagCache::writeLineData(LineRef ref, Addr addr, unsigned bytes,
     const unsigned off = tags_.lineOffset(addr);
     wlc_assert(off + bytes <= tags_.lineBytes(),
                "store crosses a cache line boundary");
-    std::memcpy(tags_.data(ref) + off, &value, bytes);
+    copyAccess(tags_.data(ref) + off, &value, bytes);
 }
 
 std::uint64_t
@@ -237,7 +250,7 @@ BaseTagCache::readLineData(LineRef ref, Addr addr, unsigned bytes) const
     wlc_assert(off + bytes <= tags_.lineBytes(),
                "load crosses a cache line boundary");
     std::uint64_t v = 0;
-    std::memcpy(&v, tags_.data(ref) + off, bytes);
+    copyAccess(&v, tags_.data(ref) + off, bytes);
     return v;
 }
 

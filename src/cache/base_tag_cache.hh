@@ -37,7 +37,11 @@ class PersistQueue
     };
 
     /** Drop the entries whose write completed by @p now. */
-    void popCompleted(Cycle now);
+    void popCompleted(Cycle now)
+    {
+        while (!q_.empty() && q_.front().ready <= now)
+            q_.pop_front();
+    }
 
     /** First queued entry for @p addr, or null. */
     const Entry *find(Addr addr) const;

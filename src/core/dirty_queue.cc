@@ -88,6 +88,8 @@ DirtyQueue::markInFlight(unsigned slot, Cycle wb_ready)
     wlc_assert(e.state == DqEntryState::Pending);
     e.state = DqEntryState::InFlight;
     e.wb_ready = wb_ready;
+    if (wb_ready < next_ack_)
+        next_ack_ = wb_ready;
 }
 
 void
@@ -115,13 +117,16 @@ DirtyQueue::earliestInFlightReady() const
 }
 
 void
-DirtyQueue::completeInFlight(Cycle now)
+DirtyQueue::retireAcked(Cycle now)
 {
+    next_ack_ = kNoAck;
     for (unsigned i = 0; i < capacity_; ++i) {
-        if (slots_[i].state == DqEntryState::InFlight &&
-            slots_[i].wb_ready <= now) {
+        if (slots_[i].state != DqEntryState::InFlight)
+            continue;
+        if (slots_[i].wb_ready <= now)
             remove(i);
-        }
+        else if (slots_[i].wb_ready < next_ack_)
+            next_ack_ = slots_[i].wb_ready;
     }
 }
 
@@ -138,6 +143,7 @@ DirtyQueue::clear()
     for (auto &e : slots_)
         e.state = DqEntryState::Free;
     occupied_ = 0;
+    next_ack_ = kNoAck;
 }
 
 void
@@ -154,6 +160,8 @@ DirtyQueue::ioState(StateIo &io)
     }
     io.u64(seq_);
     io.u32(occupied_);
+    if (io.loading())
+        next_ack_ = 0;
 }
 
 } // namespace core

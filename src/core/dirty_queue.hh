@@ -100,7 +100,12 @@ class DirtyQueue
     std::optional<Cycle> earliestInFlightReady() const;
 
     /** Release every InFlight slot whose ACK cycle is <= @p now. */
-    void completeInFlight(Cycle now);
+    void completeInFlight(Cycle now)
+    {
+        // Nothing can be acknowledged before next_ack_.
+        if (now >= next_ack_)
+            retireAcked(now);
+    }
 
     /** Access a slot (checkpoint walks, tests). */
     const DqEntry &entry(unsigned slot) const;
@@ -112,11 +117,25 @@ class DirtyQueue
     void ioState(StateIo &io);
 
   private:
+    /** completeInFlight()'s scan; recomputes next_ack_ exactly. */
+    void retireAcked(Cycle now);
+
+    static constexpr Cycle kNoAck = ~Cycle{ 0 };
+
     unsigned capacity_;
     cache::ReplPolicy repl_;
     std::vector<DqEntry> slots_;
     std::uint64_t seq_ = 0;
     unsigned occupied_ = 0;
+
+    /**
+     * Never above the earliest InFlight wb_ready (kNoAck when none is
+     * in flight), a hint that lets completeInFlight() skip its scan.
+     * markInFlight() lowers it and the scan sets it exactly; remove()
+     * may leave it low, which only costs a scan. Not serialized: a
+     * load sets it to 0, so the next completeInFlight() scans.
+     */
+    Cycle next_ack_ = kNoAck;
 };
 
 } // namespace core

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/dirty_queue.hh"
+#include "sim/rng.hh"
+#include "sim/snapshot.hh"
 
 using namespace wlcache;
 using namespace wlcache::core;
@@ -167,4 +171,125 @@ TEST(DirtyQueue, RemoveFreeSlotPanics)
 {
     DirtyQueue dq(2, ReplPolicy::FIFO);
     EXPECT_DEATH(dq.remove(0), "");
+}
+
+namespace {
+
+std::vector<DqEntry>
+slotsOf(const DirtyQueue &dq)
+{
+    std::vector<DqEntry> slots;
+    for (unsigned i = 0; i < dq.capacity(); ++i)
+        slots.push_back(dq.entry(i));
+    return slots;
+}
+
+/** completeInFlight() as a full scan of every slot, no ACK bound. */
+void
+referenceComplete(std::vector<DqEntry> &slots, Cycle now)
+{
+    for (DqEntry &e : slots)
+        if (e.state == DqEntryState::InFlight && e.wb_ready <= now)
+            e.state = DqEntryState::Free;
+}
+
+std::vector<std::uint8_t>
+bytesOf(const DirtyQueue &dq)
+{
+    SnapshotWriter w;
+    StateIo::save(dq, w);
+    return w.take();
+}
+
+/** A random slot in state @p st, or capacity() when there is none. */
+unsigned
+randomSlotIn(const DirtyQueue &dq, Rng &rng, DqEntryState st)
+{
+    std::vector<unsigned> pick;
+    for (unsigned i = 0; i < dq.capacity(); ++i)
+        if (dq.entry(i).state == st)
+            pick.push_back(i);
+    return pick.empty() ? dq.capacity()
+                        : pick[rng.nextBelow(pick.size())];
+}
+
+} // namespace
+
+TEST(DirtyQueue, AckBoundRetiresWhatAFullScanRetires)
+{
+    Rng rng(0xacb0d11ull);
+    std::uint64_t retired = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const unsigned cap = static_cast<unsigned>(rng.nextRange(1, 8));
+        const ReplPolicy repl =
+            trial % 2 ? ReplPolicy::FIFO : ReplPolicy::LRU;
+        DirtyQueue dq(cap, repl);
+        std::vector<std::uint8_t> saved = bytesOf(dq);
+        Cycle now = 0;
+        for (int op = 0; op < 400; ++op) {
+            switch (rng.nextBelow(8)) {
+              case 0:
+              case 1:
+                dq.insert(0x40 * rng.nextBelow(16));
+                break;
+              case 2:
+              case 3: {
+                const unsigned s =
+                    randomSlotIn(dq, rng, DqEntryState::Pending);
+                if (s < cap)
+                    dq.markInFlight(s, now + rng.nextRange(0, 300));
+                break;
+              }
+              case 4: {
+                const unsigned s = randomSlotIn(
+                    dq, rng, rng.nextBool() ? DqEntryState::Pending
+                                            : DqEntryState::InFlight);
+                if (s < cap)
+                    dq.remove(s);
+                break;
+              }
+              case 5:
+                if (rng.nextBool(0.1))
+                    dq.clear();
+                break;
+              case 6:
+                // Save now, or load an earlier image into this queue
+                // or a fresh one: loaded ACKs may precede the bound.
+                if (rng.nextBool()) {
+                    saved = bytesOf(dq);
+                } else {
+                    SnapshotReader r(saved);
+                    if (rng.nextBool()) {
+                        StateIo::load(dq, r);
+                    } else {
+                        DirtyQueue fresh(cap, repl);
+                        StateIo::load(fresh, r);
+                        dq = fresh;
+                    }
+                }
+                break;
+              default:
+                break;
+            }
+            // Time mostly advances, sometimes jumps back (a restore).
+            if (rng.nextBool(0.05))
+                now -= rng.nextBelow(now + 1);
+            else
+                now += rng.nextBelow(120);
+            std::vector<DqEntry> expected = slotsOf(dq);
+            referenceComplete(expected, now);
+            const unsigned before = dq.size();
+            dq.completeInFlight(now);
+            retired += before - dq.size();
+            unsigned occupied = 0;
+            for (unsigned i = 0; i < cap; ++i) {
+                ASSERT_EQ(dq.entry(i).state, expected[i].state)
+                    << "trial " << trial << " op " << op << " slot " << i;
+                occupied += expected[i].state != DqEntryState::Free;
+            }
+            ASSERT_EQ(dq.size(), occupied)
+                << "trial " << trial << " op " << op;
+        }
+    }
+    EXPECT_GT(retired, 5000u);
 }

@@ -11,7 +11,7 @@
 namespace wlcache {
 namespace cache {
 
-TagArray::TagArray(const CacheParams &params)
+TagArray::TagArray(const CacheParams &params, bool line_data)
 {
     params.validate();
     num_sets_ = params.numSets();
@@ -27,7 +27,8 @@ TagArray::TagArray(const CacheParams &params)
     dirty_.resize(n, 0);
     touch_seq_.resize(n, 0);
     install_seq_.resize(n, 0);
-    bytes_.resize(n * line_bytes_, 0);
+    if (line_data)
+        bytes_.resize(n * line_bytes_, 0);
     mru_way_.resize(num_sets_, 0);
 }
 
@@ -117,6 +118,10 @@ TagArray::install(LineRef ref, Addr line_addr, const std::uint8_t *image)
     touch_seq_[i] = ++seq_;
     install_seq_[i] = seq_;
     mru_way_[ref.set] = ref.way;
+    if (bytes_.empty()) {
+        wlc_assert(!image, "line image for a tag-only array");
+        return;
+    }
     std::uint8_t *dst = data(ref);
     if (image)
         std::memcpy(dst, image, line_bytes_);

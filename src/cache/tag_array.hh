@@ -2,7 +2,8 @@
  * @file
  * Set-associative tag/data array shared by every cache design. Holds
  * functional line data (so crash-consistency checks can inspect real
- * bytes), valid/dirty state, and LRU or FIFO victim selection.
+ * bytes), valid/dirty state, and LRU or FIFO victim selection. An
+ * array whose bytes nothing reads (the I-cache's) is built tag-only.
  */
 
 #ifndef WLCACHE_CACHE_TAG_ARRAY_HH
@@ -52,7 +53,12 @@ struct LineRef
 class TagArray
 {
   public:
-    explicit TagArray(const CacheParams &params);
+    /**
+     * @param line_data false for a tag-only array: no line bytes are
+     * kept, install() takes a null image and data() must not be
+     * called.
+     */
+    explicit TagArray(const CacheParams &params, bool line_data = true);
 
     // --- Geometry ---------------------------------------------------------
     unsigned numSets() const { return num_sets_; }
@@ -130,7 +136,10 @@ class TagArray
      */
     LineRef victim(Addr addr) const;
 
-    /** Install a line image; the line becomes valid and clean. */
+    /**
+     * Install a line image (null: zeros; must be null when tag-only);
+     * the line becomes valid and clean.
+     */
     void install(LineRef ref, Addr line_addr, const std::uint8_t *image);
 
     // --- Line state ---------------------------------------------------------
@@ -225,7 +234,7 @@ class TagArray
      */
     mutable std::vector<std::uint32_t> mru_way_;
 
-    std::vector<std::uint8_t> bytes_;
+    std::vector<std::uint8_t> bytes_;  //!< Empty when tag-only.
     std::uint64_t seq_ = 0;
     unsigned dirty_count_ = 0;
     unsigned dirty_high_water_ = 0;

@@ -47,8 +47,10 @@ struct SystemSnapshot
      * 8 = the oracle's expected byte image is saved page by page
      * (page number, valid bitmap, page bytes) instead of as one
      * (address, byte) pair per tracked byte.
+     * 9 = the I-cache is tag-only: its TAGS data block is empty and
+     * its warm image holds line addresses without line bytes.
      */
-    static constexpr std::uint32_t kFormatVersion = 8;
+    static constexpr std::uint32_t kFormatVersion = 9;
 
     /**
      * Resume-compatibility key: hash of every configuration and trace

@@ -135,7 +135,10 @@ void
 SnapshotReader::bytes(void *p, std::size_t n)
 {
     need(n);
-    std::memcpy(p, buf_.data() + pos_, n);
+    // An empty block may come with a null @p p (an empty vector's
+    // data()), which memcpy must not be given even for n == 0.
+    if (n != 0)
+        std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;
 }
 

@@ -1,7 +1,6 @@
 #include "cache/base_tag_cache.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
 
 #include "sim/logging.hh"
@@ -41,26 +40,6 @@ PersistQueue::ioState(StateIo &io)
     });
 }
 
-namespace {
-
-/**
- * memcpy of an access's 1, 2, 4 or 8 bytes as a fixed-width move, so
- * the common sizes need no libc call with a runtime length.
- */
-void
-copyAccess(void *dst, const void *src, unsigned bytes)
-{
-    switch (bytes) {
-      case 1: std::memcpy(dst, src, 1); break;
-      case 2: std::memcpy(dst, src, 2); break;
-      case 4: std::memcpy(dst, src, 4); break;
-      case 8: std::memcpy(dst, src, 8); break;
-      default: std::memcpy(dst, src, bytes); break;
-    }
-}
-
-} // namespace
-
 BaseTagCache::BaseTagCache(const std::string &name,
                            const CacheParams &params, mem::NvmMemory &nvm,
                            energy::EnergyMeter *meter)
@@ -76,44 +55,9 @@ BaseTagCache::BaseTagCache(const std::string &name,
 {
 }
 
-void
-BaseTagCache::chargeArrayRead()
-{
-    if (meter_)
-        meter_->addAj(energy::EnergyCategory::CacheRead, read_aj_);
-}
-
-void
-BaseTagCache::chargeArrayWrite()
-{
-    if (meter_)
-        meter_->addAj(energy::EnergyCategory::CacheWrite, write_aj_);
-}
-
-void
-BaseTagCache::chargeReplUpdate()
-{
-    if (meter_)
-        meter_->addAj(energy::EnergyCategory::CacheWrite, repl_aj_);
-}
-
-void
-BaseTagCache::chargeLineFill()
-{
-    if (meter_)
-        meter_->addAj(energy::EnergyCategory::CacheWrite, fill_aj_);
-}
-
-void
-BaseTagCache::chargeLineRead()
-{
-    if (meter_)
-        meter_->addAj(energy::EnergyCategory::CacheRead, line_read_aj_);
-}
-
 CacheAccessResult
-BaseTagCache::load(Addr addr, unsigned bytes, std::uint64_t *load_out,
-                   Cycle issue)
+BaseTagCache::loadSlow(Addr addr, unsigned bytes,
+                       std::uint64_t *load_out, Cycle issue)
 {
     ++stats_.loads;
     auto ref = tags_.lookup(addr);
@@ -134,8 +78,8 @@ BaseTagCache::load(Addr addr, unsigned bytes, std::uint64_t *load_out,
 }
 
 BaseTagCache::StoreAlloc
-BaseTagCache::storeAllocate(Addr addr, unsigned bytes,
-                            std::uint64_t value, Cycle now)
+BaseTagCache::storeAllocateSlow(Addr addr, unsigned bytes,
+                                std::uint64_t value, Cycle now)
 {
     ++stats_.stores;
     auto ref = tags_.lookup(addr);
@@ -152,15 +96,6 @@ BaseTagCache::storeAllocate(Addr addr, unsigned bytes,
     chargeArrayWrite();
     chargeReplUpdate();
     return { *ref, t, hit };
-}
-
-CacheAccessResult
-BaseTagCache::storeWriteBack(Addr addr, unsigned bytes,
-                             std::uint64_t value, Cycle now)
-{
-    const StoreAlloc s = storeAllocate(addr, bytes, value, now);
-    tags_.setDirty(s.line, true);
-    return { s.ready + params_.write_hit_latency, s.hit };
 }
 
 bool
@@ -231,27 +166,6 @@ BaseTagCache::writeBackLine(LineRef ref, Cycle now)
                                     tags_.lineBytes(), now);
     ++stats_.writebacks;
     return ready;
-}
-
-void
-BaseTagCache::writeLineData(LineRef ref, Addr addr, unsigned bytes,
-                            std::uint64_t value)
-{
-    const unsigned off = tags_.lineOffset(addr);
-    wlc_assert(off + bytes <= tags_.lineBytes(),
-               "store crosses a cache line boundary");
-    copyAccess(tags_.data(ref) + off, &value, bytes);
-}
-
-std::uint64_t
-BaseTagCache::readLineData(LineRef ref, Addr addr, unsigned bytes) const
-{
-    const unsigned off = tags_.lineOffset(addr);
-    wlc_assert(off + bytes <= tags_.lineBytes(),
-               "load crosses a cache line boundary");
-    std::uint64_t v = 0;
-    copyAccess(&v, tags_.data(ref) + off, bytes);
-    return v;
 }
 
 void

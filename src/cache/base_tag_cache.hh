@@ -11,6 +11,7 @@
 #ifndef WLCACHE_CACHE_BASE_TAG_CACHE_HH
 #define WLCACHE_CACHE_BASE_TAG_CACHE_HH
 
+#include <cstring>
 #include <deque>
 
 #include "cache/cache_iface.hh"
@@ -98,10 +99,24 @@ class BaseTagCache : public DataCache
     /**
      * The load path every design shares (§3.3: persistence machinery
      * stays off it). A hit reads the line at @p issue + hit latency; a
-     * miss fills it first.
+     * miss fills it first. A hit in the set's MRU way is served here,
+     * inline; everything else takes loadSlow().
      */
     CacheAccessResult load(Addr addr, unsigned bytes,
-                           std::uint64_t *load_out, Cycle issue);
+                           std::uint64_t *load_out, Cycle issue)
+    {
+        LineRef ref;
+        if (!tags_.hintHit(addr, ref))
+            return loadSlow(addr, bytes, load_out, issue);
+        ++stats_.loads;
+        ++stats_.load_hits;
+        tags_.touch(ref);
+        chargeArrayRead();
+        chargeReplUpdate();
+        if (load_out)
+            *load_out = readLineData(ref, addr, bytes);
+        return { issue + params_.hit_latency, true };
+    }
 
     /** Where a write-allocate store landed. */
     struct StoreAlloc
@@ -113,14 +128,33 @@ class BaseTagCache : public DataCache
 
     /**
      * Write-allocate store: count it, fill the line on a miss, write
-     * the data and charge the array write. No persistence.
+     * the data and charge the array write. No persistence. Like
+     * load(), an MRU-way hit is served inline.
      */
     StoreAlloc storeAllocate(Addr addr, unsigned bytes,
-                             std::uint64_t value, Cycle now);
+                             std::uint64_t value, Cycle now)
+    {
+        LineRef ref;
+        if (!tags_.hintHit(addr, ref))
+            return storeAllocateSlow(addr, bytes, value, now);
+        ++stats_.stores;
+        ++stats_.store_hits;
+        tags_.touch(ref);
+        writeLineData(ref, addr, bytes, value);
+        chargeArrayWrite();
+        chargeReplUpdate();
+        return { ref, now, true };
+    }
 
     /** Write-back store: storeAllocate() and mark the line dirty. */
     CacheAccessResult storeWriteBack(Addr addr, unsigned bytes,
-                                     std::uint64_t value, Cycle now);
+                                     std::uint64_t value, Cycle now)
+    {
+        const StoreAlloc s = storeAllocate(addr, bytes, value, now);
+        if (!tags_.dirty(s.line))
+            tags_.setDirty(s.line, true);
+        return { s.ready + params_.write_hit_latency, s.hit };
+    }
 
     /**
      * No-write-allocate store: count it and update the cached copy on
@@ -131,16 +165,18 @@ class BaseTagCache : public DataCache
     /** Write back every dirty line and clear it. @return ack cycle. */
     Cycle flushDirty(Cycle now);
 
+    using Energy = energy::EnergyCategory;
+
     /** Charge cache-array read energy for a word-sized access. */
-    void chargeArrayRead();
+    void chargeArrayRead() { charge(Energy::CacheRead, read_aj_); }
     /** Charge cache-array write energy for a word-sized access. */
-    void chargeArrayWrite();
+    void chargeArrayWrite() { charge(Energy::CacheWrite, write_aj_); }
     /** Charge the LRU bookkeeping cost when the policy is LRU. */
-    void chargeReplUpdate();
+    void chargeReplUpdate() { charge(Energy::CacheWrite, repl_aj_); }
     /** Charge a full-line array fill. */
-    void chargeLineFill();
+    void chargeLineFill() { charge(Energy::CacheWrite, fill_aj_); }
     /** Charge a full-line array read (write-back sourcing). */
-    void chargeLineRead();
+    void chargeLineRead() { charge(Energy::CacheRead, line_read_aj_); }
 
     /**
      * Miss path: pick a victim in @p addr's set, write it back to NVM
@@ -181,13 +217,49 @@ class BaseTagCache : public DataCache
         return nvm_.read(line_addr, bytes, now, out).ready;
     }
 
-    /** Copy @p bytes of @p value into the line at @p addr. */
+    /**
+     * Copy @p bytes of @p value into the line at @p addr (host
+     * little-endian). 1, 2, 4 and 8 bytes are single fixed-width
+     * moves from a register.
+     */
     void writeLineData(LineRef ref, Addr addr, unsigned bytes,
-                       std::uint64_t value);
+                       std::uint64_t value)
+    {
+        const unsigned off = tags_.lineOffset(addr);
+        wlc_assert(off + bytes <= tags_.lineBytes(),
+                   "store crosses a cache line boundary");
+        std::uint8_t *p = tags_.data(ref) + off;
+        switch (bytes) {
+          case 1: storeAs<std::uint8_t>(p, value); break;
+          case 2: storeAs<std::uint16_t>(p, value); break;
+          case 4: storeAs<std::uint32_t>(p, value); break;
+          case 8: storeAs<std::uint64_t>(p, value); break;
+          default: std::memcpy(p, &value, bytes); break;
+        }
+    }
 
-    /** Read @p bytes from the line at @p addr (little-endian). */
+    /**
+     * Read @p bytes from the line at @p addr (little-endian). 1, 2, 4
+     * and 8 bytes load straight into a register, with no round trip
+     * through memory.
+     */
     std::uint64_t readLineData(LineRef ref, Addr addr,
-                               unsigned bytes) const;
+                               unsigned bytes) const
+    {
+        const unsigned off = tags_.lineOffset(addr);
+        wlc_assert(off + bytes <= tags_.lineBytes(),
+                   "load crosses a cache line boundary");
+        const std::uint8_t *p = tags_.data(ref) + off;
+        switch (bytes) {
+          case 1: return loadAs<std::uint8_t>(p);
+          case 2: return loadAs<std::uint16_t>(p);
+          case 4: return loadAs<std::uint32_t>(p);
+          case 8: return loadAs<std::uint64_t>(p);
+        }
+        std::uint64_t v = 0;
+        std::memcpy(&v, p, bytes);
+        return v;
+    }
 
     CacheParams params_;
     TagArray tags_;
@@ -195,6 +267,40 @@ class BaseTagCache : public DataCache
     energy::EnergyMeter *meter_;
 
   private:
+    /**
+     * load() and storeAllocate() past the MRU-way hit: a full lookup,
+     * and a fill on a miss. Out of line so the hinted hit stays small
+     * where it is inlined.
+     */
+    CacheAccessResult loadSlow(Addr addr, unsigned bytes,
+                               std::uint64_t *load_out, Cycle issue);
+    StoreAlloc storeAllocateSlow(Addr addr, unsigned bytes,
+                                 std::uint64_t value, Cycle now);
+
+    /** Meter @p aj in @p cat (no meter: nothing). */
+    void charge(Energy cat, energy::Attojoules aj)
+    {
+        if (meter_)
+            meter_->addAj(cat, aj);
+    }
+
+    /** A @p T-wide little-endian load, zero-extended, via a register. */
+    template <typename T>
+    static std::uint64_t loadAs(const std::uint8_t *p)
+    {
+        T v;
+        std::memcpy(&v, p, sizeof v);
+        return v;
+    }
+
+    /** The low sizeof(@p T) bytes of @p value, stored at @p p. */
+    template <typename T>
+    static void storeAs(std::uint8_t *p, std::uint64_t value)
+    {
+        const T v = static_cast<T>(value);
+        std::memcpy(p, &v, sizeof v);
+    }
+
     // params_' charge amounts, quantized once; repl_aj_ is 0 under FIFO.
     energy::Attojoules read_aj_;
     energy::Attojoules write_aj_;

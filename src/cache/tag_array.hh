@@ -77,19 +77,34 @@ class TagArray
 
     // --- Lookup / replacement ----------------------------------------------
 
+    /**
+     * lookup()'s MRU-way check alone: true, with @p ref, only when the
+     * set's last-touched way is valid and holds @p addr's line; false
+     * says nothing. No replacement-state update.
+     */
+    bool hintHit(Addr addr, LineRef &ref) const
+    {
+        const std::uint32_t set = setIndex(addr);
+        const std::uint32_t hint = mru_way_[set];
+        const std::size_t i = static_cast<std::size_t>(set) * assoc_ + hint;
+        if (hint < assoc_ && valid_[i] && addrs_[i] == lineAddrOf(addr)) {
+            ref = { set, hint };
+            return true;
+        }
+        return false;
+    }
+
     /** Find the line holding @p addr; no replacement-state update. */
     std::optional<LineRef> lookup(Addr addr) const
     {
+        // MRU-way hint first: fetch loops and data accesses re-touch
+        // the same line, so it hits far more often than the scan.
+        LineRef ref;
+        if (hintHit(addr, ref))
+            return ref;
         const Addr laddr = lineAddrOf(addr);
         const std::uint32_t set = setIndex(addr);
         const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-        // MRU-way hint: fetch loops re-touch the same line, so this
-        // hits far more often than the scan. The hint is fully
-        // validated, so the result is identical with or without it.
-        const std::uint32_t hint = mru_way_[set];
-        if (hint < assoc_ && valid_[base + hint] &&
-            addrs_[base + hint] == laddr)
-            return LineRef{ set, hint };
         for (std::uint32_t way = 0; way < assoc_; ++way) {
             if (valid_[base + way] && addrs_[base + way] == laddr)
                 return LineRef{ set, way };
@@ -104,16 +119,8 @@ class TagArray
      */
     bool probe(Addr addr, LineRef &ref) const
     {
-        const Addr laddr = lineAddrOf(addr);
-        const std::uint32_t set = setIndex(addr);
-        const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-        const std::uint32_t hint = mru_way_[set];
-        if (hint < assoc_ && valid_[base + hint] &&
-            addrs_[base + hint] == laddr) {
-            ref = { set, hint };
-            return true;
-        }
-        return probeSet(laddr, set, ref);
+        return hintHit(addr, ref) ||
+            probeSet(lineAddrOf(addr), setIndex(addr), ref);
     }
 
     /** Record an access for LRU bookkeeping. */

@@ -21,6 +21,10 @@ InOrderCore::InOrderCore(const CoreParams &params,
       stat_cycles_(
           stat_group_.addScalar("busy_cycles", "cycles executing events"))
 {
+    wlc_assert(!meter_ || params_.compute_energy_per_insn >= 0.0);
+    for (unsigned n = 0; n < kComputeTableSize; ++n)
+        compute_aj_[n] = energy::toAttojoules(
+            params_.compute_energy_per_insn * static_cast<double>(n));
 }
 
 Cycle
@@ -41,9 +45,12 @@ InOrderCore::executeEvent(const MemAccess &ev, Cycle now,
     }
 
     if (meter_)
-        meter_->add(energy::EnergyCategory::Compute,
-                    params_.compute_energy_per_insn *
-                        static_cast<double>(insns));
+        meter_->addAj(energy::EnergyCategory::Compute,
+                      insns < kComputeTableSize
+                          ? compute_aj_[insns]
+                          : energy::toAttojoules(
+                                params_.compute_energy_per_insn *
+                                static_cast<double>(insns)));
     instret_ += insns;
     stat_insns_ += static_cast<double>(insns);
     ++stat_mem_insns_;

@@ -14,6 +14,7 @@
 #ifndef WLCACHE_CPU_INORDER_CORE_HH
 #define WLCACHE_CPU_INORDER_CORE_HH
 
+#include <array>
 #include <cstdint>
 
 #include "cache/cache_iface.hh"
@@ -77,6 +78,12 @@ class InOrderCore
     /** Attach a telemetry timeline (null detaches); observational. */
     void setTimeline(telemetry::TimelineBuffer *tl) { tl_ = tl; }
 
+    /**
+     * Events of fewer instructions than this take their compute
+     * charge from a table quantized at construction.
+     */
+    static constexpr unsigned kComputeTableSize = 256;
+
     /** Instructions between CoreProgress timeline markers. */
     static constexpr std::uint64_t kProgressStride = 1u << 16;
 
@@ -89,6 +96,12 @@ class InOrderCore
     cache::DataCache &dcache_;
     ICacheStream stream_;
     energy::EnergyMeter *meter_;
+    /**
+     * compute_aj_[n] = toAttojoules(compute_energy_per_insn * n), the
+     * value the single quantizer gives, so an event's charge from the
+     * table is bit-identical to quantizing it per event.
+     */
+    std::array<energy::Attojoules, kComputeTableSize> compute_aj_;
     telemetry::TimelineBuffer *tl_ = nullptr;
     std::uint64_t next_progress_ = kProgressStride;
     RegisterFile regs_;

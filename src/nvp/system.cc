@@ -263,37 +263,16 @@ SystemSim::tryRaiseReserve(unsigned bound, double extra_j)
 }
 
 void
-SystemSim::drawConsumedEnergy()
+SystemSim::accountCycles(Cycle span)
 {
-    const energy::Attojoules total = meter_.totalAj();
-    const energy::Attojoules delta = total - last_meter_aj_;
-    last_meter_aj_ = total;
-    if (harvester_.infinite())
-        return;
-    cap_.drawAj(delta);
-}
-
-void
-SystemSim::accountPassage(Cycle from, Cycle to)
-{
-    if (to <= from)
-        return;
-    const Cycle span = to - from;
-    if (cfg_.step_mode == StepMode::Percycle) {
-        // Reference path: one leakage add and one harvester step per
-        // cycle. Integer attojoules make the sum exactly the batched
-        // form below — the equivalence suite holds the two together.
-        for (Cycle i = 0; i < span; ++i) {
-            meter_.addAj(energy::EnergyCategory::Leakage,
-                         leak_aj_per_cycle_);
-            harvester_.advanceCycles(1, cap_);
-        }
-        return;
+    // Reference path: one leakage add and one harvester step per
+    // cycle. Integer attojoules make the sum exactly the batched form
+    // in accountPassage() — the equivalence suite holds the two
+    // together.
+    for (Cycle i = 0; i < span; ++i) {
+        meter_.addAj(energy::EnergyCategory::Leakage, leak_aj_per_cycle_);
+        harvester_.advanceCycles(1, cap_);
     }
-    // Skip-ahead: integrate the whole span closed-form.
-    meter_.addAj(energy::EnergyCategory::Leakage,
-                 energy::scaleAttojoules(leak_aj_per_cycle_, span));
-    harvester_.advanceCycles(span, cap_);
 }
 
 void

@@ -261,8 +261,32 @@ class SystemSim
     /** Dynamic adaptation (§4): apply @p bound's thresholds if the
      *  capacitor holds that Vbackup level plus 4 x @p extra_j. */
     bool tryRaiseReserve(unsigned bound, double extra_j);
-    void drawConsumedEnergy();
-    void accountPassage(Cycle from, Cycle to);
+    /** Draw what the meter charged since the last draw from cap_. */
+    void drawConsumedEnergy()
+    {
+        const energy::Attojoules total = meter_.totalAj();
+        const energy::Attojoules delta = total - last_meter_aj_;
+        last_meter_aj_ = total;
+        if (!harvester_.infinite())
+            cap_.drawAj(delta);
+    }
+
+    /** Leakage and harvest over the cycles [@p from, @p to). */
+    void accountPassage(Cycle from, Cycle to)
+    {
+        if (to <= from)
+            return;
+        const Cycle span = to - from;
+        if (cfg_.step_mode == StepMode::Percycle)
+            return accountCycles(span);
+        // Skip-ahead: integrate the whole span closed-form.
+        meter_.addAj(energy::EnergyCategory::Leakage,
+                     energy::scaleAttojoules(leak_aj_per_cycle_, span));
+        harvester_.advanceCycles(span, cap_);
+    }
+
+    /** accountPassage()'s Percycle reference: cycle by cycle. */
+    void accountCycles(Cycle span);
     void powerFail();
     void bootAndRestore();
     void checkConsistency();

@@ -28,8 +28,8 @@ GuestEnv::alloc(std::size_t bytes, std::size_t align)
     return data_base_ + off;
 }
 
-std::uint8_t *
-GuestEnv::ptr(Addr addr, unsigned bytes)
+void
+GuestEnv::badAccess(Addr addr, unsigned bytes) const
 {
     wlc_assert(addr >= data_base_, "guest access below data segment");
     const std::size_t off = static_cast<std::size_t>(addr - data_base_);
@@ -38,25 +38,17 @@ GuestEnv::ptr(Addr addr, unsigned bytes)
     wlc_assert(addr % bytes == 0,
                "unaligned guest access: addr=0x%llx size=%u",
                static_cast<unsigned long long>(addr), bytes);
-    return backing_.data() + off;
+    panic("guest access at 0x%llx passed every check",
+          static_cast<unsigned long long>(addr));
 }
 
 void
-GuestEnv::record(MemOp op, Addr addr, unsigned bytes, std::uint64_t v)
+GuestEnv::gapTooLong(Addr addr) const
 {
-    if (gap_ > kMaxComputeGap)
-        fatal("%llu instructions before the access at 0x%llx exceed the "
-              "compute gap one trace event holds (%u)",
-              static_cast<unsigned long long>(gap_),
-              static_cast<unsigned long long>(addr), kMaxComputeGap);
-    MemAccess ev;
-    ev.computeGap = static_cast<std::uint16_t>(gap_);
-    ev.op = op;
-    ev.size = static_cast<AccessSize>(bytes);
-    ev.addr = static_cast<std::uint32_t>(addr);
-    ev.value = v;
-    trace_.push_back(ev);
-    gap_ = 0;
+    fatal("%llu instructions before the access at 0x%llx exceed the "
+          "compute gap one trace event holds (%u)",
+          static_cast<unsigned long long>(gap_),
+          static_cast<unsigned long long>(addr), kMaxComputeGap);
 }
 
 void
@@ -79,6 +71,9 @@ GuestEnv::finish()
                         std::min<std::size_t>(sizeof v, backing_.size()));
         record(MemOp::Load, data_base_, 4, v);
     }
+    trace_.shrink_to_fit();
+    initial_.shrink_to_fit();
+    backing_.shrink_to_fit();
 }
 
 } // namespace workloads

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -86,12 +87,19 @@ class GuestEnv
     /** Deterministic input-generation RNG. */
     Rng &rng() { return rng_; }
 
-    /** Flush any trailing compute gap into a final trace event. */
+    /**
+     * Flush any trailing compute gap into a final trace event and
+     * trim the events to their exact size: recording is over.
+     */
     void finish();
 
     // --- Results ------------------------------------------------------------
 
-    const std::vector<MemAccess> &trace() const { return trace_; }
+    // Each result's rvalue overload moves it out of a finished env:
+    // std::move(env).trace().
+
+    const std::vector<MemAccess> &trace() const & { return trace_; }
+    std::vector<MemAccess> trace() && { return std::move(trace_); }
 
     Addr dataBase() const { return data_base_; }
 
@@ -99,20 +107,43 @@ class GuestEnv
      * Initial NVM image: the allocated heap with its init() data
      * (un-initialized bytes are zero, matching NVM).
      */
-    const std::vector<std::uint8_t> &initialImage() const
-    {
-        return initial_;
-    }
+    const std::vector<std::uint8_t> &initialImage() const & { return initial_; }
+    std::vector<std::uint8_t> initialImage() && { return std::move(initial_); }
 
     /** Final expected heap contents after a crash-free run. */
-    const std::vector<std::uint8_t> &finalImage() const
-    {
-        return backing_;
-    }
+    const std::vector<std::uint8_t> &finalImage() const & { return backing_; }
+    std::vector<std::uint8_t> finalImage() && { return std::move(backing_); }
 
   private:
-    std::uint8_t *ptr(Addr addr, unsigned bytes);
-    void record(MemOp op, Addr addr, unsigned bytes, std::uint64_t v);
+    /** Host pointer to a checked, aligned guest access. */
+    std::uint8_t *ptr(Addr addr, unsigned bytes)
+    {
+        const std::size_t off = static_cast<std::size_t>(addr - data_base_);
+        if (addr < data_base_ || off + bytes > backing_.size() ||
+            addr % bytes != 0)
+            badAccess(addr, bytes);
+        return backing_.data() + off;
+    }
+
+    /** Append a trace event carrying the pending compute gap. */
+    void record(MemOp op, Addr addr, unsigned bytes, std::uint64_t v)
+    {
+        if (gap_ > kMaxComputeGap)
+            gapTooLong(addr);
+        MemAccess ev;
+        ev.computeGap = static_cast<std::uint16_t>(gap_);
+        ev.op = op;
+        ev.size = static_cast<AccessSize>(bytes);
+        ev.addr = static_cast<std::uint32_t>(addr);
+        ev.value = v;
+        trace_.push_back(ev);
+        gap_ = 0;
+    }
+
+    /** ptr()'s failure: panics naming the check @p addr fails. */
+    [[noreturn]] void badAccess(Addr addr, unsigned bytes) const;
+    /** record()'s failure: fatal() on an over-long compute gap. */
+    [[noreturn]] void gapTooLong(Addr addr) const;
     void markInit(Addr addr, unsigned bytes);
 
     template <typename T>

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <tuple>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "workloads/kernels.hh"
@@ -116,10 +117,10 @@ buildTrace(const WorkloadInfo &info, unsigned scale, std::uint64_t seed)
     built->info = &info;
     built->seed = seed;
     built->scale = scale;
-    built->events = env.trace();
     built->image_base = env.dataBase();
-    built->initial_image = env.initialImage();
-    built->final_image = env.finalImage();
+    built->events = std::move(env).trace();
+    built->initial_image = std::move(env).initialImage();
+    built->final_image = std::move(env).finalImage();
     wlc_assert(!built->events.empty(), "workload '%s' recorded nothing",
                info.name);
     return built;

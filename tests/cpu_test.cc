@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 
@@ -127,6 +128,44 @@ TEST_F(CpuFixture, ComputeEnergyCharged)
     core->executeEvent(ev, 0);
     EXPECT_NEAR(meter.get(energy::EnergyCategory::Compute),
                 100.0 * CoreParams{}.compute_energy_per_insn, 1e-15);
+}
+
+TEST_F(CpuFixture, ComputeTableMatchesTheQuantizerAcrossItsEdge)
+{
+    // 1.5 aJ per instruction puts odd counts on a half-attojoule tie
+    // (3 x 1.5 = 4.5 rounds away from zero to 5), where quantizing
+    // the per-instruction energy first would give 3 x 2 = 6.
+    struct Energy
+    {
+        double per_insn;
+        unsigned min_ties;
+    };
+    for (const Energy e : { Energy{ CoreParams{}.compute_energy_per_insn, 0 },
+                            Energy{ 1.5e-18, 50 } }) {
+        SCOPED_TRACE(::testing::Message() << "energy " << e.per_insn);
+        CoreParams p;
+        p.compute_energy_per_insn = e.per_insn;
+        InOrderCore c(p, *icache, *dcache, ICacheStream(streamParams()),
+                      &meter);
+        unsigned ties = 0;
+        Cycle t = 0;
+        for (unsigned n = 1; n <= InOrderCore::kComputeTableSize + 2;
+             ++n) {
+            const double joules = e.per_insn * static_cast<double>(n);
+            const double aj = joules * energy::kAttojoulesPerJoule;
+            ties += aj - std::floor(aj) == 0.5;
+            const energy::Attojoules before =
+                meter.getAj(energy::EnergyCategory::Compute);
+            const MemAccess ev{ static_cast<std::uint16_t>(n - 1),
+                                MemOp::Load, 4, 0x1000, 0 };
+            t = c.executeEvent(ev, t);
+            ASSERT_EQ(meter.getAj(energy::EnergyCategory::Compute) -
+                          before,
+                      energy::toAttojoules(joules))
+                << n << " instructions";
+        }
+        EXPECT_GE(ties, e.min_ties);
+    }
 }
 
 TEST_F(CpuFixture, LoadReturnsFunctionalData)

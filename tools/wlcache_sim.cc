@@ -262,7 +262,7 @@ main(int argc, char **argv)
         .option("power-seed", "7", "power trace seed")
         .option("cache-size", "8192", "L1 D/I cache bytes")
         .option("assoc", "2", "set associativity")
-        .option("cache-repl", "lru", "cache replacement: lru|fifo")
+        .option("cache-repl", "lru", "D-cache replacement: lru|fifo")
         .option("dq-size", "8", "DirtyQueue slots (WL)")
         .option("maxline", "6", "initial maxline (WL)")
         .option("dq-repl", "fifo", "DirtyQueue replacement: fifo|lru")
